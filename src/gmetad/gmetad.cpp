@@ -486,46 +486,6 @@ net::ServiceFn Gmetad::federation_service() {
   };
 }
 
-std::string Gmetad::federation_address() const {
-  return federation_listener_ ? federation_listener_->address()
-                              : config_.federation_bind;
-}
-
-void Gmetad::handle_federation_connection(net::Stream& stream) {
-  if (!peer_trusted(stream.peer_address())) {
-    GLOG(warn, "gmetad") << config_.grid_name
-                         << ": rejected untrusted federation peer "
-                         << stream.peer_address();
-    stream.close();
-    return;
-  }
-  // Persistent session: one framed request, one framed response, repeat
-  // until the peer disconnects (or framing breaks — the client resyncs).
-  // A piggybacked membership digest is the one multi-frame request; it is
-  // reassembled here so the publisher always sees a complete request.
-  net::FrameReader reader(stream, config_.federation_max_frame);
-  while (running_.load()) {
-    auto frame = reader.next();
-    if (!frame.ok()) break;
-    std::string request;
-    if (frame->type == gossip::kFrameDigestBegin) {
-      auto payload =
-          gossip::read_digest_frames(reader, *frame, config_.gossip_max_digest);
-      if (!payload.ok()) break;
-      gossip::put_digest_frames(request, *payload, config_.federation_max_frame);
-    } else {
-      net::put_frame(request, frame->type, frame->payload);
-    }
-    std::string response;
-    {
-      ScopedCpuMeter meter(cpu_meter_);
-      response = publisher_->serve(request);
-    }
-    if (!stream.write_all(response).ok()) break;
-  }
-  stream.close();
-}
-
 std::optional<Result<std::string>> Gmetad::piggyback_digest(
     const std::string& peer_address, const std::string& payload) {
   if (!gossip_) return std::nullopt;
@@ -682,15 +642,6 @@ void Gmetad::sync_membership_sources() {
 
 // ------------------------------------------------------------- daemon mode
 
-std::string Gmetad::xml_address() const {
-  return xml_listener_ ? xml_listener_->address() : config_.xml_bind;
-}
-
-std::string Gmetad::interactive_address() const {
-  return interactive_listener_ ? interactive_listener_->address()
-                               : config_.interactive_bind;
-}
-
 bool Gmetad::peer_trusted(const std::string& peer) const {
   if (config_.trusted_hosts.empty()) return true;
   const auto colon = peer.rfind(':');
@@ -698,35 +649,9 @@ bool Gmetad::peer_trusted(const std::string& peer) const {
   for (const std::string& trusted : config_.trusted_hosts) {
     if (trusted == host || trusted == peer) return true;
   }
+  GLOG(warn, "gmetad") << config_.grid_name << ": rejected untrusted peer "
+                       << peer;
   return false;
-}
-
-void Gmetad::handle_connection(net::Stream& stream, bool interactive) {
-  if (!peer_trusted(stream.peer_address())) {
-    GLOG(warn, "gmetad") << config_.grid_name << ": rejected untrusted peer "
-                         << stream.peer_address();
-    stream.close();
-    return;
-  }
-  if (!interactive) {
-    const std::string report = dump_xml();
-    (void)stream.write_all(report);
-    stream.close();
-    return;
-  }
-  // Interactive: one query line, one response, close — clients read to EOF
-  // to find the response boundary (the in-memory fabric behaves the same).
-  auto line = net::read_line(stream);
-  if (line.ok()) {
-    auto response = handle_interactive(*line);
-    if (response.ok()) {
-      (void)stream.write_all(*response);
-    } else {
-      (void)stream.write_all("<!-- ERROR: " + response.error().to_string() +
-                             " -->\n");
-    }
-  }
-  stream.close();
 }
 
 Status Gmetad::start() {
@@ -741,83 +666,74 @@ Status Gmetad::start() {
     }
   }
 
-  auto xml_listener = transport_.listen(config_.xml_bind);
-  if (!xml_listener.ok()) {
+  // Every port is a ServiceFn on one reactor.  Ports differ only in where
+  // a request ends, whether the connection stays open, and who may
+  // connect: parents and viewers must be trusted, gossip peers need not.
+  const auto fail = [this](const Error& error) -> Status {
+    server_.stop();
     running_ = false;
-    return xml_listener.error();
-  }
-  auto interactive_listener = transport_.listen(config_.interactive_bind);
-  if (!interactive_listener.ok()) {
-    running_ = false;
-    return interactive_listener.error();
-  }
+    return error;
+  };
+  const auto trusted = [this](const std::string& peer) {
+    return peer_trusted(peer);
+  };
+  net::Port dump = net::dump_port();
+  dump.admit = trusted;
+  auto xml = server_.bind(transport_, config_.xml_bind, dump_service(), dump);
+  if (!xml.ok()) return fail(xml.error());
+  net::Port line = net::line_port();
+  line.admit = trusted;
+  auto interactive =
+      server_.bind(transport_, config_.interactive_bind,
+                   net::reply_errors(interactive_service()), line);
+  if (!interactive.ok()) return fail(interactive.error());
   if (!config_.federation_bind.empty()) {
-    auto federation_listener = transport_.listen(config_.federation_bind);
-    if (!federation_listener.ok()) {
-      running_ = false;
-      return federation_listener.error();
-    }
-    federation_listener_ = std::move(*federation_listener);
+    // Persistent: a parent holds its session open across polls.
+    net::Port framed{[this](std::string_view unread, net::ScanState& scan) {
+                       return gossip::framed_request_end(
+                           unread, scan, config_.federation_max_frame,
+                           config_.gossip_max_digest);
+                     },
+                     /*keep_open=*/true, trusted};
+    auto federation = server_.bind(transport_, config_.federation_bind,
+                                   federation_service(), std::move(framed));
+    if (!federation.ok()) return fail(federation.error());
+    config_.federation_bind = *federation;
   }
-  xml_listener_ = std::move(*xml_listener);
-  interactive_listener_ = std::move(*interactive_listener);
+  // Resolve ephemeral ports so every advertised address is dialable.
+  config_.xml_bind = *xml;
+  config_.interactive_bind = *interactive;
   if (config_.authority.empty()) {
     // Advertise the bound address so upstream summaries carry a usable
     // pointer to this node's higher-resolution view.
-    config_.authority = "gmetad://" + xml_listener_->address() + "/";
+    config_.authority = "gmetad://" + config_.xml_bind + "/";
   }
 
   if (gossip_) {
-    // Advertise the *bound* XML address (resolves ephemeral ports) before
-    // the first digest leaves this node.
-    gossip_->set_self_meta("xml", xml_listener_->address());
-    gossip_->set_self_meta("authority", config_.authority);
-    if (federation_listener_) {
-      gossip_->set_self_meta("fed", federation_listener_->address());
-    }
-    if (Status s = gossip_->start(); !s.ok()) {
-      // Monitoring still works without membership; degrade loudly.
-      GLOG(warn, "gmetad") << config_.grid_name
-                           << ": gossip disabled: " << s.to_string();
-    } else {
+    net::Port digest{[agent = gossip_.get()](std::string_view unread,
+                                             net::ScanState& scan) {
+                       return agent->request_end(unread, scan);
+                     },
+                     /*keep_open=*/false, {}};
+    auto gossip_address = server_.bind(transport_, config_.gossip_bind,
+                                       gossip_->service(), std::move(digest));
+    if (gossip_address.ok()) {
+      gossip_->set_self_address(*gossip_address);
       GLOG(info, "gmetad") << config_.grid_name << ": gossiping on "
-                           << gossip_->address();
+                           << *gossip_address;
+    } else {
+      // Monitoring still works without membership; degrade loudly.
+      GLOG(warn, "gmetad") << config_.grid_name << ": gossip port disabled: "
+                           << gossip_address.error().to_string();
+    }
+    // Advertise the bound addresses before the first digest leaves.
+    gossip_->set_self_meta("xml", config_.xml_bind);
+    gossip_->set_self_meta("authority", config_.authority);
+    if (!config_.federation_bind.empty()) {
+      gossip_->set_self_meta("fed", config_.federation_bind);
     }
   }
-
-  const auto accept_loop = [this](net::Listener* listener, bool interactive) {
-    while (running_.load()) {
-      auto stream = listener->accept();
-      if (!stream.ok()) return;  // listener closed
-      handle_connection(**stream, interactive);
-    }
-  };
-  threads_.emplace_back(accept_loop, xml_listener_.get(), false);
-  threads_.emplace_back(accept_loop, interactive_listener_.get(), true);
-  if (federation_listener_) {
-    // Federation connections are persistent (one parent holds its stream
-    // across polls), so each gets its own handler thread; the accept loop
-    // reaps finished handlers as new connections arrive.
-    threads_.emplace_back([this] {
-      while (running_.load()) {
-        auto stream = federation_listener_->accept();
-        if (!stream.ok()) return;
-        std::shared_ptr<net::Stream> shared(std::move(*stream));
-        std::lock_guard lock(fed_conns_mutex_);
-        std::erase_if(fed_conns_, [](const FedConnection& c) {
-          return c.done->load(std::memory_order_acquire);
-        });
-        FedConnection conn;
-        conn.stream = shared;
-        conn.done = std::make_shared<std::atomic<bool>>(false);
-        conn.thread = std::jthread([this, shared, done = conn.done] {
-          handle_federation_connection(*shared);
-          done->store(true, std::memory_order_release);
-        });
-        fed_conns_.push_back(std::move(conn));
-      }
-    });
-  }
+  if (Status s = server_.start(); !s.ok()) return fail(s.error());
 
   // Write-behind persistence: a background flusher persists dirty archives
   // every archive_flush_interval_s (no-op when unset or interval 0).
@@ -826,7 +742,7 @@ Status Gmetad::start() {
   // Poller thread: 100 ms due-time ticks.  Each source carries its own
   // next-due timestamp, so mixed poll_interval_s settings are honoured
   // individually instead of everything polling at the global minimum.
-  threads_.emplace_back([this](std::stop_token token) {
+  scheduler_ = std::jthread([this](std::stop_token token) {
     while (!token.stop_requested() && running_.load()) {
       tick_scheduler();
       clock_.sleep_us(kMicrosPerSecond / 10);
@@ -914,31 +830,8 @@ void Gmetad::stop() {
   // Announce the departure while peers still answer: the LEFT tombstone
   // spares them the t_fail + t_cleanup detection wait.
   if (gossip_) gossip_->leave();
-  if (xml_listener_) xml_listener_->close();
-  if (interactive_listener_) interactive_listener_->close();
-  if (federation_listener_) federation_listener_->close();
-  {
-    // Unblock federation handlers stuck in a read; their threads join when
-    // the connection list is destroyed below.
-    std::lock_guard lock(fed_conns_mutex_);
-    for (FedConnection& conn : fed_conns_) {
-      if (conn.stream) conn.stream->close();
-    }
-  }
-  for (std::jthread& t : threads_) t.request_stop();
-  threads_.clear();  // joins (including the federation accept loop)
-  {
-    std::vector<FedConnection> conns;
-    {
-      std::lock_guard lock(fed_conns_mutex_);
-      conns.swap(fed_conns_);
-    }
-    conns.clear();  // joins the per-connection handlers
-  }
-  if (gossip_) gossip_->stop();
-  xml_listener_.reset();
-  interactive_listener_.reset();
-  federation_listener_.reset();
+  server_.stop();  // closes every port and connection, joins the reactor
+  scheduler_ = std::jthread();  // request_stop + join
   // Join the write-behind flusher *before* the final flush: the shutdown
   // flush must not race a periodic one, and a repeated stop() (or a stop()
   // racing an empty-dir cold start) is a silent no-op, not a warning.

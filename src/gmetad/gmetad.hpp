@@ -10,8 +10,9 @@
 // The instance can be driven two ways:
 //  * deterministically — poll_once() per simulated 15 s round; tests and
 //    the paper-figure benches use this with the in-memory transport;
-//  * as a daemon — start()/stop() spin poller and server threads over any
-//    transport (the examples run real TCP on loopback).
+//  * as a daemon — start()/stop() run the poll scheduler and one reactor
+//    (net::ServiceServer) serving every port over any transport (the
+//    examples run real TCP on loopback).
 //
 // Polling is a concurrent pipeline: a fixed PollPool (poll_threads wide)
 // overlaps the blocking wide-area fetches, so a round's wall clock tracks
@@ -52,6 +53,7 @@
 #include "gmetad/store.hpp"
 #include "gossip/agent.hpp"
 #include "gossip/failover.hpp"
+#include "net/service_server.hpp"
 #include "net/transport.hpp"
 
 namespace ganglia::gmetad {
@@ -122,12 +124,12 @@ class Gmetad {
   /// Service adapter answering framed delta-federation polls against this
   /// node's current document (the dump-port tree in typed form).  Each
   /// request is one complete framed poll/ping; each response is a complete
-  /// framed byte string — the same publisher also backs the persistent TCP
-  /// listener bound at config.federation_bind.
+  /// framed byte string — the same adapter serves the persistent
+  /// federation port bound at config.federation_bind.
   net::ServiceFn federation_service();
 
-  /// Bound delta listener address (config.federation_bind until start()).
-  std::string federation_address() const;
+  /// Bound federation port address (config.federation_bind until start()).
+  std::string federation_address() const { return config_.federation_bind; }
 
   /// Serving-side delta counters for the stats route.
   fed::PublisherStats federation_stats() const { return publisher_->stats(); }
@@ -157,15 +159,16 @@ class Gmetad {
 
   // -- daemon mode ----------------------------------------------------------
 
-  /// Start poller + server threads.  Binds the configured addresses on the
-  /// injected transport.
+  /// Bind the configured ports on the injected transport and start the
+  /// poll scheduler and the serving reactor.  Ephemeral ports resolve into
+  /// config().
   Status start();
   void stop();
   bool running() const noexcept { return running_.load(); }
 
   /// Actual bound addresses (useful with ephemeral ports).
-  std::string xml_address() const;
-  std::string interactive_address() const;
+  std::string xml_address() const { return config_.xml_bind; }
+  std::string interactive_address() const { return config_.interactive_bind; }
 
   // -- introspection ----------------------------------------------------------
 
@@ -195,7 +198,7 @@ class Gmetad {
   QueryContext context();
   Result<std::string> handle_history_line(std::string_view line);
   void archive_snapshot(const SourceSnapshot& snapshot);
-  void handle_connection(net::Stream& stream, bool interactive);
+  /// trusted_hosts check at accept (logs refusals).
   bool peer_trusted(const std::string& peer) const;
   Result<std::string> handle_join_line(std::string_view line);
 
@@ -208,9 +211,6 @@ class Gmetad {
   /// The document the delta publisher diffs: the dump-port tree in typed
   /// form, cached until a store version (or the clock second) moves.
   fed::Doc current_doc();
-  /// Serve framed polls over one accepted federation connection until the
-  /// peer goes away.
-  void handle_federation_connection(net::Stream& stream);
   /// gossip::Agent::Carrier: route an outbound membership digest over the
   /// live federation poll session to that peer, when one exists.
   std::optional<Result<std::string>> piggyback_digest(
@@ -273,19 +273,8 @@ class Gmetad {
 
   // Daemon mode.
   std::atomic<bool> running_{false};
-  std::unique_ptr<net::Listener> xml_listener_;
-  std::unique_ptr<net::Listener> interactive_listener_;
-  std::unique_ptr<net::Listener> federation_listener_;
-  /// Live federation connections: persistent, so each gets its own thread;
-  /// stop() closes the streams to unblock them, then joins.
-  struct FedConnection {
-    std::shared_ptr<net::Stream> stream;
-    std::shared_ptr<std::atomic<bool>> done;
-    std::jthread thread;
-  };
-  std::mutex fed_conns_mutex_;
-  std::vector<FedConnection> fed_conns_;
-  std::vector<std::jthread> threads_;
+  net::ServiceServer server_;  ///< every port, on one reactor
+  std::jthread scheduler_;
 
   /// Declared last: destroyed first, joining any in-flight poll tasks
   /// before the members they reference go away.

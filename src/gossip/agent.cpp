@@ -39,7 +39,7 @@ Agent::Agent(AgentOptions options, net::Transport& transport, Clock& clock)
   }
 }
 
-Agent::~Agent() { stop(); }
+Agent::~Agent() = default;
 
 const std::vector<PeerRef>& Agent::stable_partners() {
   // Caller holds mutex_.  Recomputed only when the alive set changes:
@@ -712,6 +712,24 @@ net::ServiceFn Agent::service() {
   return [this](std::string_view request) { return handle_request(request); };
 }
 
+net::RequestEnd Agent::request_end(std::string_view unread,
+                                   net::ScanState& scan) const {
+  if (!looks_like_text_digest(unread)) {
+    return framed_request_end(unread, scan, options_.max_frame + 64,
+                              options_.max_digest_bytes);
+  }
+  constexpr std::string_view kEnd = "\nEND\n";
+  const std::size_t end =
+      unread.substr(0, kMaxDigestBytes).find(kEnd, scan.offset);
+  if (end != std::string_view::npos) {
+    return net::RequestEnd::complete(end + kEnd.size());
+  }
+  // Resume just short of the tail, where a split terminator may start.
+  scan.offset = unread.size() - std::min(unread.size(), kEnd.size() - 1);
+  return unread.size() >= kMaxDigestBytes ? net::RequestEnd::malformed()
+                                          : net::RequestEnd::need_more();
+}
+
 void Agent::leave() {
   std::vector<Outbound> outs;
   {
@@ -801,6 +819,11 @@ void Agent::set_self_meta(const std::string& key, std::string value) {
   table_.set_self_meta(key, std::move(value));
 }
 
+void Agent::set_self_address(std::string address) {
+  std::lock_guard lock(mutex_);
+  table_.set_self_address(std::move(address));
+}
+
 void Agent::set_event_handler(EventHandler handler) {
   std::lock_guard lock(handler_mutex_);
   handler_ = std::move(handler);
@@ -809,109 +832,6 @@ void Agent::set_event_handler(EventHandler handler) {
 void Agent::set_carrier(Carrier carrier) {
   std::lock_guard lock(handler_mutex_);
   carrier_ = std::move(carrier);
-}
-
-Status Agent::start() {
-  if (running_.exchange(true)) return Status{};
-  auto listener = transport_.listen(options_.address);
-  if (!listener.ok()) {
-    running_.store(false);
-    return listener.error();
-  }
-  listener_ = std::move(*listener);
-  threads_.emplace_back([this] {
-    while (running_.load()) {
-      auto conn = listener_->accept();
-      if (!conn.ok()) {
-        if (!running_.load()) return;
-        continue;
-      }
-      serve_connection(**conn);
-    }
-  });
-  return Status{};
-}
-
-void Agent::serve_connection(net::Stream& stream) {
-  // One request per connection, in either wire format.  The first byte
-  // disambiguates: 'G' opens a GOSSIP1 text digest, anything else is the
-  // length varint of a (tiny) digest Begin frame.
-  std::string buf;
-  char chunk[4096];
-  std::size_t off = 0;           // consumed frame bytes (binary)
-  std::string payload;           // reassembled binary digest
-  std::uint64_t total = 0;
-  bool have_total = false;
-  bool text = false;
-  bool complete = false;
-  while (!complete) {
-    auto n = stream.read(chunk, sizeof chunk);
-    if (!n.ok() || *n == 0) return;
-    buf.append(chunk, *n);
-    if (buf.front() == 'G') {
-      const std::size_t pos = buf.find("\nEND\n");
-      if (pos != std::string::npos) {
-        buf.resize(pos + 5);
-        text = true;
-        complete = true;
-      } else if (buf.size() > kMaxDigestBytes) {
-        return;
-      }
-      continue;
-    }
-    for (;;) {
-      net::Frame frame;
-      std::size_t consumed = 0;
-      const auto parsed =
-          net::parse_frame(std::string_view(buf).substr(off),
-                           options_.max_frame + 64, frame, consumed);
-      if (parsed == net::FrameParse::error) return;
-      if (parsed == net::FrameParse::need_more) break;
-      off += consumed;
-      if (!have_total) {
-        if (frame.type != kFrameDigestBegin) return;
-        net::WireReader reader(frame.payload);
-        if (!reader.get_varint(total) || !reader.done() ||
-            total > options_.max_digest_bytes) {
-          return;
-        }
-        have_total = true;
-      } else {
-        if (frame.type != kFrameDigestChunk ||
-            payload.size() + frame.payload.size() > total) {
-          return;
-        }
-        payload.append(frame.payload);
-      }
-      if (have_total && payload.size() == total) {
-        complete = true;
-        break;
-      }
-    }
-  }
-  if (text) {
-    auto reply = handle_digest(buf);
-    if (!reply.ok()) return;
-    (void)stream.write_all(*reply);
-  } else {
-    auto reply = handle_digest_payload(payload);
-    if (!reply.ok()) return;
-    std::string framed;
-    put_digest_frames(framed, *reply, options_.max_frame);
-    (void)stream.write_all(framed);
-  }
-  stream.close();
-}
-
-void Agent::stop() {
-  if (!running_.exchange(false)) return;
-  if (listener_) listener_->close();
-  threads_.clear();
-  listener_.reset();
-}
-
-std::string Agent::address() const {
-  return listener_ ? listener_->address() : options_.address;
 }
 
 }  // namespace ganglia::gossip

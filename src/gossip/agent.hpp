@@ -44,19 +44,19 @@
 // link convicts nobody else.
 //
 // Driving: call tick() from a deterministic loop (sim tests, benches) or
-// from the gmetad daemon scheduler.  start()/stop() only serve inbound
-// exchanges on a listener; ticking stays with the caller so simulated and
-// real deployments share every line of protocol code.
+// from the gmetad daemon scheduler.  The agent owns no listener and no
+// thread: inbound exchanges arrive through service(), which the in-memory
+// fabric calls directly and the gmetad serves on its gossip port (a
+// net::ServiceServer port framed by request_end()).  Simulated and real
+// deployments share every line of protocol code.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -64,6 +64,7 @@
 #include "common/rng.hpp"
 #include "gossip/delta.hpp"
 #include "gossip/member_table.hpp"
+#include "net/service_server.hpp"
 #include "net/transport.hpp"
 
 namespace ganglia::gossip {
@@ -158,6 +159,11 @@ class Agent {
   /// This is what the federation publisher's digest hook calls.
   Result<std::string> handle_digest_payload(std::string_view payload);
   net::ServiceFn service();
+  /// The gossip port's request-boundary rule: a GOSSIP1 text digest ending
+  /// in "\nEND\n" (at most kMaxDigestBytes), or framed_request_end within
+  /// max_frame and max_digest_bytes.
+  net::RequestEnd request_end(std::string_view unread,
+                              net::ScanState& scan) const;
 
   /// Broadcast a LEFT tombstone (best effort) — call before shutdown.
   void leave();
@@ -171,17 +177,13 @@ class Agent {
   const AgentOptions& options() const noexcept { return options_; }
 
   void set_self_meta(const std::string& key, std::string value);
+  /// Advertise `address` as this member's gossip address (the bound port,
+  /// once an ephemeral one resolves).
+  void set_self_address(std::string address);
   /// Transitions are dispatched outside the table lock, on whichever
   /// thread drove the merge (a tick, or a peer's exchange).
   void set_event_handler(EventHandler handler);
   void set_carrier(Carrier carrier);
-
-  // -- daemon mode ---------------------------------------------------------
-  /// Bind the gossip address and serve inbound exchanges until stop().
-  /// (Ticking remains the caller's job.)
-  Status start();
-  void stop();
-  std::string address() const;
 
   /// Seed-probe cadence when the view is healthy (every Nth round).
   static constexpr std::uint64_t kSeedProbePeriod = 8;
@@ -254,7 +256,6 @@ class Agent {
   void merge_digest_text(std::string_view text);
   void merge_reply_payload(std::string_view payload);
   void dispatch(std::vector<MemberEvent>& events);
-  void serve_connection(net::Stream& stream);
 
   AgentOptions options_;
   net::Transport& transport_;
@@ -274,10 +275,6 @@ class Agent {
   std::mutex handler_mutex_;
   EventHandler handler_;
   Carrier carrier_;
-
-  std::atomic<bool> running_{false};
-  std::unique_ptr<net::Listener> listener_;
-  std::vector<std::jthread> threads_;
 };
 
 }  // namespace ganglia::gossip

@@ -173,33 +173,57 @@ Result<std::uint64_t> digest_total(const net::Frame& begin,
 
 }  // namespace
 
+net::RequestEnd framed_request_end(std::string_view unread,
+                                   net::ScanState& scan, std::size_t max_frame,
+                                   std::size_t max_payload) {
+  // The head frame decides: a lone frame, or a digest Begin whose Chunks
+  // follow.  `scan` resumes after the chunks already counted.
+  net::Frame frame;
+  std::size_t consumed = 0;
+  switch (net::parse_frame(unread, max_frame, frame, consumed)) {
+    case net::FrameParse::need_more:
+      return net::RequestEnd::need_more();
+    case net::FrameParse::error:
+      return net::RequestEnd::malformed();
+    case net::FrameParse::ok:
+      break;
+  }
+  if (frame.type != kFrameDigestBegin) return net::RequestEnd::complete(consumed);
+  const auto total = digest_total(frame, max_payload);
+  if (!total.ok()) return net::RequestEnd::malformed();
+  if (scan.offset == 0) scan.offset = consumed;
+  while (scan.count < *total) {
+    const auto parsed = net::parse_frame(unread.substr(scan.offset), max_frame,
+                                         frame, consumed);
+    if (parsed == net::FrameParse::need_more) return net::RequestEnd::need_more();
+    if (parsed == net::FrameParse::error || frame.type != kFrameDigestChunk ||
+        scan.count + frame.payload.size() > *total) {
+      return net::RequestEnd::malformed();
+    }
+    scan.count += frame.payload.size();
+    scan.offset += consumed;
+  }
+  return net::RequestEnd::complete(scan.offset);
+}
+
 Result<std::string> collect_digest_frames(std::string_view buf,
                                           std::size_t max_payload) {
   const std::size_t max_frame = max_payload + 64;
+  net::ScanState scan;
+  const net::RequestEnd end =
+      framed_request_end(buf, scan, max_frame, max_payload);
   net::Frame frame;
   std::size_t consumed = 0;
-  if (net::parse_frame(buf, max_frame, frame, consumed) != net::FrameParse::ok) {
-    return Error{Errc::parse_error, "gossip: truncated digest frames"};
+  if (end.state != net::RequestEnd::State::complete ||
+      end.consumed != buf.size() ||
+      net::parse_frame(buf, max_frame, frame, consumed) != net::FrameParse::ok ||
+      frame.type != kFrameDigestBegin) {
+    return Error{Errc::parse_error, "gossip: malformed digest frames"};
   }
-  buf.remove_prefix(consumed);
-  auto total = digest_total(frame, max_payload);
-  if (!total.ok()) return total.error();
   std::string payload;
-  payload.reserve(static_cast<std::size_t>(*total));
-  while (payload.size() < *total) {
-    if (net::parse_frame(buf, max_frame, frame, consumed) !=
-        net::FrameParse::ok) {
-      return Error{Errc::parse_error, "gossip: truncated digest frames"};
-    }
-    buf.remove_prefix(consumed);
-    if (frame.type != kFrameDigestChunk ||
-        payload.size() + frame.payload.size() > *total) {
-      return Error{Errc::parse_error, "gossip: bad digest chunk"};
-    }
+  for (buf.remove_prefix(consumed); !buf.empty(); buf.remove_prefix(consumed)) {
+    (void)net::parse_frame(buf, max_frame, frame, consumed);
     payload.append(frame.payload);
-  }
-  if (!buf.empty()) {
-    return Error{Errc::parse_error, "gossip: trailing bytes after digest"};
   }
   return payload;
 }

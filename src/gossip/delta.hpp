@@ -62,6 +62,7 @@
 
 #include "common/result.hpp"
 #include "net/framing.hpp"
+#include "net/service_server.hpp"
 
 namespace ganglia::gossip {
 
@@ -151,6 +152,13 @@ void put_digest_frames(std::string& out, std::string_view payload,
 /// service path): Begin, then exactly enough Chunks, nothing trailing.
 Result<std::string> collect_digest_frames(std::string_view buf,
                                           std::size_t max_payload);
+
+/// Request-boundary rule of the framed ports (federation, gossip): one
+/// frame, or a digest Begin frame followed by all its Chunks.  Malformed
+/// when a frame exceeds `max_frame` or a digest's total `max_payload`.
+net::RequestEnd framed_request_end(std::string_view unread,
+                                   net::ScanState& scan, std::size_t max_frame,
+                                   std::size_t max_payload);
 
 /// Reassemble from a stream: `begin` is the already-read Begin frame, the
 /// chunks are pulled from `reader`.

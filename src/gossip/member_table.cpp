@@ -41,6 +41,13 @@ void MemberTable::set_self_meta(const std::string& key, std::string value) {
   touch(self, /*fields=*/true);
 }
 
+void MemberTable::set_self_address(std::string address) {
+  MemberEntry& self = members_.at(self_id_);
+  if (self.address == address) return;
+  self.address = std::move(address);
+  touch(self, /*fields=*/true);
+}
+
 void MemberTable::leave_self(TimeUs now) {
   MemberEntry& self = members_.at(self_id_);
   self.state = MemberState::left;

@@ -75,6 +75,7 @@ class MemberTable {
   /// Heartbeat progress for this round.
   void tick_self(TimeUs now);
   void set_self_meta(const std::string& key, std::string value);
+  void set_self_address(std::string address);
   /// Mark ourselves LEFT (broadcast by the agent's final digest).
   void leave_self(TimeUs now);
 

@@ -1,7 +1,5 @@
 #include "http/server.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <exception>
 
 #include "common/log.hpp"
@@ -9,14 +7,6 @@
 namespace ganglia::http {
 
 namespace {
-
-/// Poller tag reserved for the listener; connection ids start at 1.
-constexpr std::uint64_t kListenerTag = 0;
-
-/// Parsed-but-undispatched pipeline depth at which the server stops
-/// reading from a connection: a client streaming requests faster than the
-/// handler answers them buffers in its own socket, not in our heap.
-constexpr std::size_t kMaxPipelineDepth = 256;
 
 Response error_response(int status, std::string detail) {
   std::string body(reason_phrase(status));
@@ -28,588 +18,131 @@ Response error_response(int status, std::string detail) {
   return Response::make(status, std::move(body));
 }
 
-/// True when a connection has buffered enough (responses or parsed
-/// requests) that further reads should wait.
-bool reads_should_pause(std::size_t outbox_bytes, std::size_t cap,
-                        std::size_t pending) {
-  return outbox_bytes >= cap || pending >= kMaxPipelineDepth;
+/// [head][payload] as writev-able chunks; moves the body out of `response`
+/// (or aliases the cache entry via shared_body — the zero-copy path).
+net::Reply make_reply(Response&& response, bool head, bool keep_alive) {
+  net::Reply reply;
+  reply.keep_open = keep_alive;
+  reply.chunks.emplace_back().owned =
+      serialize_head(response, head, keep_alive);
+  if (head || response.status == 304) return reply;
+  if (response.shared_body) {
+    if (!response.shared_body->empty()) {
+      reply.chunks.emplace_back().shared = std::move(response.shared_body);
+    }
+  } else if (!response.body.empty()) {
+    reply.chunks.emplace_back().owned = std::move(response.body);
+  }
+  return reply;
 }
 
 }  // namespace
 
-/// [head][payload] as writev-able chunks; moves the body out of `response`
-/// (or aliases the cache entry via shared_body — the zero-copy path).
-std::vector<HttpServer::OutChunk> HttpServer::response_chunks(
-    Response&& response, bool head, bool keep_alive) {
-  std::vector<HttpServer::OutChunk> chunks;
-  HttpServer::OutChunk head_chunk;
-  head_chunk.owned = serialize_head(response, head, keep_alive);
-  chunks.push_back(std::move(head_chunk));
-  if (!head && response.status != 304) {
-    if (response.shared_body) {
-      if (!response.shared_body->empty()) {
-        HttpServer::OutChunk body_chunk;
-        body_chunk.shared = std::move(response.shared_body);
-        chunks.push_back(std::move(body_chunk));
+/// One connection's parser: each complete request becomes a Task, and a
+/// framing error becomes the ordered 400 that ends the connection.
+class HttpServer::Codec final : public net::Codec {
+ public:
+  explicit Codec(HttpServer& server)
+      : server_(server), parser_(server.options_.limits) {}
+
+  bool feed(std::string_view bytes, std::deque<net::Task>& out) override {
+    parser_.feed(bytes);
+    Request request;
+    for (;;) {
+      switch (parser_.poll(request)) {
+        case RequestParser::Poll::ready:
+          out.emplace_back([&server = server_, request = std::move(request),
+                            served = ++parsed_] {
+            return server.serve(request, served);
+          });
+          request = Request{};
+          continue;
+        case RequestParser::Poll::bad:
+          out.emplace_back([&server = server_, error = parser_.error()] {
+            return server.reject(error);
+          });
+          return false;
+        case RequestParser::Poll::need_more:
+          return true;
       }
-    } else if (!response.body.empty()) {
-      HttpServer::OutChunk body_chunk;
-      body_chunk.owned = std::move(response.body);
-      chunks.push_back(std::move(body_chunk));
     }
   }
-  return chunks;
-}
+
+ private:
+  HttpServer& server_;
+  RequestParser parser_;
+  std::size_t parsed_ = 0;
+};
 
 Status HttpServer::start(net::Transport& transport, const std::string& address,
                          Handler handler, ServerOptions options) {
-  if (running_.exchange(true)) {
+  if (reactor_.running()) {
     return Err(Errc::invalid_argument, "server already running");
   }
-  auto listener = transport.listen(address);
-  if (!listener.ok()) {
-    running_ = false;
-    return listener.error();
-  }
-  auto poller = net::Poller::create();
-  if (!poller.ok()) {
-    running_ = false;
-    return poller.error();
-  }
-  listener_ = std::move(*listener);
-  poller_ = std::move(*poller);
   handler_ = std::move(handler);
   options_ = options;
+  auto bound = reactor_.listen(transport, address, [this](const net::Stream&) {
+    return std::make_unique<Codec>(*this);
+  });
+  if (!bound.ok()) return bound.error();
 
-  connections_.clear();
-  graveyard_.clear();
-  next_id_ = 1;
-  reject_open_ = 0;
-  wheel_tick_us_ = std::max<TimeUs>(options_.idle_timeout_us / 64, 1000);
-  wheel_.assign(128, {});
-  wheel_last_slot_ = now_us() / wheel_tick_us_;
-  read_scratch_.assign(std::max<std::size_t>(options_.read_chunk, 1), '\0');
-  jobs_.clear();
-  completions_.clear();
-  workers_stopping_ = false;
-
-  const int listener_fd = listener_->native_fd();
-  if (listener_fd >= 0) {
-    listener_->set_nonblocking(true);
-    const Status added = poller_->add_fd(listener_fd, kListenerTag,
-                                         /*want_write=*/false);
-    if (!added.ok()) {
-      listener_->close();
-      listener_.reset();
-      poller_.reset();
-      running_ = false;
-      return added;
-    }
-  } else {
-    listener_->set_ready_notify(poller_->notifier(kListenerTag));
+  // Over cap: answer 503 so the client fails fast and retries elsewhere
+  // instead of queueing behind a saturated gateway.
+  Response busy = error_response(503, "connection limit reached");
+  busy.set_header("Retry-After", "1");
+  net::ReactorOptions reactor_options;
+  reactor_options.max_connections = options_.max_connections;
+  reactor_options.read_chunk = options_.read_chunk;
+  reactor_options.workers = options_.event_threads;
+  reactor_options.idle_timeout_us = options_.idle_timeout_us;
+  reactor_options.max_outbox_bytes = options_.max_outbox_bytes;
+  reactor_options.busy_reply = serialize_response(busy, /*head=*/false,
+                                                  /*keep_alive=*/false);
+  if (Status s = reactor_.start(std::move(reactor_options)); !s.ok()) {
+    reactor_.stop();
+    return s;
   }
-
-  std::size_t worker_count = options_.event_threads;
-  if (worker_count == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    worker_count = std::min<std::size_t>(8, std::max<std::size_t>(2, hw / 4));
-  }
-  workers_.reserve(worker_count);
-  for (std::size_t i = 0; i < worker_count; ++i) {
-    workers_.emplace_back(&HttpServer::worker_loop, this);
-  }
-  loop_thread_ = std::jthread(&HttpServer::event_loop, this);
-  GLOG(info, "http") << "serving on " << listener_->address() << " ("
-                     << worker_count << " workers)";
+  GLOG(info, "http") << "serving on " << *bound;
   return {};
 }
 
 void HttpServer::stop() {
-  if (!running_.exchange(false)) return;
-  if (listener_) listener_->close();
-  if (poller_) poller_->wake();
-  loop_thread_ = std::jthread();  // join: loop tears down all connections
-  {
-    std::lock_guard lock(jobs_mutex_);
-    workers_stopping_ = true;
-  }
-  jobs_cv_.notify_all();
-  workers_.clear();  // join
-  listener_.reset();
-  poller_.reset();
-  jobs_.clear();
-  completions_.clear();
+  reactor_.stop();
   handler_ = nullptr;
 }
 
 HttpServer::Stats HttpServer::stats() const {
-  Stats s;
-  s.connections = n_connections_.load();
+  Stats s{reactor_.stats()};
   s.requests = n_requests_.load();
   s.bad_requests = n_bad_requests_.load();
-  s.rejected_over_cap = n_rejected_over_cap_.load();
-  s.timeouts = n_timeouts_.load();
-  s.backpressure = n_backpressure_.load();
   return s;
 }
 
-TimeUs HttpServer::now_us() const {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-// --------------------------------------------------------------- event loop
-
-void HttpServer::event_loop() {
-  std::vector<net::PollEvent> events;
-  // Connections or bytes may have arrived between listen() and the
-  // notifier registration; prime both paths once before waiting.
-  accept_ready();
-
-  while (running_.load()) {
-    graveyard_.clear();
-    events.clear();
-    const int timeout_ms =
-        connections_.empty()
-            ? -1
-            : static_cast<int>(
-                  std::clamp<TimeUs>(wheel_tick_us_ / 1000, 1, 1000));
-    auto n = poller_->wait(events, timeout_ms);
-    if (!n.ok()) {
-      GLOG(warn, "http") << "poller failed: " << n.error().to_string();
-      break;
-    }
-    if (!running_.load()) break;
-
-    for (const net::PollEvent& ev : events) {
-      if (ev.tag == kListenerTag) {
-        accept_ready();
-        continue;
-      }
-      auto it = connections_.find(ev.tag);
-      if (it == connections_.end()) continue;  // already closed this cycle
-      Connection& conn = *it->second;
-      if (ev.writable && !conn.dead) flush_outbox(conn);
-      if ((ev.readable || ev.hangup) && !conn.dead) handle_readable(conn);
-    }
-    apply_completions();
-    advance_wheel();
-  }
-
-  // Teardown: close every stream so peers see EOF, then drop the state.
-  for (auto& [id, conn] : connections_) {
-    if (conn->fd >= 0) {
-      poller_->del_fd(conn->fd);
-    } else {
-      conn->stream->set_ready_notify(nullptr);
-    }
-    conn->stream->close();
-  }
-  connections_.clear();
-  graveyard_.clear();
-  reject_open_ = 0;
-  active_.store(0);
-}
-
-void HttpServer::accept_ready() {
-  while (running_.load()) {
-    auto stream = listener_->accept_nonblocking();
-    if (!stream.ok()) return;  // would_block, or listener closed
-    const bool over_cap =
-        connections_.size() - reject_open_ >= options_.max_connections;
-
-    auto conn = std::make_unique<Connection>();
-    conn->id = next_id_++;
-    conn->stream = std::move(*stream);
-    conn->parser = RequestParser(options_.limits);
-    conn->fd = conn->stream->native_fd();
-    conn->reject_drain = over_cap;
-    if (conn->fd >= 0) {
-      conn->stream->set_nonblocking(true);
-      const Status added =
-          poller_->add_fd(conn->fd, conn->id, /*want_write=*/false);
-      if (!added.ok()) {
-        conn->stream->close();
-        continue;
-      }
-    } else {
-      conn->stream->set_ready_notify(poller_->notifier(conn->id));
-    }
-    Connection& ref = *conn;
-    connections_.emplace(ref.id, std::move(conn));
-    touch(ref);
-
-    if (over_cap) {
-      // Over cap: answer 503 so the client fails fast and retries
-      // elsewhere instead of queueing behind a saturated gateway.  The
-      // connection lingers (reads discarded) until the client, told
-      // "Connection: close", hangs up — or the idle deadline reaps it.
-      ++reject_open_;
-      n_rejected_over_cap_.fetch_add(1, std::memory_order_relaxed);
-      Response busy = error_response(503, "connection limit reached");
-      busy.set_header("Retry-After", "1");
-      auto chunks = response_chunks(std::move(busy), /*head=*/false,
-                                    /*keep_alive=*/false);
-      for (OutChunk& chunk : chunks) {
-        ref.outbox_bytes += chunk.bytes().size();
-        ref.outbox.push_back(std::move(chunk));
-      }
-      active_.store(connections_.size() - reject_open_);
-      flush_outbox(ref);
-      if (!ref.dead) handle_readable(ref);
-      continue;
-    }
-
-    n_connections_.fetch_add(1, std::memory_order_relaxed);
-    active_.store(connections_.size() - reject_open_);
-    // Bytes may have raced ahead of registration; with edge triggering
-    // there will be no edge for them, so always take one read pass now.
-    handle_readable(ref);
-  }
-}
-
-void HttpServer::handle_readable(Connection& conn) {
-  if (conn.dead) return;
-  if (conn.reject_drain) {
-    // Rejected connection: discard whatever the client sends and close
-    // when it hangs up.
-    for (;;) {
-      auto n = conn.stream->read_some(read_scratch_.data(),
-                                      read_scratch_.size());
-      if (!n.ok()) {
-        if (n.code() == Errc::would_block) return;
-        close_connection(conn);
-        return;
-      }
-      if (*n == 0) {
-        close_connection(conn);
-        return;
-      }
-    }
-  }
-  if (conn.bad || conn.read_paused) return;
-  for (;;) {
-    auto n = conn.stream->read_some(read_scratch_.data(),
-                                    read_scratch_.size());
-    if (!n.ok()) {
-      if (n.code() == Errc::would_block) break;
-      close_connection(conn);  // reset / hard error
-      return;
-    }
-    if (*n == 0) {
-      conn.peer_eof = true;
-      break;
-    }
-    touch(conn);
-    conn.parser.feed(std::string_view(read_scratch_.data(), *n));
-    drain_parser(conn);
-    if (conn.bad) break;  // ordered 400 queued; stop reading
-    if (reads_should_pause(conn.outbox_bytes, options_.max_outbox_bytes,
-                                conn.pending.size())) {
-      conn.read_paused = true;
-      break;
-    }
-  }
-  maybe_dispatch(conn);
-  if (conn.dead) return;
-  maybe_close_idle_paths(conn);
-}
-
-void HttpServer::drain_parser(Connection& conn) {
-  Request request;
-  for (;;) {
-    const RequestParser::Poll state = conn.parser.poll(request);
-    if (state == RequestParser::Poll::ready) {
-      PendingItem item;
-      item.request = std::move(request);
-      conn.pending.push_back(std::move(item));
-      request = Request{};
-      continue;
-    }
-    if (state == RequestParser::Poll::bad) {
-      // Framing is lost: answer everything parsed so far, then a 400, then
-      // close.  The marker rides the same ordered queue as real requests.
-      conn.bad = true;
-      PendingItem marker;
-      marker.parse_bad = true;
-      marker.parse_error = conn.parser.error();
-      conn.pending.push_back(std::move(marker));
-    }
-    return;
-  }
-}
-
-void HttpServer::maybe_dispatch(Connection& conn) {
-  if (conn.dead || conn.handler_inflight || conn.draining_close) return;
-  if (conn.pending.empty()) return;
-  if (conn.outbox_bytes >= options_.max_outbox_bytes) return;
-
-  PendingItem item = std::move(conn.pending.front());
-  conn.pending.pop_front();
-
-  if (item.parse_bad) {
-    n_bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    enqueue_response(conn, error_response(400, std::move(item.parse_error)),
-                     /*head=*/false, /*keep_alive=*/false);
-    return;
-  }
-
-  ++conn.served;
+net::Reply HttpServer::serve(const Request& request, std::size_t served) {
   n_requests_.fetch_add(1, std::memory_order_relaxed);
-  const bool head = item.request.method == "HEAD";
-  if (item.request.version_minor >= 1 &&
-      item.request.find_header("Host") == nullptr) {
-    // RFC 9112 §3.2: a 1.1 request without Host is invalid.  Answered on
-    // the loop — no point waking a worker for it.
-    enqueue_response(conn, error_response(400, "missing Host header"), head,
-                     /*keep_alive=*/false);
-    return;
+  const bool head = request.method == "HEAD";
+  if (request.version_minor >= 1 && request.find_header("Host") == nullptr) {
+    // RFC 9112 §3.2: a 1.1 request without Host is invalid.
+    return make_reply(error_response(400, "missing Host header"), head,
+                      /*keep_alive=*/false);
   }
-
-  conn.handler_inflight = true;
-  Job job;
-  job.conn_id = conn.id;
-  job.request = std::move(item.request);
-  job.head = head;
-  job.served = conn.served;
-  {
-    std::lock_guard lock(jobs_mutex_);
-    jobs_.push_back(std::move(job));
+  Response response;
+  try {
+    response = handler_(request);
+  } catch (const std::exception& e) {
+    response = error_response(500, e.what());
+  } catch (...) {
+    response = error_response(500, "");
   }
-  jobs_cv_.notify_one();
+  const bool keep_alive = request.keep_alive() && response.status != 400 &&
+                          served < options_.max_requests_per_connection;
+  return make_reply(std::move(response), head, keep_alive);
 }
 
-void HttpServer::enqueue_response(Connection& conn, const Response& response,
-                                  bool head, bool keep_alive) {
-  Response owned = response;
-  auto chunks = response_chunks(std::move(owned), head, keep_alive);
-  for (OutChunk& chunk : chunks) {
-    conn.outbox_bytes += chunk.bytes().size();
-    conn.outbox.push_back(std::move(chunk));
-  }
-  if (!keep_alive) {
-    conn.draining_close = true;
-    conn.pending.clear();
-  }
-  flush_outbox(conn);
-}
-
-void HttpServer::flush_outbox(Connection& conn) {
-  if (conn.dead) return;
-  while (!conn.outbox.empty()) {
-    net::ConstBuf bufs[16];
-    std::size_t count = 0;
-    for (const OutChunk& chunk : conn.outbox) {
-      if (count == std::size(bufs)) break;
-      const std::string_view bytes = chunk.bytes();
-      bufs[count].data = bytes.data() + chunk.offset;
-      bufs[count].size = bytes.size() - chunk.offset;
-      ++count;
-    }
-    auto written = conn.stream->write_some(bufs, count);
-    if (!written.ok()) {
-      close_connection(conn);  // peer reset / gone: drop the rest
-      return;
-    }
-    if (*written == 0) {
-      // Transport full: re-arm for writability and let epoll tell us when
-      // the peer drains its receive window.
-      if (conn.fd >= 0 && !conn.want_write) {
-        conn.want_write = true;
-        n_backpressure_.fetch_add(1, std::memory_order_relaxed);
-        (void)poller_->mod_fd(conn.fd, conn.id, /*want_write=*/true);
-      }
-      break;
-    }
-    touch(conn);  // write progress counts against the idle deadline
-    std::size_t remaining = *written;
-    conn.outbox_bytes -= remaining;
-    while (remaining > 0) {
-      OutChunk& front = conn.outbox.front();
-      const std::size_t left = front.bytes().size() - front.offset;
-      if (remaining < left) {
-        front.offset += remaining;
-        remaining = 0;
-      } else {
-        remaining -= left;
-        conn.outbox.pop_front();
-      }
-    }
-  }
-
-  if (conn.outbox.empty()) {
-    if (conn.want_write) {
-      conn.want_write = false;
-      (void)poller_->mod_fd(conn.fd, conn.id, /*want_write=*/false);
-    }
-    if (conn.draining_close) {
-      close_connection(conn);
-      return;
-    }
-  }
-  if (conn.read_paused &&
-      !reads_should_pause(conn.outbox_bytes, options_.max_outbox_bytes,
-                               conn.pending.size())) {
-    conn.read_paused = false;
-    handle_readable(conn);  // the read edge was consumed while paused
-  }
-}
-
-void HttpServer::apply_completions() {
-  std::deque<Completion> batch;
-  {
-    std::lock_guard lock(completions_mutex_);
-    batch.swap(completions_);
-  }
-  for (Completion& comp : batch) {
-    auto it = connections_.find(comp.conn_id);
-    if (it == connections_.end()) continue;  // closed while handler ran
-    Connection& conn = *it->second;
-    if (conn.dead) continue;
-    conn.handler_inflight = false;
-    for (OutChunk& chunk : comp.chunks) {
-      conn.outbox_bytes += chunk.bytes().size();
-      conn.outbox.push_back(std::move(chunk));
-    }
-    if (!comp.keep_alive) {
-      conn.draining_close = true;
-      conn.pending.clear();
-    }
-    flush_outbox(conn);
-    if (conn.dead) continue;
-    if (conn.outbox_bytes >= options_.max_outbox_bytes) {
-      conn.read_paused = true;
-    }
-    maybe_dispatch(conn);
-    if (conn.dead) continue;
-    if (conn.read_paused &&
-        !reads_should_pause(conn.outbox_bytes,
-                                 options_.max_outbox_bytes,
-                                 conn.pending.size())) {
-      conn.read_paused = false;
-      handle_readable(conn);
-    }
-    if (conn.dead) continue;
-    maybe_close_idle_paths(conn);
-  }
-}
-
-void HttpServer::maybe_close_idle_paths(Connection& conn) {
-  // After the peer half-closed, the connection lives exactly as long as
-  // there is still work in flight for it (pipelined requests sent before
-  // the shutdown are all answered — same as the threaded server, which
-  // drained its parser buffer before noticing EOF).
-  if (conn.dead || !conn.peer_eof) return;
-  if (conn.pending.empty() && !conn.handler_inflight && conn.outbox.empty()) {
-    close_connection(conn);
-  }
-}
-
-void HttpServer::close_connection(Connection& conn) {
-  if (conn.dead) return;
-  conn.dead = true;
-  if (conn.fd >= 0) {
-    poller_->del_fd(conn.fd);
-  } else {
-    conn.stream->set_ready_notify(nullptr);
-  }
-  conn.stream->close();
-  if (conn.reject_drain) --reject_open_;
-  auto it = connections_.find(conn.id);
-  if (it != connections_.end()) {
-    // Keep the object alive until the end of this loop iteration: callers
-    // up the stack still hold a reference and re-check conn.dead.
-    graveyard_.push_back(std::move(it->second));
-    connections_.erase(it);
-  }
-  active_.store(connections_.size() - reject_open_);
-}
-
-// ------------------------------------------------------------ idle deadlines
-
-void HttpServer::touch(Connection& conn) {
-  conn.deadline_us = now_us() + options_.idle_timeout_us;
-  if (!conn.in_wheel) file_in_wheel(conn);
-}
-
-void HttpServer::file_in_wheel(Connection& conn) {
-  const std::size_t slot = static_cast<std::size_t>(
-      (conn.deadline_us / wheel_tick_us_ + 1) %
-      static_cast<TimeUs>(wheel_.size()));
-  wheel_[slot].push_back(conn.id);
-  conn.in_wheel = true;
-}
-
-void HttpServer::advance_wheel() {
-  const TimeUs now = now_us();
-  const std::int64_t current = now / wheel_tick_us_;
-  if (current <= wheel_last_slot_) return;
-  std::int64_t steps = current - wheel_last_slot_;
-  const auto size = static_cast<std::int64_t>(wheel_.size());
-  if (steps > size) steps = size;  // long stall: one full revolution
-  for (std::int64_t i = 1; i <= steps; ++i) {
-    auto& bucket =
-        wheel_[static_cast<std::size_t>((wheel_last_slot_ + i) % size)];
-    std::vector<std::uint64_t> ids;
-    ids.swap(bucket);
-    for (const std::uint64_t id : ids) {
-      auto it = connections_.find(id);
-      if (it == connections_.end()) continue;  // closed since filing
-      Connection& conn = *it->second;
-      conn.in_wheel = false;
-      if (conn.deadline_us <= now) {
-        // No read/write progress for a full idle window: reap.  This is
-        // the slow-loris defence — a dribbled request never finishes.
-        n_timeouts_.fetch_add(1, std::memory_order_relaxed);
-        close_connection(conn);
-      } else {
-        file_in_wheel(conn);  // activity moved the deadline; re-file lazily
-      }
-    }
-  }
-  wheel_last_slot_ = current;
-}
-
-// -------------------------------------------------------------- worker pool
-
-void HttpServer::worker_loop() {
-  for (;;) {
-    Job job;
-    {
-      std::unique_lock lock(jobs_mutex_);
-      jobs_cv_.wait(lock,
-                    [this] { return workers_stopping_ || !jobs_.empty(); });
-      if (workers_stopping_) return;  // queued jobs die with the server
-      job = std::move(jobs_.front());
-      jobs_.pop_front();
-    }
-
-    Response response;
-    try {
-      response = handler_(job.request);
-    } catch (const std::exception& e) {
-      response = error_response(500, e.what());
-    } catch (...) {
-      response = error_response(500, "");
-    }
-    const bool keep_alive = job.request.keep_alive() &&
-                            response.status != 400 &&
-                            job.served < options_.max_requests_per_connection;
-    Completion comp;
-    comp.conn_id = job.conn_id;
-    comp.keep_alive = keep_alive;
-    comp.chunks = response_chunks(std::move(response), job.head, keep_alive);
-
-    bool was_empty = false;
-    {
-      std::lock_guard lock(completions_mutex_);
-      was_empty = completions_.empty();
-      completions_.push_back(std::move(comp));
-    }
-    // Coalesced wake: one eventfd kick per loop cycle is enough.
-    if (was_empty) poller_->wake();
-  }
+net::Reply HttpServer::reject(const std::string& parse_error) {
+  n_bad_requests_.fetch_add(1, std::memory_order_relaxed);
+  return make_reply(error_response(400, parse_error), /*head=*/false,
+                    /*keep_alive=*/false);
 }
 
 }  // namespace ganglia::http

@@ -1,42 +1,22 @@
-// HTTP/1.1 server over the net::Transport abstraction.
+// HTTP/1.1 server: the HTTP protocol on the shared net::Reactor.
 //
-// Event-driven reactor: one event-loop thread owns every connection's state
-// (read buffering, incremental parse, write backpressure) and multiplexes
-// readiness through net::Poller — edge-triggered epoll for real sockets,
-// the callback shim for the deterministic in-memory fabric.  Parsed
-// requests are handed to a small worker pool; completed responses come
-// back through a queue and an eventfd wakeup, so handler latency never
-// blocks I/O on other connections.  A thread-per-connection design tops
-// out at a few hundred clients before thread stacks and context switches
-// dominate; the reactor holds tens of thousands of mostly-idle keep-alive
-// connections — the C10K shape of a federation of dashboards polling a
-// gateway — in a few KB of user-space state each.
-//
-// Semantics preserved from the threaded server: persistent connections
-// with pipelined requests answered sequentially in arrival order, 400 on
-// malformed framing (connection closes), 503 + Retry-After over the
-// connection cap, per-connection request budgets.  New here: idle/slow-
-// loris deadlines enforced by a deadline wheel on the loop (replacing
-// SO_RCVTIMEO), and write backpressure — a client that stops reading gets
-// its responses buffered up to a cap, after which the server stops reading
-// (and stops dispatching) for that connection until the outbox drains.
+// The reactor (net/reactor.hpp) owns connections, idle deadlines, write
+// backpressure and the worker pool; this file adds only what is HTTP: an
+// incremental RequestParser per connection, persistent connections with
+// pipelined requests answered sequentially in arrival order, 400 on
+// malformed framing (the connection closes after the requests parsed
+// before it are answered), 503 + Retry-After over the connection cap, and
+// per-connection request budgets.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
-#include <vector>
 
 #include "common/clock.hpp"
 #include "http/http.hpp"
-#include "net/poller.hpp"
+#include "net/reactor.hpp"
 #include "net/transport.hpp"
 
 namespace ganglia::http {
@@ -82,135 +62,33 @@ class HttpServer {
   /// Close the listener and every live connection, then join all threads.
   void stop();
 
-  bool running() const noexcept { return running_.load(); }
-  std::string address() const {
-    return listener_ ? listener_->address() : std::string();
+  bool running() const noexcept { return reactor_.running(); }
+  std::string address() const { return reactor_.address(); }
+  std::size_t active_connections() const noexcept {
+    return reactor_.active_connections();
   }
-  std::size_t active_connections() const noexcept { return active_.load(); }
 
-  struct Stats {
-    std::uint64_t connections = 0;       ///< accepted (lifetime)
-    std::uint64_t requests = 0;          ///< dispatched to a handler
-    std::uint64_t bad_requests = 0;      ///< malformed framing (400-closed)
-    std::uint64_t rejected_over_cap = 0; ///< 503s at the connection cap
-    std::uint64_t timeouts = 0;          ///< idle/slow-loris deadline closes
-    std::uint64_t backpressure = 0;      ///< write-backpressure engagements
+  /// Reactor counters (connections, 503s at the cap, idle timeouts,
+  /// backpressure) plus the HTTP ones.
+  struct Stats : net::Reactor::Stats {
+    std::uint64_t requests = 0;      ///< dispatched to a handler
+    std::uint64_t bad_requests = 0;  ///< malformed framing (400-closed)
   };
   Stats stats() const;
 
  private:
-  /// One buffered span of response bytes: either owned outright (headers,
-  /// small bodies) or shared with the response cache (zero-copy writev of
-  /// cached payloads).
-  struct OutChunk {
-    std::string owned;
-    std::shared_ptr<const std::string> shared;
-    std::size_t offset = 0;  ///< bytes already written
+  class Codec;
 
-    std::string_view bytes() const noexcept {
-      return shared ? std::string_view(*shared) : std::string_view(owned);
-    }
-  };
+  /// Worker side of one parsed request (the `served`-th on its connection).
+  net::Reply serve(const Request& request, std::size_t served);
+  /// Worker side of the parse-error marker: the ordered 400 that closes.
+  net::Reply reject(const std::string& parse_error);
 
-  /// A parsed request awaiting dispatch, or the poisoned-parser marker
-  /// that turns into the ordered 400 ending the connection.
-  struct PendingItem {
-    Request request;
-    bool parse_bad = false;
-    std::string parse_error;
-  };
-
-  struct Connection {
-    std::uint64_t id = 0;
-    std::unique_ptr<net::Stream> stream;
-    RequestParser parser;
-    int fd = -1;  ///< native descriptor, or -1 for the in-mem shim
-    std::deque<PendingItem> pending;
-    bool handler_inflight = false;
-    std::deque<OutChunk> outbox;
-    std::size_t outbox_bytes = 0;
-    bool want_write = false;     ///< registered for EPOLLOUT
-    bool read_paused = false;    ///< backpressure: outbox over cap
-    bool draining_close = false; ///< close once the outbox flushes
-    bool peer_eof = false;
-    bool bad = false;            ///< parser poisoned; no further reads
-    /// Over-cap connection holding a 503: client bytes are read and
-    /// discarded, and the connection closes on client EOF or idle
-    /// deadline.  (Closing immediately would race the client's request
-    /// write against our close; lingering lets it read the 503.)
-    bool reject_drain = false;
-    bool dead = false;           ///< torn down; awaiting map erase
-    std::size_t served = 0;
-    TimeUs deadline_us = 0;      ///< idle deadline (absolute)
-    bool in_wheel = false;
-  };
-
-  struct Job {
-    std::uint64_t conn_id = 0;
-    Request request;
-    bool head = false;
-    std::size_t served = 0;
-  };
-
-  struct Completion {
-    std::uint64_t conn_id = 0;
-    bool keep_alive = false;
-    std::vector<OutChunk> chunks;
-  };
-
-  static std::vector<OutChunk> response_chunks(Response&& response, bool head,
-                                               bool keep_alive);
-  void event_loop();
-  void worker_loop();
-  void accept_ready();
-  void handle_readable(Connection& conn);
-  void drain_parser(Connection& conn);
-  void maybe_dispatch(Connection& conn);
-  void flush_outbox(Connection& conn);
-  void enqueue_response(Connection& conn, const Response& response, bool head,
-                        bool keep_alive);
-  void apply_completions();
-  void maybe_close_idle_paths(Connection& conn);
-  void close_connection(Connection& conn);
-  void touch(Connection& conn);
-  void file_in_wheel(Connection& conn);
-  void advance_wheel();
-  TimeUs now_us() const;
-
-  std::atomic<bool> running_{false};
-  std::atomic<std::size_t> active_{0};
   Handler handler_;
   ServerOptions options_;
-  std::unique_ptr<net::Listener> listener_;
-  std::unique_ptr<net::Poller> poller_;
-  std::jthread loop_thread_;
-  std::vector<std::jthread> workers_;
-
-  // Loop-owned state (no locking: only event_loop touches these).
-  std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> connections_;
-  std::uint64_t next_id_ = 1;
-  std::size_t reject_open_ = 0;  ///< reject_drain conns in connections_
-  std::vector<std::unique_ptr<Connection>> graveyard_;  ///< deferred erase
-  std::vector<std::vector<std::uint64_t>> wheel_;
-  TimeUs wheel_tick_us_ = 0;
-  std::int64_t wheel_last_slot_ = 0;
-  std::string read_scratch_;
-
-  // Worker-pool plumbing.
-  std::mutex jobs_mutex_;
-  std::condition_variable jobs_cv_;
-  std::deque<Job> jobs_;
-  bool workers_stopping_ = false;
-  std::mutex completions_mutex_;
-  std::deque<Completion> completions_;
-
-  // Counters (loop and workers both observe; readers via stats()).
-  std::atomic<std::uint64_t> n_connections_{0};
   std::atomic<std::uint64_t> n_requests_{0};
   std::atomic<std::uint64_t> n_bad_requests_{0};
-  std::atomic<std::uint64_t> n_rejected_over_cap_{0};
-  std::atomic<std::uint64_t> n_timeouts_{0};
-  std::atomic<std::uint64_t> n_backpressure_{0};
+  net::Reactor reactor_;  ///< declared last: stopped before the rest goes
 };
 
 }  // namespace ganglia::http

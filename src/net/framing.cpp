@@ -120,13 +120,6 @@ FrameParse parse_frame(std::string_view buf, std::size_t max_frame,
   return FrameParse::ok;
 }
 
-Status write_frame(Stream& stream, std::uint8_t type, std::string_view payload) {
-  std::string out;
-  out.reserve(payload.size() + 12);
-  put_frame(out, type, payload);
-  return stream.write_all(out);
-}
-
 Result<Frame> FrameReader::next() {
   for (;;) {
     Frame frame;

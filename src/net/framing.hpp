@@ -83,9 +83,6 @@ enum class FrameParse { ok, need_more, error };
 FrameParse parse_frame(std::string_view buf, std::size_t max_frame,
                        Frame& frame, std::size_t& consumed);
 
-/// Write one frame to a stream.
-Status write_frame(Stream& stream, std::uint8_t type, std::string_view payload);
-
 /// Blocking frame reader over a Stream.  Buffers internally and yields one
 /// frame per next() call; the returned payload aliases the internal buffer
 /// and is valid only until the following next().

@@ -170,7 +170,6 @@ class InMemTransport::ServiceStream final : public Stream {
 
 struct InMemTransport::ListenerState {
   std::mutex mutex;
-  std::condition_variable cv;
   std::deque<std::unique_ptr<Stream>> pending;
   bool closed = false;
   std::string address;
@@ -184,22 +183,11 @@ class InMemTransport::InMemListener final : public Listener {
 
   ~InMemListener() override { close(); }
 
-  Result<std::unique_ptr<Stream>> accept() override {
-    std::unique_lock lock(state_->mutex);
-    state_->cv.wait(lock,
-                    [&] { return !state_->pending.empty() || state_->closed; });
-    if (state_->pending.empty()) return Err(Errc::closed, "listener closed");
-    auto stream = std::move(state_->pending.front());
-    state_->pending.pop_front();
-    return stream;
-  }
-
   void close() override {
     std::function<void()> fn;
     {
       std::lock_guard lock(state_->mutex);
       state_->closed = true;
-      state_->cv.notify_all();
       fn = state_->notify;
     }
     if (fn) fn();
@@ -328,7 +316,6 @@ Result<std::unique_ptr<Stream>> InMemTransport::connect_as(
         return Err(Errc::refused, "connection refused: " + addr);
       }
       listener->pending.push_back(std::move(server_side));
-      listener->cv.notify_all();
       fn = listener->notify;
     }
     if (fn) fn();

@@ -9,8 +9,10 @@
 //    This mirrors the paper's dump/interactive protocol, where a server's
 //    entire response is a function of the (possibly empty) query line.
 //
-//  * Listener mode (Transport::listen): connects create a pair of blocking
-//    duplex pipes, for threaded end-to-end tests without real sockets.
+//  * Listener mode (Transport::listen): connects queue one end of a duplex
+//    pipe on the listener, for a net::Reactor to accept through the
+//    readiness shim; the client keeps the other end and reads with
+//    blocking timeouts — daemon tests without real sockets.
 //
 // Failure injection models the paper's remote-failure taxonomy: refused
 // connections (stop failure), connect timeouts (partition), and mid-stream

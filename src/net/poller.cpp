@@ -110,8 +110,6 @@ std::function<void()> Poller::notifier(std::uint64_t tag) const {
   return [shared = shared_, tag] { shared->post(tag); };
 }
 
-void Poller::notify(std::uint64_t tag) { shared_->post(tag); }
-
 void Poller::wake() { shared_->kick(); }
 
 Result<std::size_t> Poller::wait(std::vector<PollEvent>& out, int timeout_ms) {

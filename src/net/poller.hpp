@@ -53,8 +53,6 @@ class Poller {
   /// A thread-safe callback marking `tag` readable and waking wait().
   /// Suitable for Stream::set_ready_notify / Listener::set_ready_notify.
   std::function<void()> notifier(std::uint64_t tag) const;
-  /// Mark `tag` readable directly (same effect as the notifier firing).
-  void notify(std::uint64_t tag);
 
   /// Wake wait() without delivering an event (cross-thread nudge, used for
   /// handler-completion queues and stop()).

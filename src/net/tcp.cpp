@@ -9,9 +9,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstring>
-#include <mutex>
 
 #include "common/strings.hpp"
 
@@ -170,10 +170,10 @@ class TcpStream final : public Stream {
 
   void close() override {
     // Shut down both directions but keep the descriptor alive until the
-    // stream is destroyed: close() may be called from another thread (the
-    // HTTP server's stop() uses it to wake a handler blocked in recv), and
-    // releasing the fd concurrently would race with that blocked read —
-    // worst case the kernel reuses the number for a fresh accept.
+    // stream is destroyed: close() may be called from another thread to
+    // wake a reader blocked in recv, and releasing the fd concurrently
+    // would race with that blocked read — worst case the kernel reuses the
+    // number for a fresh accept.
     if (fd_.valid()) ::shutdown(fd_.get(), SHUT_RDWR);
   }
 
@@ -194,55 +194,14 @@ void set_nodelay(int fd) {
 
 class TcpListener final : public Listener {
  public:
-  TcpListener(Fd fd, Fd wake_rd, Fd wake_wr, std::string address)
-      : fd_(std::move(fd)),
-        wake_rd_(std::move(wake_rd)),
-        wake_wr_(std::move(wake_wr)),
-        address_(std::move(address)) {}
-
-  ~TcpListener() override { close(); }
-
-  Result<std::unique_ptr<Stream>> accept() override {
-    for (;;) {
-      {
-        std::lock_guard lock(mutex_);
-        if (closed_) return Err(Errc::closed, "listener closed");
-      }
-      pollfd fds[2] = {{fd_.get(), POLLIN, 0}, {wake_rd_.get(), POLLIN, 0}};
-      const int rc = ::poll(fds, 2, -1);
-      if (rc < 0) {
-        if (errno == EINTR) continue;
-        return Err(Errc::io_error, errno_string("poll"));
-      }
-      if (fds[1].revents != 0) return Err(Errc::closed, "listener closed");
-      if ((fds[0].revents & POLLIN) == 0) continue;
-      Fd client(::accept(fd_.get(), nullptr, nullptr));
-      if (!client.valid()) {
-        if (errno == EINTR || errno == ECONNABORTED) continue;
-        return Err(Errc::io_error, errno_string("accept"));
-      }
-      // A server never waits forever on a misbehaving client.
-      set_io_timeout(client.get(), 30 * kMicrosPerSecond);
-      set_nodelay(client.get());
-      return std::unique_ptr<Stream>(std::make_unique<TcpStream>(std::move(client)));
-    }
-  }
+  TcpListener(Fd fd, std::string address)
+      : fd_(std::move(fd)), address_(std::move(address)) {}
 
   int native_fd() const noexcept override { return fd_.get(); }
 
-  void set_nonblocking(bool enabled) override {
-    const int flags = fcntl(fd_.get(), F_GETFL);
-    if (flags < 0) return;
-    fcntl(fd_.get(), F_SETFL,
-          enabled ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK));
-  }
-
   Result<std::unique_ptr<Stream>> accept_nonblocking() override {
     for (;;) {
-      {
-        std::lock_guard lock(mutex_);
-        if (closed_) return Err(Errc::closed, "listener closed");
-      }
+      if (closed_.load()) return Err(Errc::closed, "listener closed");
       // Accepted sockets start non-blocking: the reactor owns their
       // timeouts, so no SO_RCVTIMEO here.
       Fd client(::accept4(fd_.get(), nullptr, nullptr,
@@ -261,23 +220,14 @@ class TcpListener final : public Listener {
     }
   }
 
-  void close() override {
-    std::lock_guard lock(mutex_);
-    if (closed_) return;
-    closed_ = true;
-    const char byte = 'x';
-    [[maybe_unused]] ssize_t n = ::write(wake_wr_.get(), &byte, 1);
-  }
+  void close() override { closed_.store(true); }
 
   std::string address() const override { return address_; }
 
  private:
   Fd fd_;
-  Fd wake_rd_;
-  Fd wake_wr_;
   std::string address_;
-  std::mutex mutex_;
-  bool closed_ = false;
+  std::atomic<bool> closed_{false};
 };
 
 }  // namespace
@@ -288,7 +238,7 @@ Result<std::unique_ptr<Listener>> TcpTransport::listen(std::string_view address)
   auto sa = resolve(*hp);
   if (!sa.ok()) return sa.error();
 
-  Fd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  Fd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0));
   if (!fd.valid()) return Err(Errc::io_error, errno_string("socket"));
   const int one = 1;
   setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
@@ -303,13 +253,8 @@ Result<std::unique_ptr<Listener>> TcpTransport::listen(std::string_view address)
   sockaddr_in bound{};
   socklen_t len = sizeof bound;
   getsockname(fd.get(), reinterpret_cast<sockaddr*>(&bound), &len);
-
-  int pipe_fds[2];
-  if (::pipe2(pipe_fds, O_CLOEXEC) != 0) {
-    return Err(Errc::io_error, errno_string("pipe2"));
-  }
-  return std::unique_ptr<Listener>(std::make_unique<TcpListener>(
-      std::move(fd), Fd(pipe_fds[0]), Fd(pipe_fds[1]), address_of(bound)));
+  return std::unique_ptr<Listener>(
+      std::make_unique<TcpListener>(std::move(fd), address_of(bound)));
 }
 
 Result<std::unique_ptr<Stream>> TcpTransport::connect(std::string_view address,

@@ -88,38 +88,29 @@ Result<std::string> read_to_eof(Stream& stream, std::size_t max_bytes = 64u << 2
 /// Read a single '\n'-terminated line (without the terminator, bounded).
 Result<std::string> read_line(Stream& stream, std::size_t max_bytes = 64 << 10);
 
-/// Listening endpoint.
+/// Listening endpoint, driven by an event loop (net::Reactor): readiness
+/// arrives through the OS descriptor or the ready callback, and accepts
+/// never block.
 class Listener {
  public:
   virtual ~Listener() = default;
 
-  /// Block until a connection arrives.  Fails with Errc::closed after
-  /// close() is called from another thread.
-  virtual Result<std::unique_ptr<Stream>> accept() = 0;
-
-  /// Unblock pending and future accepts.
+  /// Stop accepting; later accepts fail with Errc::closed.
   virtual void close() = 0;
 
   /// Actual bound address (resolves ephemeral ports).
   virtual std::string address() const = 0;
 
-  // -- readiness / non-blocking accept (event-driven servers) --------------
-
-  /// OS descriptor backing the listener, or -1 (in-memory listeners).
+  /// Non-blocking OS descriptor backing the listener, or -1 (in-memory).
   virtual int native_fd() const noexcept { return -1; }
-
-  /// Switch the descriptor to non-blocking mode.  No-op without one.
-  virtual void set_nonblocking(bool enabled) { (void)enabled; }
 
   /// Register `fn` to fire whenever a connection may be waiting; nullptr
   /// unregisters.  Only used for listeners without a native fd.
   virtual void set_ready_notify(std::function<void()> fn) { (void)fn; }
 
   /// Non-blocking accept: Errc::would_block when nothing is queued,
-  /// Errc::closed after close().
-  virtual Result<std::unique_ptr<Stream>> accept_nonblocking() {
-    return Err(Errc::unsupported, "accept_nonblocking not implemented");
-  }
+  /// Errc::closed after close().  Accepted streams are non-blocking.
+  virtual Result<std::unique_ptr<Stream>> accept_nonblocking() = 0;
 };
 
 /// Factory for listeners and outbound connections.
@@ -139,8 +130,8 @@ class Transport {
 
 /// A synchronous request handler: receives whatever the client wrote before
 /// its first read ("" for dump-style connections), returns the full
-/// response.  Used by the in-memory transport's service registration and by
-/// the generic serve loop helper below.
+/// response.  The in-memory transport's service registration calls it
+/// directly; net::ServiceServer serves it on a listener.
 using ServiceFn = std::function<Result<std::string>(std::string_view request)>;
 
 }  // namespace ganglia::net

@@ -3,12 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <chrono>
+#include <filesystem>
 #include <thread>
 
+#include "fed/codec.hpp"
 #include "fed/session.hpp"
 #include "gmetad/gmetad.hpp"
+#include "gossip/delta.hpp"
+#include "gossip/message.hpp"
 #include "net/service_server.hpp"
 #include "gmon/pseudo_gmond.hpp"
+#include "net/framing.hpp"
 #include "net/inmem.hpp"
 #include "net/tcp.hpp"
 #include "presenter/viewer.hpp"
@@ -99,8 +107,8 @@ TEST(Daemon, TcpEndToEndPollDumpAndQuery) {
 
 // The federation listener over real TCP: a fed::Session dials the bound
 // port, gets a full document, then a delta on the same persistent stream
-// (stream reuse only exists on TCP — the in-mem fabric is one-exchange),
-// and stop() unblocks the per-connection serving thread.
+// (stream reuse only exists on TCP — the in-mem fabric's service mode is
+// one-exchange), and stop() closes the still-open connection.
 TEST(Daemon, TcpFederationListenerServesPersistentDeltaSession) {
   WallClock clock;
   net::TcpTransport transport;
@@ -158,8 +166,8 @@ TEST(Daemon, TcpFederationListenerServesPersistentDeltaSession) {
   EXPECT_GE(stats.fulls, 1u);
   EXPECT_GE(stats.deltas, 1u);
 
-  // stop() must close the live federation connection and join its thread
-  // even though the client never hung up.
+  // stop() must close the live federation connection and return even
+  // though the client never hung up.
   monitor.stop();
   EXPECT_FALSE(monitor.running());
   gmond_port.stop();
@@ -191,6 +199,38 @@ TEST(Daemon, UntrustedPeersAreRejected) {
   monitor.stop();
 }
 
+// The trust check runs at accept on the interactive and federation ports
+// too: an untrusted peer's query or poll is closed unanswered.
+TEST(Daemon, UntrustedPeersAreRefusedOnQueryAndFederationPorts) {
+  WallClock clock;
+  net::TcpTransport transport;
+
+  GmetadConfig config;
+  config.grid_name = "fortress";
+  config.xml_bind = "127.0.0.1:0";
+  config.interactive_bind = "127.0.0.1:0";
+  config.federation_bind = "127.0.0.1:0";
+  config.archive_enabled = false;
+  config.trusted_hosts = {"10.9.9.9"};
+
+  Gmetad monitor(config, transport, clock);
+  ASSERT_TRUE(monitor.start().ok());
+
+  auto query = transport.connect(monitor.interactive_address(),
+                                 2 * kMicrosPerSecond);
+  ASSERT_TRUE(query.ok());
+  (void)(*query)->write_all("/\n");
+  auto answer = net::read_to_eof(**query);
+  EXPECT_TRUE(!answer.ok() || answer->empty());
+
+  fed::SessionOptions session_options;
+  session_options.address = monitor.federation_address();
+  fed::Session session(session_options);
+  EXPECT_FALSE(session.poll(transport, 2 * kMicrosPerSecond).ok());
+  EXPECT_EQ(monitor.federation_stats().polls, 0u);
+  monitor.stop();
+}
+
 TEST(Daemon, TrustedLoopbackIsServed) {
   WallClock clock;
   net::TcpTransport transport;
@@ -210,6 +250,309 @@ TEST(Daemon, TrustedLoopbackIsServed) {
   ASSERT_TRUE(dump.ok());
   EXPECT_NE(dump->find("GANGLIA_XML"), std::string::npos);
   monitor.stop();
+}
+
+// Two daemons gossip through the ports they bound themselves: each learns
+// the other's *bound* gossip address from its member row (a configured
+// ":0" would be undialable), binary sessions settle into deltas, and the
+// port still answers the GOSSIP1 text format while refusing garbage.
+TEST(Daemon, TwoDaemonsGossipThroughTheirBoundPortsOverTcp) {
+  WallClock clock;
+  net::TcpTransport transport;
+  // Beta gossips once, at start, to introduce itself through its seed;
+  // from then on only alpha initiates.  (Schedulers with equal intervals
+  // tick on the same second boundary, and two full digests crossing each
+  // other restart both sessions' epochs, so such a pair may never settle.)
+  const auto gossiping = [](std::string name, std::vector<std::string> seeds,
+                            std::int64_t interval_s) {
+    GmetadConfig config;
+    config.grid_name = std::move(name);
+    config.xml_bind = "127.0.0.1:0";
+    config.interactive_bind = "127.0.0.1:0";
+    config.gossip_bind = "127.0.0.1:0";
+    config.gossip_seeds = std::move(seeds);
+    config.gossip_interval_s = interval_s;
+    config.archive_enabled = false;
+    return config;
+  };
+  Gmetad alpha(gossiping("alpha", {}, 1), transport, clock);
+  ASSERT_TRUE(alpha.start().ok());
+  const std::string alpha_gossip = alpha.membership()->member("alpha")->address;
+  ASSERT_NE(alpha_gossip, "127.0.0.1:0");
+  Gmetad beta(gossiping("beta", {alpha_gossip}, 3600), transport, clock);
+  ASSERT_TRUE(beta.start().ok());
+
+  const auto steady = [](const Gmetad& node, const std::string& peer) {
+    const gossip::AgentStats stats = node.membership()->stats();
+    if (stats.digests_delta_sent < 2 || stats.text_fallbacks != 0) return false;
+    for (const gossip::PeerSessionView& session :
+         node.membership()->peer_sessions()) {
+      if (session.peer == peer) return session.mode == "delta";
+    }
+    return false;
+  };
+  const auto describe = [](const Gmetad& node) {
+    const gossip::AgentStats stats = node.membership()->stats();
+    std::string out = node.config().grid_name + ": deltas " +
+                      std::to_string(stats.digests_delta_sent) + " fulls " +
+                      std::to_string(stats.digests_full_sent) + " failures " +
+                      std::to_string(stats.send_failures) + " text " +
+                      std::to_string(stats.text_fallbacks) + " sessions";
+    for (const auto& session : node.membership()->peer_sessions()) {
+      out += " " + session.peer + "=" + session.mode;
+    }
+    return out + "\n";
+  };
+  ASSERT_TRUE(eventually(
+      [&] { return steady(alpha, "beta") && steady(beta, "alpha"); }, 15000))
+      << describe(alpha) << describe(beta);
+
+  // One GOSSIP1 text exchange, answered in text.
+  auto text = transport.connect(alpha_gossip, 2 * kMicrosPerSecond);
+  ASSERT_TRUE(text.ok());
+  ASSERT_TRUE((*text)->write_all(gossip::encode_digest("probe", {})).ok());
+  auto reply = net::read_to_eof(**text);
+  ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+  auto digest = gossip::decode_digest(*reply);
+  ASSERT_TRUE(digest.ok()) << digest.error().to_string();
+  EXPECT_EQ(digest->sender_id, "alpha");
+  EXPECT_EQ(digest->entries.size(), 2u);
+
+  // Garbage (a frame that is no digest) and an oversize digest are closed
+  // without a reply.
+  std::string garbage;
+  net::put_frame(garbage, fed::kFramePoll, "junk");
+  std::string oversize;
+  std::string total;
+  net::put_varint(total, gossip::kMaxDigestBytes + 1);
+  net::put_frame(oversize, gossip::kFrameDigestBegin, total);
+  for (const std::string& request : {garbage, oversize}) {
+    auto stream = transport.connect(alpha_gossip, 2 * kMicrosPerSecond);
+    ASSERT_TRUE(stream.ok());
+    ASSERT_TRUE((*stream)->write_all(request).ok());
+    auto answer = net::read_to_eof(**stream);
+    EXPECT_TRUE(!answer.ok() || answer->empty());
+  }
+
+  beta.stop();
+  alpha.stop();
+}
+
+// ------------------------------------------------------- port isolation
+
+/// Connections each port test holds open.
+constexpr int kHeldPerPort = 1000;
+constexpr TimeUs kIo = 2 * kMicrosPerSecond;
+
+/// Thousands of loopback sockets need more than the usual soft fd limit.
+void raise_fd_limit() {
+  rlimit limit{};
+  if (getrlimit(RLIMIT_NOFILE, &limit) == 0 && limit.rlim_cur < limit.rlim_max) {
+    limit.rlim_cur = limit.rlim_max;
+    setrlimit(RLIMIT_NOFILE, &limit);
+  }
+}
+
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+/// A daemon serving all four ports (dump, interactive, federation,
+/// gossip) on `transport`, polling one small cluster served on the same
+/// transport.
+class FourPortDaemon {
+ public:
+  FourPortDaemon(net::Transport& transport, Clock& clock)
+      : emulator_(cluster_config(), clock) {
+    EXPECT_TRUE(
+        gmond_port_.start(transport, "127.0.0.1:0", emulator_.service()).ok());
+    GmetadConfig config;
+    config.grid_name = "ports";
+    config.xml_bind = "127.0.0.1:0";
+    config.interactive_bind = "127.0.0.1:0";
+    config.federation_bind = "127.0.0.1:0";
+    config.gossip_bind = "127.0.0.1:0";
+    config.join_key = "sekrit";
+    config.archive_enabled = false;
+    DataSourceConfig source;
+    source.name = "meteor";
+    source.addresses = {gmond_port_.address()};
+    source.poll_interval_s = 1;
+    config.sources.push_back(source);
+    monitor_ = std::make_unique<Gmetad>(config, transport, clock);
+  }
+
+  Gmetad& monitor() { return *monitor_; }
+  std::string gossip_address() const {
+    return monitor_->membership()->member("ports")->address;
+  }
+
+ private:
+  static gmon::PseudoGmondConfig cluster_config() {
+    gmon::PseudoGmondConfig config;
+    config.cluster_name = "meteor";
+    config.host_count = 4;
+    return config;
+  }
+
+  gmon::PseudoGmond emulator_;
+  ServiceServer gmond_port_;
+  std::unique_ptr<Gmetad> monitor_;
+};
+
+/// Run `op`, expecting it to finish within a second.
+template <class Op>
+void within_a_second(const char* what, Op op) {
+  const auto start = std::chrono::steady_clock::now();
+  op();
+  const auto took = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  EXPECT_LT(took.count(), 1000) << what << " took " << took.count() << " ms";
+}
+
+/// Hold kHeldPerPort connections on every port — half idle, half holding
+/// a partial request — and check that a dump, a query, a JOIN, a fresh
+/// federation session's full and delta polls, and a gossip exchange all
+/// still finish within a second.
+void expect_ports_isolated(net::Transport& transport) {
+  raise_fd_limit();
+  WallClock clock;
+  FourPortDaemon daemon(transport, clock);
+  Gmetad& monitor = daemon.monitor();
+  ASSERT_TRUE(monitor.start().ok());
+  ASSERT_TRUE(eventually([&] {
+    auto snapshot = monitor.store().get("meteor");
+    return snapshot != nullptr && snapshot->reachable();
+  }));
+
+  std::string half_frame;
+  net::put_frame(half_frame, fed::kFramePoll, std::string(64, 'x'));
+  half_frame.resize(half_frame.size() / 2);
+  std::string half_digest = gossip::encode_digest("idle", {});
+  half_digest.resize(half_digest.size() / 2);
+  const std::pair<std::string, std::string> ports[] = {
+      {monitor.xml_address(), "/meteor/compute"},
+      {monitor.interactive_address(), "/meteor/compute"},
+      {monitor.federation_address(), half_frame},
+      {daemon.gossip_address(), half_digest},
+  };
+  std::vector<std::unique_ptr<net::Stream>> held;
+  held.reserve(4 * kHeldPerPort);
+  for (const auto& [address, partial] : ports) {
+    for (int i = 0; i < kHeldPerPort; ++i) {
+      auto stream = transport.connect(address, kIo);
+      ASSERT_TRUE(stream.ok()) << address << ": " << stream.error().to_string();
+      // The dump port answers on accept and may already have closed.
+      if (i % 2 == 1) (void)(*stream)->write_all(partial);
+      held.push_back(std::move(*stream));
+    }
+  }
+
+  within_a_second("dump", [&] {
+    auto stream = transport.connect(monitor.xml_address(), kIo);
+    ASSERT_TRUE(stream.ok());
+    auto dump = net::read_to_eof(**stream);
+    ASSERT_TRUE(dump.ok()) << dump.error().to_string();
+    EXPECT_NE(dump->find("meteor"), std::string::npos);
+  });
+  within_a_second("interactive query", [&] {
+    auto stream = transport.connect(monitor.interactive_address(), kIo);
+    ASSERT_TRUE(stream.ok());
+    ASSERT_TRUE((*stream)->write_all("/meteor\n").ok());
+    auto response = net::read_to_eof(**stream);
+    ASSERT_TRUE(response.ok()) << response.error().to_string();
+    auto report = parse_report(*response);
+    ASSERT_TRUE(report.ok()) << report.error().to_string();
+    EXPECT_EQ(report->grids.front().host_count(), 4u);
+  });
+  within_a_second("JOIN", [&] {
+    GmetadConfig config;
+    config.grid_name = "joiner";
+    config.xml_bind = "joiner:8651";
+    config.authority = "gmetad://joiner:8651/";
+    config.join_key = "sekrit";
+    config.archive_enabled = false;
+    Gmetad child(config, transport, clock);
+    const Status joined = child.send_join(monitor.interactive_address());
+    ASSERT_TRUE(joined.ok()) << joined.to_string();
+    EXPECT_EQ(monitor.joins().size(), 1u);
+  });
+  within_a_second("federation full + delta poll", [&] {
+    fed::SessionOptions options;
+    options.address = monitor.federation_address();
+    fed::Session session(options);
+    auto full = session.poll(transport, kIo);
+    ASSERT_TRUE(full.ok()) << full.error().to_string();
+    EXPECT_FALSE(full->delta);
+    auto delta = session.poll(transport, kIo);
+    ASSERT_TRUE(delta.ok()) << delta.error().to_string();
+    EXPECT_TRUE(delta->delta);
+  });
+  within_a_second("gossip exchange", [&] {
+    auto stream = transport.connect(daemon.gossip_address(), kIo);
+    ASSERT_TRUE(stream.ok());
+    ASSERT_TRUE((*stream)->write_all(gossip::encode_digest("probe", {})).ok());
+    auto reply = net::read_to_eof(**stream);
+    ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+    auto digest = gossip::decode_digest(*reply);
+    ASSERT_TRUE(digest.ok()) << digest.error().to_string();
+    EXPECT_EQ(digest->sender_id, "ports");
+  });
+
+  monitor.stop();
+}
+
+TEST(PortIsolation, IdleAndPartialPeersStallNoPortOverTcp) {
+  net::TcpTransport transport;
+  expect_ports_isolated(transport);
+}
+
+TEST(PortIsolation, IdleAndPartialPeersStallNoPortOverInMem) {
+  net::InMemTransport transport;
+  expect_ports_isolated(transport);
+}
+
+/// A daemon serving all four ports keeps its thread count with
+/// kHeldPerPort idle federation connections open.
+void expect_fixed_thread_count(net::Transport& transport) {
+  raise_fd_limit();
+  WallClock clock;
+  FourPortDaemon daemon(transport, clock);
+  Gmetad& monitor = daemon.monitor();
+  ASSERT_TRUE(monitor.start().ok());
+  const std::size_t idle_threads = thread_count();
+
+  std::vector<std::unique_ptr<net::Stream>> held;
+  held.reserve(kHeldPerPort);
+  for (int i = 0; i < kHeldPerPort; ++i) {
+    auto stream = transport.connect(monitor.federation_address(), kIo);
+    ASSERT_TRUE(stream.ok()) << stream.error().to_string();
+    held.push_back(std::move(*stream));
+  }
+  // A session on a later connection answering means every earlier
+  // connection has been accepted.
+  fed::SessionOptions options;
+  options.address = monitor.federation_address();
+  fed::Session session(options);
+  ASSERT_TRUE(session.poll(transport, kIo).ok());
+
+  EXPECT_EQ(thread_count(), idle_threads);
+  monitor.stop();
+}
+
+TEST(ThreadCount, FixedWithThousandIdleFederationConnectionsOverTcp) {
+  net::TcpTransport transport;
+  expect_fixed_thread_count(transport);
+}
+
+TEST(ThreadCount, FixedWithThousandIdleFederationConnectionsOverInMem) {
+  net::InMemTransport transport;
+  expect_fixed_thread_count(transport);
 }
 
 // ------------------------------------------------------------------- join

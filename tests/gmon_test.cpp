@@ -14,6 +14,7 @@
 #include "gmon/pseudo_gmond.hpp"
 #include "gmon/wire.hpp"
 #include "sim/sim_clock.hpp"
+#include "test_dir.hpp"
 
 namespace ganglia::gmon {
 namespace {
@@ -400,7 +401,7 @@ TEST(Metrics, LookupByName) {
 class ProcSamplerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = std::filesystem::path(::testing::TempDir()) / "fake_proc";
+    root_ = dir_.path() / "fake_proc";
     std::filesystem::create_directories(root_ / "net");
     write("loadavg", "0.42 0.36 0.30 2/345 6789\n");
     write("meminfo",
@@ -426,6 +427,7 @@ class ProcSamplerTest : public ::testing::Test {
     out << content;
   }
 
+  ganglia::testing::TestDir dir_;
   std::filesystem::path root_;
 };
 

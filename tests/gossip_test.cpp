@@ -7,10 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include "gossip/agent.hpp"
+#include "gossip/delta.hpp"
 #include "gossip/member_table.hpp"
 #include "gossip/message.hpp"
 #include "gossip_sim_util.hpp"
+#include "net/inmem.hpp"
 #include "sim/failure_schedule.hpp"
+#include "sim/sim_clock.hpp"
 
 namespace ganglia::gossip {
 namespace {
@@ -61,6 +65,44 @@ TEST(GossipCodec, LocalVerdictsAreNeverEncoded) {
   EXPECT_TRUE(decoded->entries.empty())
       << "SUSPECT/DEAD are local judgements; forwarding them would let one "
          "slow link convict a member everywhere";
+}
+
+// The gossip port's request boundary, in both wire formats, found exactly
+// wherever the bytes split — with the scan resuming instead of restarting.
+TEST(GossipCodec, RequestEndFindsEveryDigestAtAnySplit) {
+  sim::SimClock clock;
+  net::InMemTransport fabric;
+  AgentOptions opts;
+  opts.id = "gm0";
+  opts.address = "gm0:8654";
+  opts.max_frame = 8;  // many small chunks
+  Agent agent(std::move(opts), fabric, clock);
+
+  MemberEntry entry;
+  entry.id = "gm1";
+  entry.address = "gm1:8654";
+  std::string framed;
+  put_digest_frames(framed, std::string(50, 'p'), 8);
+  for (const std::string& request : {encode_digest("gm1", {entry}), framed}) {
+    const std::string wire = request + "trailing";
+    for (std::size_t split = 0; split < request.size(); ++split) {
+      net::ScanState scan;
+      EXPECT_EQ(agent.request_end(std::string_view(wire).substr(0, split), scan)
+                    .state,
+                net::RequestEnd::State::need_more);
+      const net::RequestEnd end = agent.request_end(wire, scan);
+      ASSERT_EQ(end.state, net::RequestEnd::State::complete) << split;
+      EXPECT_EQ(end.consumed, request.size()) << split;
+    }
+  }
+  // A Begin frame claiming more than the digest cap is refused at once.
+  std::string total;
+  net::put_varint(total, kMaxDigestBytes + 1);
+  std::string oversize;
+  net::put_frame(oversize, kFrameDigestBegin, total);
+  net::ScanState scan;
+  EXPECT_EQ(agent.request_end(oversize, scan).state,
+            net::RequestEnd::State::malformed);
 }
 
 TEST(GossipCodec, RejectsMalformedDigests) {

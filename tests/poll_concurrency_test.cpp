@@ -22,6 +22,7 @@
 #include "gmetad/join.hpp"
 #include "net/inmem.hpp"
 #include "sim/sim_clock.hpp"
+#include "test_dir.hpp"
 #include "xml/ganglia.hpp"
 
 namespace ganglia {
@@ -274,9 +275,8 @@ TEST(PollConcurrency, ArchiverFlushHoldsNoShardLockDuringFileIo) {
   // shard mutexes held across the file I/O, no poll (each poll needs every
   // shard) could finish until the flush did.  TSan (CI runs this file under
   // it) checks the locking discipline itself.
-  const auto dir = std::filesystem::path(::testing::TempDir()) /
-                   "ganglia_flush_stall";
-  std::filesystem::remove_all(dir);
+  const ganglia::testing::TestDir scratch;
+  const auto dir = scratch.path() / "ganglia_flush_stall";
   gmetad::ArchiverOptions options;
   options.step_s = 15;
   options.persist_dir = dir.string();

@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "rrd/rrd.hpp"
 #include "rrd/rrd_file.hpp"
+#include "test_dir.hpp"
 
 namespace ganglia::rrd {
 namespace {
@@ -434,7 +435,8 @@ TEST(RrdCodec, FileSaveLoad) {
   auto db = RoundRobinDb::create(simple_def(), 0);
   ASSERT_TRUE(db.ok());
   ASSERT_TRUE(db->update(10, 4.0).ok());
-  const std::string path = ::testing::TempDir() + "/ganglia_rrd_test.grrd";
+  const ganglia::testing::TestDir dir;
+  const std::string path = (dir.path() / "ganglia_rrd_test.grrd").string();
   ASSERT_TRUE(RrdCodec::save_file(*db, path).ok());
   auto loaded = RrdCodec::load_file(path);
   ASSERT_TRUE(loaded.ok()) << loaded.error().to_string();

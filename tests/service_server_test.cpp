@@ -90,6 +90,24 @@ TEST(ServiceServer, DoubleStartRejectedStopIdempotent) {
   server.stop();
 }
 
+TEST(ServiceServer, LineRuleResumesAcrossDribbledBytes) {
+  const Port port = line_port();
+  const std::string wire = "QUERY 1\r\nnext";
+  ScanState scan;
+  for (std::size_t n = 0; n < 9; ++n) {  // every prefix short of the '\n'
+    EXPECT_EQ(port.request_end(std::string_view(wire).substr(0, n), scan).state,
+              RequestEnd::State::need_more);
+  }
+  const RequestEnd end = port.request_end(wire, scan);
+  ASSERT_EQ(end.state, RequestEnd::State::complete);
+  EXPECT_EQ(end.size, 7u);      // "QUERY 1", CR and LF stripped
+  EXPECT_EQ(end.consumed, 9u);  // the pipelined "next" stays unread
+
+  ScanState fresh;
+  EXPECT_EQ(port.request_end(std::string((64u << 10) + 1, 'x'), fresh).state,
+            RequestEnd::State::malformed);
+}
+
 TEST(ServiceServer, WorksOverInMemTransportToo) {
   InMemTransport transport;
   ServiceServer server;
