@@ -1,32 +1,30 @@
 // Gossip membership scalability: convergence and bandwidth vs group size,
-// across wire modes.
+// across transport modes.
 //
 // The paper's federation is a static tree of data_source lines; the gossip
 // membership layer replaces that with an epidemic protocol, so its costs
 // must stay sane as the federation grows.  This bench runs the same
 // deterministic harness the tests use (tests/gossip_sim_util.hpp — one
 // SimClock, one in-memory fabric, service-mode exchanges) over increasing
-// group sizes, once per wire mode:
+// group sizes, once per transport mode:
 //
-//   * text — the legacy GOSSIP1 full-table digest every exchange;
-//   * delta — binary digest-delta sessions (per-peer cursors, interned
-//     names, only changed rows on the wire);
-//   * piggyback — delta sessions riding a carrier channel, as when
+//   * delta — digest sessions dialled on the gossip port (per-peer
+//     cursors, interned names, only changed rows on the wire);
+//   * piggyback — the same sessions riding a carrier channel, as when
 //     membership shares the federation poll stream.
 //
 // Every member advertises a production-shaped metadata block (source=,
-// xml=, fed=, authority=) in all modes, so the text baseline pays what a
-// real federated gmetad pays.  Per size and mode it reports:
+// xml=, fed=, authority=), as a real federated gmetad does.  Per size and
+// mode it reports:
 //
 //   * join convergence — rounds until every member knows every member,
 //     starting from nothing but one seed address;
 //   * steady-state bandwidth — gossip payload bytes per member per round
-//     once the group has converged (this is where deltas win: a steady
-//     round re-sends heartbeats, not names/addresses/metadata);
+//     once the group has converged (a steady round re-sends heartbeats,
+//     not names/addresses/metadata);
 //   * failure detection — rounds from a silent crash until every live
 //     member has convicted the dead one, i.e. the completeness latency on
-//     top of the configured t_fail.  Detection must not degrade with the
-//     cheaper wire format.
+//     top of the configured t_fail.
 //
 // Writes machine-readable results to BENCH_gossip.json.
 //
@@ -46,12 +44,12 @@ using namespace ganglia;
 namespace {
 
 struct ModeResult {
-  const char* mode = "text";
+  const char* mode = "delta";
   std::size_t members = 0;
   int join_rounds = -1;
   double join_bytes_per_member_round = 0;
   double steady_bytes_per_member_round = 0;
-  double steady_rows_per_member_round = 0;  ///< binary digest rows (delta)
+  double steady_rows_per_member_round = 0;  ///< digest rows
   int detect_rounds = -1;
   std::uint64_t full_resyncs = 0;
   std::uint64_t piggyback_exchanges = 0;
@@ -62,7 +60,6 @@ ModeResult run_mode(std::size_t members, const char* mode) {
   options.members = members;
   options.fanout = 3;  // the shipped gossip_fanout default
   options.realistic_meta = true;
-  options.delta = std::string(mode) != "text";
   options.piggyback = std::string(mode) == "piggyback";
   gossip::GossipSim sim(options);
 
@@ -95,8 +92,8 @@ ModeResult run_mode(std::size_t members, const char* mode) {
          static_cast<double>(members));
   }
 
-  // Steady state: converged table; text re-ships it, deltas ship the rows
-  // that moved (heartbeats) against established cursors.
+  // Steady state: converged table; deltas ship the rows that moved
+  // (heartbeats) against established cursors.
   constexpr int kSteadyRounds = 10;
   const std::uint64_t bytes_before = sim.total_bytes_out();
   const std::uint64_t rows_before =
@@ -146,7 +143,7 @@ int main(int argc, char** argv) {
   }
   if (sizes.empty()) sizes = {64, 256, 1024};
 
-  static constexpr const char* kModes[] = {"text", "delta", "piggyback"};
+  static constexpr const char* kModes[] = {"delta", "piggyback"};
 
   std::printf(
       "gossip membership: convergence + bandwidth vs group size and mode\n"
@@ -157,7 +154,6 @@ int main(int argc, char** argv) {
 
   std::vector<ModeResult> results;
   for (const std::size_t members : sizes) {
-    double text_steady = 0;
     for (const char* mode : kModes) {
       const ModeResult r = run_mode(members, mode);
       results.push_back(r);
@@ -169,12 +165,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "group of %zu (%s) failed to converge\n",
                      members, mode);
         return 1;
-      }
-      if (std::string(mode) == "text") {
-        text_steady = r.steady_bytes_per_member_round;
-      } else if (r.steady_bytes_per_member_round > 0) {
-        std::printf("%42s steady-state savings vs text: %.1fx\n", "",
-                    text_steady / r.steady_bytes_per_member_round);
       }
     }
   }

@@ -61,12 +61,9 @@ poll_threads 0                     # poll pipeline width; 0 = auto, 1 = sequenti
 # gossip_aggregate on              # adopt sources for members naming us parent
 # gossip_parent "SDSC"             # advertise our aggregator (child side)
 # standby_for "SDSC"               # promote when that primary is DEAD
-# gossip_delta on                  # binary digest-delta sessions (default on;
-#                                  #   off = full-table text digests every round)
 # gossip_piggyback on              # ride open federation poll streams instead
 #                                  #   of dialing gossip connections (default on)
-# gossip_max_digest 4194304        # per-exchange digest byte cap (refuse above)
-# gossip_resync_backoff 8          # rounds on text after a failed binary exchange
+# gossip_max_digest 4194304        # per-exchange digest byte cap (chunk above)
 # federation_port 8655             # serve binary delta polls (parents fetch
 #                                  #   changed rows instead of full XML dumps;
 #                                  #   add fed=host:8655 to a data_source line

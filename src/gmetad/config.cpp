@@ -299,11 +299,6 @@ Result<GmetadConfig> parse_config(std::string_view text) {
     } else if (key == "standby_for") {
       if (tokens.size() != 2) return bad_line(line_no, "standby_for needs an id");
       config.standby_for.push_back(tokens[1]);
-    } else if (key == "gossip_delta") {
-      if (tokens.size() != 2 || (tokens[1] != "on" && tokens[1] != "off")) {
-        return bad_line(line_no, "gossip_delta must be on or off");
-      }
-      config.gossip_delta = tokens[1] == "on";
     } else if (key == "gossip_piggyback") {
       if (tokens.size() != 2 || (tokens[1] != "on" && tokens[1] != "off")) {
         return bad_line(line_no, "gossip_piggyback must be on or off");
@@ -315,10 +310,6 @@ Result<GmetadConfig> parse_config(std::string_view text) {
         return bad_line(line_no, "bad gossip_max_digest");
       }
       config.gossip_max_digest = static_cast<std::size_t>(*t);
-    } else if (key == "gossip_resync_backoff") {
-      auto t = parse_i64(tokens.size() > 1 ? tokens[1] : "");
-      if (!t || *t < 0) return bad_line(line_no, "bad gossip_resync_backoff");
-      config.gossip_resync_backoff = *t;
     } else if (key == "federation") {
       if (tokens.size() != 2 || (tokens[1] != "on" && tokens[1] != "off")) {
         return bad_line(line_no, "federation must be on or off");

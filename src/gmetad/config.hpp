@@ -108,17 +108,12 @@ struct GmetadConfig {
   /// Primary ids this node stands by for: when one is declared DEAD, we
   /// adopt its children's sources until it recovers.
   std::vector<std::string> standby_for;
-  /// Gossip with binary digest-delta sessions (per-peer cursors, only
-  /// changed rows on the wire) instead of full-table text digests.
-  bool gossip_delta = true;
   /// Offer outbound digests a ride on live federation poll sessions
-  /// before dialling a gossip connection (needs gossip_delta).
+  /// before dialling a gossip connection.
   bool gossip_piggyback = true;
-  /// Per-exchange digest payload cap (bytes); oversize full tables answer
-  /// with a structured refusal and the pair falls back to text digests.
+  /// Per-exchange digest payload cap (bytes); a larger table ships in
+  /// chunks above it (a full prefix, then deltas).
   std::size_t gossip_max_digest = 4u << 20;
-  /// Rounds a peer stays on text digests after a failed binary exchange.
-  std::int64_t gossip_resync_backoff = 8;
 
   // -- delta federation (streaming incremental polls) ----------------------
   /// Master switch for the delta *client*: when on, sources with a
@@ -189,10 +184,8 @@ struct GmetadConfig {
 ///   gossip_aggregate on                  # adopt children naming us as parent
 ///   gossip_parent "core"                 # advertise our primary aggregator
 ///   standby_for "core"                   # repeatable; promote when DEAD
-///   gossip_delta on                      # digest-delta sessions (off = text digests)
 ///   gossip_piggyback on                  # ride digests on federation poll streams
-///   gossip_max_digest 4194304            # per-exchange digest payload cap (bytes)
-///   gossip_resync_backoff 8              # text-fallback rounds after a binary failure
+///   gossip_max_digest 4194304            # digest payload cap (bytes); chunk above
 ///   federation off                       # disable the delta poll client
 ///   federation_port 8655                 # or federation_bind host:port; delta serving
 ///   federation_heartbeat 30              # idle-session ping cadence (s; 0 = never)

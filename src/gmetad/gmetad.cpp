@@ -54,10 +54,7 @@ Gmetad::Gmetad(GmetadConfig config, net::Transport& transport, Clock& clock)
     opts.t_fail_us = config_.gossip_t_fail_s * kMicrosPerSecond;
     opts.t_cleanup_us = config_.gossip_t_cleanup_s * kMicrosPerSecond;
     opts.connect_timeout_us = config_.connect_timeout_s * kMicrosPerSecond;
-    opts.delta = config_.gossip_delta;
     opts.max_digest_bytes = config_.gossip_max_digest;
-    opts.resync_backoff_rounds =
-        static_cast<std::uint64_t>(config_.gossip_resync_backoff);
     // Independent deterministic stream per member id.
     std::uint64_t seed = 0xcbf29ce484222325ULL;
     for (const char c : config_.grid_name) {
@@ -94,7 +91,7 @@ Gmetad::Gmetad(GmetadConfig config, net::Transport& transport, Clock& clock)
         failover_->observe(event);
       });
     }
-    if (config_.gossip_delta && config_.gossip_piggyback) {
+    if (config_.gossip_piggyback) {
       // Both halves of piggybacking: outbound digests ride our live poll
       // sessions (carrier), inbound ones arrive through the publisher on
       // the federation listener a parent is already polling.

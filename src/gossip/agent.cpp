@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "gossip/message.hpp"
-
 namespace ganglia::gossip {
 
 namespace {
@@ -46,7 +44,7 @@ const std::vector<PeerRef>& Agent::stable_partners() {
   // stable pairings are what give the per-peer cursors something to
   // amortise against, and the pairwise-hash ranking still yields a random
   // graph across the grid (expected degree ~2·fanout), so dissemination
-  // keeps the log-n spread that random fanout had.
+  // keeps the log-n spread of random fanout.
   const std::uint64_t version = table_.membership_version();
   if (partners_valid_ && partners_version_ == version) return partners_;
   partners_valid_ = true;
@@ -73,21 +71,8 @@ const std::vector<PeerRef>& Agent::stable_partners() {
 
 std::vector<PeerRef> Agent::pick_targets() {
   // Caller holds mutex_.
-  std::vector<PeerRef> alive = table_.alive_peers();
-  std::vector<PeerRef> targets;
-
-  if (options_.delta) {
-    targets = stable_partners();
-  } else {
-    // Partial Fisher–Yates: the first `fanout` slots of a shuffle.
-    const std::size_t k = std::min(options_.fanout, alive.size());
-    for (std::size_t i = 0; i < k; ++i) {
-      const std::size_t j =
-          i + rng_.next_below(static_cast<std::uint32_t>(alive.size() - i));
-      std::swap(alive[i], alive[j]);
-      targets.push_back(alive[i]);
-    }
-  }
+  const std::vector<PeerRef> alive = table_.alive_peers();
+  std::vector<PeerRef> targets = stable_partners();
 
   // Resurrection probe: while any peer stands convicted (or we know no live
   // peer at all), keep dialling the doubted addresses — if the silence was a
@@ -190,8 +175,7 @@ bool Agent::peer_holds(const ReceiverSession& rx, const MemberEntry& entry) {
           entry.heartbeat <= heard.heartbeat);
 }
 
-std::string Agent::build_digest_locked(const std::string& peer_id,
-                                       bool* refused) {
+BinaryDigest Agent::build_digest_locked(const std::string& peer_id) {
   BinaryDigest digest;
   digest.sender_id = options_.id;
   if (!peer_id.empty()) digest.ack = rx_ack_locked(peer_id);
@@ -251,11 +235,20 @@ std::string Agent::build_digest_locked(const std::string& peer_id,
     const auto [it, inserted] =
         ids.try_emplace(entry->id, static_cast<std::uint32_t>(ids.size()));
     row.name_id = it->second;
-    if (!incremental || inserted || row.name_id >= cursor->acked_names) {
+    const bool define =
+        !incremental || inserted || row.name_id >= cursor->acked_names;
+    if (define) {
       row.flags |= kRowDefine;
       row.id = entry->id;
     }
-    if (!incremental || entry->fields_version > floor) {
+    // A defining row carries its fields unless the peer sent us this
+    // member itself since it last resynced us: after a cut full the rest
+    // of the table arrives as defining rows, and the peer may hold none
+    // of those members yet.
+    const bool peer_sent =
+        peer_rx != nullptr && peer_rx->heard.count(entry->id) != 0;
+    if (!incremental || entry->fields_version > floor ||
+        (define && !peer_sent)) {
       row.flags |= kRowFields;
       row.address = entry->address;
       if (!entry->meta.empty()) {
@@ -266,10 +259,11 @@ std::string Agent::build_digest_locked(const std::string& peer_id,
     if (entry->state == MemberState::left) row.flags |= kRowLeft;
     row.incarnation = entry->incarnation;
     row.heartbeat = entry->heartbeat;
-    const std::size_t before = scratch.size();
     encode_digest_row(scratch, row);
     if (scratch.size() > budget) {
-      scratch.resize(before);
+      // The cut row leaves no dictionary id behind: the next digest must
+      // not define a later id past one the peer never received.
+      if (inserted) ids.erase(it);
       truncated = true;
       break;
     }
@@ -277,26 +271,10 @@ std::string Agent::build_digest_locked(const std::string& peer_id,
     digest.rows.push_back(std::move(row));
   }
 
-  if (truncated && !incremental) {
-    // The full table itself cannot fit: structured refusal, and back off
-    // to text digests (whose cap is independent) so membership still flows.
-    BinaryDigest refusal;
-    refusal.kind = DigestKind::refuse;
-    refusal.sender_id = options_.id;
-    refusal.ack = digest.ack;
-    refusal.refuse_reason = "member table exceeds digest byte cap";
-    ++stats_.digest_refusals;
-    if (refused != nullptr) *refused = true;
-    if (cursor != nullptr) {
-      cursor->text_until_round =
-          stats_.rounds + options_.resync_backoff_rounds;
-      ++stats_.text_fallbacks;
-    }
-    return encode_binary_digest(refusal);
-  }
   if (truncated) {
-    // A cut delta stays correct by claiming only the covered prefix: the
-    // peer's ack floor advances to `covered` and the rest ships next round.
+    // A cut digest, full or delta, stays correct by claiming only the
+    // covered prefix: the peer's ack floor advances to `covered` and the
+    // rest ships as deltas in the following exchanges.
     ++stats_.digest_truncations;
     digest.to_seq = covered;
   }
@@ -308,7 +286,7 @@ std::string Agent::build_digest_locked(const std::string& peer_id,
   }
   stats_.digest_rows_sent += digest.rows.size();
   if (cursor != nullptr) cursor->rows_sent += digest.rows.size();
-  return encode_binary_digest(digest);
+  return digest;
 }
 
 void Agent::apply_ack_locked(const std::string& peer_id,
@@ -326,17 +304,21 @@ void Agent::apply_ack_locked(const std::string& peer_id,
         std::min<std::uint64_t>(ack.names, cursor.ids.size()));
   } else if (cursor.established) {
     // The peer lost our session (restart, eviction, reject): next digest
-    // is a self-contained full.
+    // is a self-contained full.  Nor can we trust what the peer once sent
+    // us — it may have dropped those members since — so until it sends
+    // them again, the rows past a cut full carry their fields.
     cursor.established = false;
     ++cursor.resyncs;
     ++stats_.full_resyncs;
+    if (const auto rx = rx_.find(peer_id); rx != rx_.end()) {
+      rx->second.heard.clear();
+    }
   }
 }
 
 bool Agent::apply_body_locked(const BinaryDigest& digest,
                               std::vector<MemberEvent>& events) {
   ReceiverSession& session = touch_rx(digest.sender_id);
-  if (digest.kind == DigestKind::refuse) return true;  // nothing to apply
   const bool full = digest.kind == DigestKind::full;
   if (!full) {
     // `from_seq <= applied_seq` rather than `==`: merges are idempotent,
@@ -456,13 +438,15 @@ bool Agent::apply_body_locked(const BinaryDigest& digest,
   return true;
 }
 
-void Agent::mark_text_fallback(const std::string& peer_id) {
-  if (peer_id.empty()) return;
-  std::lock_guard lock(mutex_);
-  SenderCursor& cursor = touch_cursor(peer_id);
-  cursor.established = false;
-  cursor.text_until_round = stats_.rounds + options_.resync_backoff_rounds;
-  ++stats_.text_fallbacks;
+Agent::Outbound Agent::plan_exchange_locked(PeerRef target) {
+  BinaryDigest digest = build_digest_locked(target.id);
+  Outbound out;
+  out.payload = encode_binary_digest(digest);
+  if (digest.kind == DigestKind::full && !target.id.empty()) {
+    cursors_.at(target.id).full_in_flight = std::move(digest);
+  }
+  out.target = std::move(target);
+  return out;
 }
 
 void Agent::tick() {
@@ -489,188 +473,81 @@ void Agent::tick() {
         }
       }
     }
-    std::string text;
     for (PeerRef& target : pick_targets()) {
-      Outbound out;
-      out.target = std::move(target);
-      out.binary = options_.delta;
-      if (out.binary && !out.target.id.empty()) {
-        const auto it = cursors_.find(out.target.id);
-        if (it != cursors_.end() &&
-            stats_.rounds < it->second.text_until_round) {
-          out.binary = false;  // backoff window after a binary failure
-        }
-      }
-      if (out.binary) {
-        // A table too big for the binary cap refuses at build time; don't
-        // waste the round trip on a doomed exchange — initiate in text
-        // (the responder path still answers inbound requests with the
-        // structured refusal, since binary callers read binary replies).
-        bool refused = false;
-        out.payload = build_digest_locked(out.target.id, &refused);
-        if (refused) out.binary = false;
-      }
-      if (!out.binary) {
-        if (text.empty()) {
-          text = encode_digest(options_.id, table_.gossipable());
-        }
-        out.payload = text;
-      }
-      outs.push_back(std::move(out));
+      outs.push_back(plan_exchange_locked(std::move(target)));
     }
   }
   dispatch(events);
-  for (Outbound& out : outs) {
+  for (const Outbound& out : outs) {
     exchange_with(out);
   }
 }
 
-void Agent::exchange_with(Outbound& out) {
+void Agent::exchange_with(const Outbound& out) {
   {
     std::lock_guard lock(mutex_);
     ++stats_.sends;
     stats_.bytes_out += out.payload.size();
   }
-  const TimeUs timeout =
-      std::min(options_.connect_timeout_us, options_.interval_us);
-
-  if (out.binary) {
-    // Piggyback: offer the exchange to the carrier (an already-open
-    // federation stream) first; dial a gossip connection only when no
-    // carrier channel exists for this peer.
-    Carrier carrier;
-    {
-      std::lock_guard lock(handler_mutex_);
-      carrier = carrier_;
-    }
-    if (carrier) {
-      auto via = carrier(out.target.address, out.payload);
-      if (via.has_value()) {
-        if (via->ok()) {
-          {
-            std::lock_guard lock(mutex_);
-            ++stats_.piggyback_exchanges;
-          }
-          merge_reply_payload(**via);
-          return;
-        }
-        // The carrier channel existed but broke mid-exchange; fall through
-        // to a direct dial this round.
-      }
-    }
-  }
-
-  auto conn = transport_.connect(out.target.address, timeout);
-  if (!conn.ok()) {
-    std::lock_guard lock(mutex_);
-    ++stats_.send_failures;
-    return;
-  }
-  net::Stream& stream = **conn;
-
-  if (!out.binary) {
-    if (!stream.write_all(out.payload).ok()) {
-      std::lock_guard lock(mutex_);
-      ++stats_.send_failures;
-      return;
-    }
-    auto reply = net::read_to_eof(stream, kMaxDigestBytes);
-    stream.close();
-    if (!reply.ok()) {
-      std::lock_guard lock(mutex_);
-      ++stats_.send_failures;
-      return;
-    }
-    merge_digest_text(*reply);
-    return;
-  }
-
-  std::string framed;
-  put_digest_frames(framed, out.payload, options_.max_frame);
-  if (!stream.write_all(framed).ok()) {
-    std::lock_guard lock(mutex_);
-    ++stats_.send_failures;
-    return;
-  }
-  net::FrameReader reader(stream, options_.max_frame + 64);
-  auto begin = reader.next();
-  if (!begin.ok()) {
-    {
-      std::lock_guard lock(mutex_);
-      ++stats_.send_failures;
-    }
-    // Closed-without-reply is how a binary-unaware peer reacts; back off
-    // to text digests with it for a while.
-    mark_text_fallback(out.target.id);
-    return;
-  }
-  auto payload = read_digest_frames(reader, *begin, options_.max_digest_bytes);
-  stream.close();
-  if (!payload.ok()) {
-    {
-      std::lock_guard lock(mutex_);
-      ++stats_.send_failures;
-    }
-    mark_text_fallback(out.target.id);
-    return;
-  }
-  merge_reply_payload(*payload);
-}
-
-void Agent::merge_digest_text(std::string_view text) {
-  auto digest = decode_digest(text);
-  if (!digest.ok()) {
-    std::lock_guard lock(mutex_);
-    ++stats_.send_failures;
-    return;
-  }
+  bool carried = false;
+  const Result<std::string> reply = round_trip(out, carried);
+  const Result<BinaryDigest> digest =
+      reply.ok() ? decode_binary_digest(*reply) : reply.error();
   std::vector<MemberEvent> events;
   {
     std::lock_guard lock(mutex_);
-    stats_.bytes_in += text.size();
-    ++stats_.digests_received;
-    table_.merge(digest->entries, clock_.now_us(), events);
-  }
-  dispatch(events);
-}
-
-void Agent::merge_reply_payload(std::string_view payload) {
-  auto digest = decode_binary_digest(payload);
-  if (!digest.ok()) {
-    std::lock_guard lock(mutex_);
-    ++stats_.send_failures;
-    return;
-  }
-  std::vector<MemberEvent> events;
-  {
-    std::lock_guard lock(mutex_);
-    stats_.bytes_in += payload.size();
+    // Under the same lock as the reply's ack, so no crossing request can
+    // slip in between and start a new epoch before this one is acked.
+    if (const auto it = cursors_.find(out.target.id); it != cursors_.end()) {
+      it->second.full_in_flight.reset();
+    }
+    if (!digest.ok()) {
+      ++stats_.send_failures;
+      return;
+    }
+    if (carried) ++stats_.piggyback_exchanges;
+    stats_.bytes_in += reply->size();
     ++stats_.digests_received;
     apply_ack_locked(digest->sender_id, digest->ack);
     apply_body_locked(*digest, events);
   }
-  if (digest->kind == DigestKind::refuse) {
-    // The peer's table exceeds its digest cap; give text digests a go.
-    mark_text_fallback(digest->sender_id);
-  }
   dispatch(events);
 }
 
-Result<std::string> Agent::handle_digest(std::string_view request) {
-  auto digest = decode_digest(request);
-  if (!digest.ok()) return digest.error();
-  std::vector<MemberEvent> events;
-  std::string reply;
+Result<std::string> Agent::round_trip(const Outbound& out, bool& carried) {
+  // Piggyback: offer the exchange to the carrier (an already-open
+  // federation stream) first; dial a gossip connection only when no
+  // carrier channel exists for this peer.
+  Carrier carrier;
   {
-    std::lock_guard lock(mutex_);
-    stats_.bytes_in += request.size();
-    ++stats_.digests_received;
-    table_.merge(digest->entries, clock_.now_us(), events);
-    reply = encode_digest(options_.id, table_.gossipable());
-    stats_.bytes_out += reply.size();
+    std::lock_guard lock(handler_mutex_);
+    carrier = carrier_;
   }
-  dispatch(events);
-  return reply;
+  if (carrier) {
+    auto via = carrier(out.target.address, out.payload);
+    if (via.has_value() && via->ok()) {
+      carried = true;
+      return std::move(*via);
+    }
+    // No channel, or it broke mid-exchange: dial directly this round.
+  }
+
+  const TimeUs timeout =
+      std::min(options_.connect_timeout_us, options_.interval_us);
+  auto conn = transport_.connect(out.target.address, timeout);
+  if (!conn.ok()) return conn.error();
+  net::Stream& stream = **conn;
+  std::string framed;
+  put_digest_frames(framed, out.payload, options_.max_frame);
+  if (Status written = stream.write_all(framed); !written.ok()) {
+    return written.error();
+  }
+  net::FrameReader reader(stream, options_.max_frame + 64);
+  auto begin = reader.next();
+  if (!begin.ok()) return begin.error();
+  auto payload = read_digest_frames(reader, *begin, options_.max_digest_bytes);
+  stream.close();
+  return payload;
 }
 
 Result<std::string> Agent::handle_digest_payload(std::string_view payload) {
@@ -690,7 +567,20 @@ Result<std::string> Agent::handle_digest_payload(std::string_view payload) {
     // Reply after applying, so our ack covers the digest we just took and
     // the initiator's floor advances one round sooner.  A rejected body
     // still gets a reply — carrying the resync ack that heals the session.
-    reply = build_digest_locked(digest->sender_id);
+    SenderCursor& cursor = touch_cursor(digest->sender_id);
+    if (!cursor.established && cursor.full_in_flight) {
+      // Crossing fulls: send the in-flight full again, same epoch and
+      // ids, with a fresh ack.  Whichever copy the peer acks establishes
+      // the cursor, where a fresh epoch would turn that ack stale.
+      BinaryDigest& full = *cursor.full_in_flight;
+      full.ack = rx_ack_locked(digest->sender_id);
+      reply = encode_binary_digest(full);
+      ++stats_.digests_full_sent;
+      stats_.digest_rows_sent += full.rows.size();
+      cursor.rows_sent += full.rows.size();
+    } else {
+      reply = encode_binary_digest(build_digest_locked(digest->sender_id));
+    }
     stats_.bytes_out += reply.size();
   }
   dispatch(events);
@@ -698,7 +588,6 @@ Result<std::string> Agent::handle_digest_payload(std::string_view payload) {
 }
 
 Result<std::string> Agent::handle_request(std::string_view request) {
-  if (looks_like_text_digest(request)) return handle_digest(request);
   auto payload = collect_digest_frames(request, options_.max_digest_bytes);
   if (!payload.ok()) return payload.error();
   auto reply = handle_digest_payload(*payload);
@@ -714,20 +603,8 @@ net::ServiceFn Agent::service() {
 
 net::RequestEnd Agent::request_end(std::string_view unread,
                                    net::ScanState& scan) const {
-  if (!looks_like_text_digest(unread)) {
-    return framed_request_end(unread, scan, options_.max_frame + 64,
-                              options_.max_digest_bytes);
-  }
-  constexpr std::string_view kEnd = "\nEND\n";
-  const std::size_t end =
-      unread.substr(0, kMaxDigestBytes).find(kEnd, scan.offset);
-  if (end != std::string_view::npos) {
-    return net::RequestEnd::complete(end + kEnd.size());
-  }
-  // Resume just short of the tail, where a split terminator may start.
-  scan.offset = unread.size() - std::min(unread.size(), kEnd.size() - 1);
-  return unread.size() >= kMaxDigestBytes ? net::RequestEnd::malformed()
-                                          : net::RequestEnd::need_more();
+  return framed_request_end(unread, scan, options_.max_frame + 64,
+                            options_.max_digest_bytes);
 }
 
 void Agent::leave() {
@@ -735,9 +612,6 @@ void Agent::leave() {
   {
     std::lock_guard lock(mutex_);
     table_.leave_self(clock_.now_us());
-    // The tombstone goes out as a text digest: a one-shot, best-effort
-    // broadcast has no session to amortise and every peer accepts text.
-    std::string digest = encode_digest(options_.id, table_.gossipable());
     std::vector<PeerRef> targets = table_.alive_peers();
     // Best effort: tell `fanout` live peers; gossip spreads the tombstone.
     if (targets.size() > options_.fanout) {
@@ -749,10 +623,10 @@ void Agent::leave() {
       targets.resize(options_.fanout);
     }
     for (PeerRef& target : targets) {
-      outs.push_back({std::move(target), digest, false});
+      outs.push_back(plan_exchange_locked(std::move(target)));
     }
   }
-  for (Outbound& out : outs) {
+  for (const Outbound& out : outs) {
     exchange_with(out);
   }
 }
@@ -799,13 +673,7 @@ std::vector<PeerSessionView> Agent::peer_sessions() const {
   for (const auto& [peer, cursor] : cursors_) {
     PeerSessionView view;
     view.peer = peer;
-    if (stats_.rounds < cursor.text_until_round) {
-      view.mode = "text";
-    } else if (cursor.established) {
-      view.mode = "delta";
-    } else {
-      view.mode = "full";
-    }
+    view.mode = cursor.established ? "delta" : "full";
     view.acked_seq = cursor.acked_seq;
     view.rows_sent = cursor.rows_sent;
     view.resyncs = cursor.resyncs;

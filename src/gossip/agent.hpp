@@ -15,24 +15,31 @@
 //      convicted), and to a seed every kSeedProbePeriod rounds otherwise
 //      (so a fully pruned view can rediscover the group).
 //
-// Wire formats.  The legacy exchange ships the full table as a GOSSIP1
-// text digest every round.  With `delta` enabled the agent instead runs
-// binary digest-delta sessions (gossip/delta.hpp): a per-peer cursor
-// remembers what the peer last acknowledged and each exchange carries only
-// the rows that changed since, resyncing to a self-contained full table
-// whenever either side detects a gap — the fed::apply state machine
-// applied to membership.  Cursors only pay off against peers we revisit,
-// so delta mode swaps random fanout for *rendezvous-stable partners*: each
-// node ranks its alive peers by a pairwise hash and gossips with its top
-// `fanout` — still a random graph across the grid (so dissemination keeps
-// its log-n diameter) but stable between rounds, which is what keeps every
-// steady-state exchange down to the handful of rows that actually changed.
-// Inbound exchanges answer in whichever format the request used, and a
-// per-peer backoff falls back to text when a peer fails binary exchanges.
+// Wire.  Every exchange is a GGD1 binary digest session
+// (gossip/delta.hpp): a per-peer cursor remembers what the peer last
+// acknowledged and each exchange carries only the rows that changed since,
+// resyncing to a self-contained full table whenever either side detects a
+// gap — the fed::apply state machine applied to membership.  A full too
+// big for one digest ships its covered prefix and continues as deltas.
+// Cursors only pay off against peers we revisit, so fanout targets are
+// *rendezvous-stable partners*: each node ranks its alive peers by a
+// pairwise hash and gossips with its top `fanout` — still a random graph
+// across the grid (so dissemination keeps its log-n diameter) but stable
+// between rounds, which is what keeps every steady-state exchange down to
+// the handful of rows that actually changed.
+//
+// Crossing fulls.  Two agents whose ticks coincide may each send the
+// other a full at once.  Each full starts a fresh dictionary epoch, so if
+// each side answered the other's full with a fresh full of its own, every
+// reply would overwrite the epoch its own request carries and neither
+// cursor would ever settle.  While our full to a peer is in flight, that
+// peer's request is therefore answered with the same full (same epoch,
+// same rows) under a fresh ack: the peer still gets our table, and
+// whichever copy it acks establishes the cursor.
 //
 // A carrier hook lets digests piggyback on out-of-band channels: when set
-// (the gmetad wires it to its federation poll sessions), binary exchanges
-// are offered to the carrier first and only dial a fresh gossip connection
+// (the gmetad wires it to its federation poll sessions), exchanges are
+// offered to the carrier first and only dial a fresh gossip connection
 // when no carrier channel exists for that peer.
 //
 // Completeness: every live member independently times out every silent
@@ -82,12 +89,13 @@ struct AgentOptions {
   /// Initial self metadata (source=, xml=, parent=, authority=...).
   std::map<std::string, std::string> meta;
 
-  // -- digest-delta sessions ------------------------------------------------
-  /// Initiate binary digest-delta exchanges instead of full-table text
-  /// digests.  (Inbound exchanges always answer in the request's format.)
-  bool delta = false;
-  /// Per-exchange digest payload cap; a full table that cannot fit answers
-  /// with a structured refusal and the pair falls back to text.
+  // -- digest sessions ------------------------------------------------------
+  /// Ignored: every exchange is a binary digest session.  Kept only
+  /// because the perfbench membership workload still assigns it; delete
+  /// the field together with that assignment.
+  bool delta = true;
+  /// Per-exchange digest payload cap; a digest that would pass it ships
+  /// the prefix of rows that fits and the rest follows as deltas.
   std::size_t max_digest_bytes = kMaxDigestBytes;
   /// Frame chunking bound for digest payloads (fed::Publisher-style).
   std::size_t max_frame = 64u << 10;
@@ -96,8 +104,6 @@ struct AgentOptions {
   /// so evicting below the membership size thrashes (every eviction costs a
   /// full-table resync on the peer's next exchange).
   std::size_t max_sessions = 64;
-  /// Rounds of text fallback after a failed binary exchange with a peer.
-  std::uint64_t resync_backoff_rounds = 8;
 };
 
 struct AgentStats {
@@ -108,23 +114,21 @@ struct AgentStats {
   std::uint64_t bytes_out = 0;       ///< digest bytes written (both roles)
   std::uint64_t bytes_in = 0;        ///< digest bytes read (both roles)
 
-  // -- digest-delta sessions ------------------------------------------------
+  // -- digest sessions ------------------------------------------------------
   std::uint64_t digests_delta_sent = 0;  ///< incremental digests encoded
   std::uint64_t digests_full_sent = 0;   ///< self-contained fulls encoded
-  std::uint64_t digest_rows_sent = 0;    ///< rows across all binary digests
+  std::uint64_t digest_rows_sent = 0;    ///< rows across all digests
   std::uint64_t digest_rows_suppressed = 0;  ///< echoes the peer already holds
   std::uint64_t full_resyncs = 0;    ///< established cursors invalidated
   std::uint64_t digest_rejects = 0;  ///< inbound digests refused -> resync
-  std::uint64_t digest_refusals = 0;     ///< oversize tables refused
-  std::uint64_t digest_truncations = 0;  ///< deltas cut at the byte cap
+  std::uint64_t digest_truncations = 0;  ///< fulls and deltas cut at a cap
   std::uint64_t piggyback_exchanges = 0; ///< exchanges via the carrier
-  std::uint64_t text_fallbacks = 0;      ///< peers demoted to text digests
 };
 
 /// One sender-side cursor, as exposed on /api/v1/members.
 struct PeerSessionView {
   std::string peer;   ///< member id
-  std::string mode;   ///< "delta" | "full" (resync pending) | "text"
+  std::string mode;   ///< "delta" | "full" (resync pending)
   std::uint64_t acked_seq = 0;
   std::uint64_t rows_sent = 0;
   std::uint64_t resyncs = 0;
@@ -149,18 +153,14 @@ class Agent {
   /// One gossip round: heartbeat, timers, fanout exchanges, probe.
   void tick();
 
-  /// Receiver side of one exchange, either format: a GOSSIP1 text digest
-  /// or framed binary digest frames.  Usable directly as an in-memory
-  /// service; replies in the request's format.
+  /// Receiver side of one exchange: framed digest frames in, framed reply
+  /// out.  Usable directly as an in-memory service.
   Result<std::string> handle_request(std::string_view request);
-  /// Text-digest receiver (legacy wire format).
-  Result<std::string> handle_digest(std::string_view request);
-  /// Binary-digest receiver: one decoded payload in, one payload out.
-  /// This is what the federation publisher's digest hook calls.
+  /// One decoded payload in, one payload out.  This is what the
+  /// federation publisher's digest hook calls.
   Result<std::string> handle_digest_payload(std::string_view payload);
   net::ServiceFn service();
-  /// The gossip port's request-boundary rule: a GOSSIP1 text digest ending
-  /// in "\nEND\n" (at most kMaxDigestBytes), or framed_request_end within
+  /// The gossip port's request-boundary rule: framed_request_end within
   /// max_frame and max_digest_bytes.
   net::RequestEnd request_end(std::string_view unread,
                               net::ScanState& scan) const;
@@ -189,11 +189,10 @@ class Agent {
   static constexpr std::uint64_t kSeedProbePeriod = 8;
 
  private:
-  /// One planned exchange: where to, what to send, which format.
+  /// One planned exchange: where to and what to send.
   struct Outbound {
     PeerRef target;  ///< id empty when dialling an unknown seed address
     std::string payload;
-    bool binary = false;
   };
   /// Sender half of one digest-delta session: what this peer acknowledged.
   struct SenderCursor {
@@ -202,9 +201,11 @@ class Agent {
     std::uint64_t acked_seq = 0;   ///< table seq the peer applied through
     std::uint64_t acked_names = 0; ///< dictionary prefix the peer holds
     std::map<std::string, std::uint32_t> ids;  ///< member id -> dict id
+    /// Our full to this peer while its exchange is under way (see
+    /// "Crossing fulls" above).
+    std::optional<BinaryDigest> full_in_flight;
     std::uint64_t rows_sent = 0;
     std::uint64_t resyncs = 0;
-    std::uint64_t text_until_round = 0;  ///< binary backoff deadline
     std::uint64_t last_used = 0;
   };
   /// Receiver half: the state a sender's stream has been applied into.
@@ -221,7 +222,8 @@ class Agent {
     /// they hold.  build_digest_locked suppresses rows at or below this
     /// bound: the peer's merge() would reject the echo anyway.  Without
     /// it, push-pull carries every row across each link twice (once in
-    /// the request, again reflected in the reply).
+    /// the request, again reflected in the reply).  A resync from the
+    /// peer clears it: the peer may have dropped members since.
     struct Heard {
       std::uint64_t incarnation = 0;
       std::uint64_t heartbeat = 0;
@@ -233,7 +235,7 @@ class Agent {
 
   /// Pick this round's exchange targets (fanout + probe).
   std::vector<PeerRef> pick_targets();
-  /// Rendezvous-stable partners (delta mode), cached per alive-set.
+  /// Rendezvous-stable partners, cached per alive-set.
   const std::vector<PeerRef>& stable_partners();
   std::size_t session_cap_locked() const;
   SenderCursor& touch_cursor(const std::string& peer_id);
@@ -241,20 +243,20 @@ class Agent {
   /// Would `peer`'s merge() provably reject `entry` given what they have
   /// already sent us?  (Echo suppression — see ReceiverSession::heard.)
   static bool peer_holds(const ReceiverSession& rx, const MemberEntry& entry);
-  /// Encode the next digest for `peer_id` (delta against the cursor, or a
-  /// full/refusal) and update send-side stats.  Empty id = one-shot full.
-  /// `refused`, when given, reports that the result is a byte-cap refusal.
-  std::string build_digest_locked(const std::string& peer_id,
-                                  bool* refused = nullptr);
+  /// Build the next digest for `peer_id` (delta against the cursor, or a
+  /// full) and update send-side stats.  Empty id = one-shot full.
+  BinaryDigest build_digest_locked(const std::string& peer_id);
+  /// Encode the digest for `target` and, when it is a full, keep it in
+  /// flight until exchange_with() has the reply.
+  Outbound plan_exchange_locked(PeerRef target);
   void apply_ack_locked(const std::string& peer_id, const DigestAck& ack);
   /// Strict applier: resolve + merge, or reject wholesale (never partial).
   bool apply_body_locked(const BinaryDigest& digest,
                          std::vector<MemberEvent>& events);
   DigestAck rx_ack_locked(const std::string& sender_id) const;
-  void mark_text_fallback(const std::string& peer_id);
-  void exchange_with(Outbound& out);
-  void merge_digest_text(std::string_view text);
-  void merge_reply_payload(std::string_view payload);
+  void exchange_with(const Outbound& out);
+  /// Send `out` over the carrier, or else a direct dial; the reply payload.
+  Result<std::string> round_trip(const Outbound& out, bool& carried);
   void dispatch(std::vector<MemberEvent>& events);
 
   AgentOptions options_;

@@ -1,7 +1,5 @@
 #include "gossip/delta.hpp"
 
-#include "gossip/message.hpp"
-
 namespace ganglia::gossip {
 
 namespace {
@@ -87,10 +85,6 @@ std::string encode_binary_digest(const BinaryDigest& digest) {
   net::put_u8(out, static_cast<std::uint8_t>(digest.kind));
   net::put_string(out, digest.sender_id);
   encode_ack(out, digest.ack);
-  if (digest.kind == DigestKind::refuse) {
-    net::put_string(out, digest.refuse_reason);
-    return out;
-  }
   net::put_varint(out, digest.epoch);
   net::put_varint(out, digest.from_seq);
   net::put_varint(out, digest.to_seq);
@@ -112,7 +106,7 @@ Result<BinaryDigest> decode_binary_digest(std::string_view payload) {
   std::uint8_t kind = 0;
   if (!reader.get_u8(kind) ||
       kind < static_cast<std::uint8_t>(DigestKind::full) ||
-      kind > static_cast<std::uint8_t>(DigestKind::refuse)) {
+      kind > static_cast<std::uint8_t>(DigestKind::delta)) {
     return fail();
   }
   digest.kind = static_cast<DigestKind>(kind);
@@ -120,12 +114,6 @@ Result<BinaryDigest> decode_binary_digest(std::string_view payload) {
   if (!reader.get_string(s, kMaxDigestIdBytes) || s.empty()) return fail();
   digest.sender_id.assign(s);
   if (!decode_ack(reader, digest.ack)) return fail();
-  if (digest.kind == DigestKind::refuse) {
-    if (!reader.get_string(s, kMaxDigestReasonBytes)) return fail();
-    digest.refuse_reason.assign(s);
-    if (!reader.done()) return fail();
-    return digest;
-  }
   std::uint64_t row_count = 0;
   if (!reader.get_varint(digest.epoch) || !reader.get_varint(digest.from_seq) ||
       !reader.get_varint(digest.to_seq) || !reader.get_varint(row_count) ||

@@ -1,21 +1,19 @@
-// Binary digest-delta wire format: membership gossip over net/framing.
+// GGD1, the gossip wire: membership digests over net/framing.
 //
-// The line-oriented GOSSIP1 digest (message.hpp) retransmits the full
-// member table every round — O(n) per exchange, O(n²) grid-wide.  This
-// codec is the gossip twin of the fed delta protocol: each sender keeps a
-// per-peer cursor of what the peer last acknowledged and ships only the
-// rows whose (incarnation, heartbeat, state, metadata) changed since, with
-// member ids interned into a per-session dictionary so a steady-state row
-// costs a handful of bytes instead of a full text line.
+// Shipping the whole member table every exchange costs O(n) per exchange,
+// O(n²) grid-wide.  This codec is the gossip twin of the fed delta
+// protocol: each sender keeps a per-peer cursor of what the peer last
+// acknowledged and ships only the rows whose (incarnation, heartbeat,
+// state, metadata) changed since, with member ids interned into a
+// per-session dictionary so a steady-state row costs a handful of bytes.
 //
 // One digest payload (before framing):
 //
 //   varint  magic "GGD1"
-//   u8      kind            full | delta | refuse
+//   u8      kind            full | delta
 //   string  sender_id
 //   u8      ack.kind        resync | cursor
 //   [cursor: varint epoch, varint seq, varint names]
-//   refuse: string reason                                   (then END)
 //   varint  epoch           sender's dictionary generation
 //   varint  from_seq        cursor floor this delta starts at (0 for full)
 //   varint  to_seq          sender table seq covered by this digest
@@ -44,6 +42,12 @@
 // makes the sender rebuild a self-contained full table.  Corruption can
 // cost a round trip; it can never diverge a table.
 //
+// A digest that would pass the byte cap or kMaxDigestEntries rows is cut
+// at a row boundary and claims only the prefix it covers (to_seq wound
+// back to the last row shipped); the rest follows as deltas.  So a table
+// too large for one digest reaches a new peer as a full prefix plus
+// deltas.
+//
 // Frames: a digest rides the GFD1 frame space as kFrameDigestBegin (varint
 // total payload size) followed by kFrameDigestChunk frames, each bounded
 // by the negotiated max_frame — the same chunking fed::Publisher applies
@@ -61,6 +65,7 @@
 #include <vector>
 
 #include "common/result.hpp"
+#include "gossip/message.hpp"
 #include "net/framing.hpp"
 #include "net/service_server.hpp"
 
@@ -75,9 +80,8 @@ inline constexpr std::uint8_t kFrameDigestChunk = 11;
 inline constexpr std::uint64_t kDigestMagic = 0x31444747;
 
 enum class DigestKind : std::uint8_t {
-  full = 1,    ///< self-contained table snapshot (resets the session)
-  delta = 2,   ///< rows changed since from_seq, against the session
-  refuse = 3,  ///< sender could not encode within the byte cap
+  full = 1,   ///< self-contained table snapshot (resets the session)
+  delta = 2,  ///< rows changed since from_seq, against the session
 };
 
 enum class AckKind : std::uint8_t {
@@ -114,21 +118,19 @@ struct BinaryDigest {
   DigestKind kind = DigestKind::full;
   std::string sender_id;
   DigestAck ack;
-  std::string refuse_reason;  ///< kind == refuse only
   std::uint64_t epoch = 0;
   std::uint64_t from_seq = 0;
   std::uint64_t to_seq = 0;
   std::vector<DigestRow> rows;
 };
 
-// Hard caps the decoder enforces (the digest reuses the text codec's entry
-// and byte ceilings so neither format can balloon a table).
+// Hard caps the decoder enforces, beside kMaxDigestEntries and
+// kMaxDigestBytes (gossip/message.hpp), so no digest can balloon a table.
 inline constexpr std::size_t kMaxDigestIdBytes = 256;
 inline constexpr std::size_t kMaxDigestAddrBytes = 256;
 inline constexpr std::size_t kMaxDigestMetaPairs = 64;
 inline constexpr std::size_t kMaxDigestMetaBytes = 2048;
 inline constexpr std::size_t kMaxDigestNames = 65536;
-inline constexpr std::size_t kMaxDigestReasonBytes = 256;
 
 std::string encode_binary_digest(const BinaryDigest& digest);
 
@@ -165,12 +167,5 @@ net::RequestEnd framed_request_end(std::string_view unread,
 Result<std::string> read_digest_frames(net::FrameReader& reader,
                                        const net::Frame& begin,
                                        std::size_t max_payload);
-
-/// Does this request buffer start like a GOSSIP1 text digest?  (A Begin
-/// frame is always a handful of bytes, so its length varint can never be
-/// 'G' = 0x47; one byte disambiguates the two wire formats.)
-inline bool looks_like_text_digest(std::string_view request) {
-  return !request.empty() && request.front() == 'G';
-}
 
 }  // namespace ganglia::gossip

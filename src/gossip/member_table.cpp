@@ -189,19 +189,6 @@ void MemberTable::advance(TimeUs now, TimeUs t_fail, TimeUs t_cleanup,
   }
 }
 
-std::vector<MemberEntry> MemberTable::gossipable() const {
-  std::vector<MemberEntry> out;
-  out.reserve(members_.size());
-  for (const auto& [id, entry] : members_) {
-    (void)id;
-    if (entry.state == MemberState::alive ||
-        entry.state == MemberState::left) {
-      out.push_back(entry);
-    }
-  }
-  return out;
-}
-
 std::vector<const MemberEntry*> MemberTable::gossipable_since(
     std::uint64_t floor) const {
   std::vector<const MemberEntry*> out;
@@ -232,16 +219,6 @@ const MemberEntry* MemberTable::find(const std::string& id) const {
   return it == members_.end() ? nullptr : &it->second;
 }
 
-std::vector<std::string> MemberTable::alive_peer_addresses() const {
-  std::vector<std::string> out;
-  for (const auto& [id, entry] : members_) {
-    if (id != self_id_ && entry.state == MemberState::alive) {
-      out.push_back(entry.address);
-    }
-  }
-  return out;
-}
-
 std::vector<PeerRef> MemberTable::alive_peers() const {
   std::vector<PeerRef> out;
   for (const auto& [id, entry] : members_) {
@@ -259,18 +236,6 @@ std::vector<PeerRef> MemberTable::faulty_peers() const {
     if (entry.state == MemberState::suspect ||
         entry.state == MemberState::dead) {
       out.push_back({id, entry.address});
-    }
-  }
-  return out;
-}
-
-std::vector<std::string> MemberTable::faulty_peer_addresses() const {
-  std::vector<std::string> out;
-  for (const auto& [id, entry] : members_) {
-    if (id == self_id_) continue;
-    if (entry.state == MemberState::suspect ||
-        entry.state == MemberState::dead) {
-      out.push_back(entry.address);
     }
   }
   return out;

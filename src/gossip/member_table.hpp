@@ -89,21 +89,16 @@ class MemberTable {
                std::vector<MemberEvent>& events);
 
   // -- views ---------------------------------------------------------------
-  /// Entries worth gossiping: self, ALIVE peers, LEFT tombstones.
-  std::vector<MemberEntry> gossipable() const;
-  /// Gossipable rows whose (incarnation, heartbeat, state, metadata)
-  /// changed after `floor`, oldest change first — the delta-digest feed.
+  /// Rows worth gossiping (self, ALIVE peers, LEFT tombstones) whose
+  /// (incarnation, heartbeat, state, metadata) changed after `floor`,
+  /// oldest change first — the digest feed.
   /// Pointers stay valid until the next mutating call.
   std::vector<const MemberEntry*> gossipable_since(std::uint64_t floor) const;
   /// Everything, self included (the /api/v1/members payload).
   std::vector<MemberEntry> snapshot() const;
   const MemberEntry* find(const std::string& id) const;
-  /// Gossip addresses of ALIVE peers (fanout candidates).
-  std::vector<std::string> alive_peer_addresses() const;
   /// (id, address) of ALIVE peers.
   std::vector<PeerRef> alive_peers() const;
-  /// Gossip addresses of SUSPECT/DEAD peers (resurrection-probe pool).
-  std::vector<std::string> faulty_peer_addresses() const;
   /// (id, address) of SUSPECT/DEAD peers.
   std::vector<PeerRef> faulty_peers() const;
   std::size_t alive_count() const;  ///< self included

@@ -1,34 +1,20 @@
-// Gossip wire format: the membership digest exchanged between gmetads.
+// The membership row every gossip agent keeps and exchanges.
 //
-// One push-pull round is a single stream connection: the initiator writes
-// its digest, the receiver merges it and answers with its own digest, and
-// the connection closes.  The digest is line-oriented (like the rest of the
-// federation protocols — JOIN lines, XML dumps — it favours debuggability
-// over density):
-//
-//   GOSSIP1 <sender-id>\n
-//   M <id> <address> <incarnation> <heartbeat> <state> <meta>\n
-//   ...
-//   END\n
-//
-// <state> is A (alive) or L (left): SUSPECT/DEAD verdicts are *local*
-// judgements and are never gossiped — forwarding them would let one slow
-// link convict a live member everywhere (the Group-Membership-List
-// exemplar's rule).  <meta> is `key=value` pairs joined with ';', or `-`
-// when empty; metadata carries the federation payload (source name, XML
-// address, parent aggregator, authority URL).
-//
-// decode_digest enforces caps (entry count, line length, field sizes) so a
-// hostile peer cannot balloon a member table or wedge the parser.
+// A row is (id, address, incarnation, heartbeat, state, metadata).
+// Digests (gossip/delta.hpp) carry ALIVE rows and LEFT tombstones only:
+// SUSPECT/DEAD verdicts are *local* judgements and are never gossiped —
+// forwarding them would let one slow link convict a live member everywhere
+// (the Group-Membership-List exemplar's rule).  Metadata carries the
+// federation payload (source name, XML address, parent aggregator,
+// authority URL).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "common/clock.hpp"
-#include "common/result.hpp"
 
 namespace ganglia::gossip {
 
@@ -72,24 +58,9 @@ struct MemberEntry {
   }
 };
 
-/// Decoded digest: who sent it and the entries it carries.
-struct Digest {
-  std::string sender_id;
-  std::vector<MemberEntry> entries;
-};
-
-/// Hard caps a digest must respect (decode rejects violations).
+/// Hard caps on one digest: rows per digest and payload bytes.  A table
+/// larger than either ships in chunks across exchanges (gossip/agent.hpp).
 inline constexpr std::size_t kMaxDigestEntries = 4096;
-inline constexpr std::size_t kMaxDigestLine = 2048;
 inline constexpr std::size_t kMaxDigestBytes = 4u << 20;
-
-/// Serialize a digest.  Entries whose fields contain whitespace, ';', or
-/// '=' in meta keys are skipped (they could not round-trip).
-std::string encode_digest(std::string_view sender_id,
-                          const std::vector<MemberEntry>& entries);
-
-/// Parse + validate a digest (entries' local_time_us is left 0; the merge
-/// stamps receipt time).
-Result<Digest> decode_digest(std::string_view text);
 
 }  // namespace ganglia::gossip

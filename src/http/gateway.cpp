@@ -437,8 +437,6 @@ Result<Gateway::Content> Gateway::render_members() {
     w.begin_object();
     w.key("ROUNDS");
     w.value(stats.rounds);
-    w.key("DELTA");
-    w.value(agent->options().delta);
     w.key("DIGESTS_DELTA_SENT");
     w.value(stats.digests_delta_sent);
     w.key("DIGESTS_FULL_SENT");
@@ -451,14 +449,10 @@ Result<Gateway::Content> Gateway::render_members() {
     w.value(stats.full_resyncs);
     w.key("DIGEST_REJECTS");
     w.value(stats.digest_rejects);
-    w.key("DIGEST_REFUSALS");
-    w.value(stats.digest_refusals);
     w.key("DIGEST_TRUNCATIONS");
     w.value(stats.digest_truncations);
     w.key("PIGGYBACK_EXCHANGES");
     w.value(stats.piggyback_exchanges);
-    w.key("TEXT_FALLBACKS");
-    w.value(stats.text_fallbacks);
     w.key("BYTES_OUT");
     w.value(stats.bytes_out);
     w.key("BYTES_IN");

@@ -13,7 +13,6 @@
 #include "fed/session.hpp"
 #include "gmetad/gmetad.hpp"
 #include "gossip/delta.hpp"
-#include "gossip/message.hpp"
 #include "net/service_server.hpp"
 #include "gmon/pseudo_gmond.hpp"
 #include "net/framing.hpp"
@@ -29,6 +28,33 @@ using gmetad::DataSourceConfig;
 using gmetad::Gmetad;
 using gmetad::GmetadConfig;
 using net::ServiceServer;
+
+/// A GGD1 full digest with no rows from `sender`: the smallest request
+/// the gossip port answers.
+std::string probe_payload(const std::string& sender) {
+  gossip::BinaryDigest probe;
+  probe.sender_id = sender;
+  probe.epoch = 1;
+  return gossip::encode_binary_digest(probe);
+}
+
+/// The probe as the wire carries it: a Begin frame and one Chunk.
+std::string gossip_probe(const std::string& sender) {
+  std::string framed;
+  gossip::put_digest_frames(framed, probe_payload(sender), 64u << 10);
+  return framed;
+}
+
+/// Read and decode the framed digest a gossip port answers with.
+Result<gossip::BinaryDigest> read_gossip_reply(net::Stream& stream) {
+  net::FrameReader reader(stream, (64u << 10) + 64);
+  auto begin = reader.next();
+  if (!begin.ok()) return begin.error();
+  auto payload =
+      gossip::read_digest_frames(reader, *begin, gossip::kMaxDigestBytes);
+  if (!payload.ok()) return payload.error();
+  return gossip::decode_binary_digest(*payload);
+}
 
 /// Spin until `predicate` holds or ~deadline_ms elapses.
 template <class Predicate>
@@ -254,37 +280,33 @@ TEST(Daemon, TrustedLoopbackIsServed) {
 
 // Two daemons gossip through the ports they bound themselves: each learns
 // the other's *bound* gossip address from its member row (a configured
-// ":0" would be undialable), binary sessions settle into deltas, and the
-// port still answers the GOSSIP1 text format while refusing garbage.
+// ":0" would be undialable), sessions settle into deltas, and the port
+// answers a framed probe while refusing garbage.  Both tick every second,
+// on the same second boundary, so their fulls cross each other.
 TEST(Daemon, TwoDaemonsGossipThroughTheirBoundPortsOverTcp) {
   WallClock clock;
   net::TcpTransport transport;
-  // Beta gossips once, at start, to introduce itself through its seed;
-  // from then on only alpha initiates.  (Schedulers with equal intervals
-  // tick on the same second boundary, and two full digests crossing each
-  // other restart both sessions' epochs, so such a pair may never settle.)
-  const auto gossiping = [](std::string name, std::vector<std::string> seeds,
-                            std::int64_t interval_s) {
+  const auto gossiping = [](std::string name, std::vector<std::string> seeds) {
     GmetadConfig config;
     config.grid_name = std::move(name);
     config.xml_bind = "127.0.0.1:0";
     config.interactive_bind = "127.0.0.1:0";
     config.gossip_bind = "127.0.0.1:0";
     config.gossip_seeds = std::move(seeds);
-    config.gossip_interval_s = interval_s;
+    config.gossip_interval_s = 1;
     config.archive_enabled = false;
     return config;
   };
-  Gmetad alpha(gossiping("alpha", {}, 1), transport, clock);
+  Gmetad alpha(gossiping("alpha", {}), transport, clock);
   ASSERT_TRUE(alpha.start().ok());
   const std::string alpha_gossip = alpha.membership()->member("alpha")->address;
   ASSERT_NE(alpha_gossip, "127.0.0.1:0");
-  Gmetad beta(gossiping("beta", {alpha_gossip}, 3600), transport, clock);
+  Gmetad beta(gossiping("beta", {alpha_gossip}), transport, clock);
   ASSERT_TRUE(beta.start().ok());
 
   const auto steady = [](const Gmetad& node, const std::string& peer) {
     const gossip::AgentStats stats = node.membership()->stats();
-    if (stats.digests_delta_sent < 2 || stats.text_fallbacks != 0) return false;
+    if (stats.digests_delta_sent < 2) return false;
     for (const gossip::PeerSessionView& session :
          node.membership()->peer_sessions()) {
       if (session.peer == peer) return session.mode == "delta";
@@ -296,27 +318,27 @@ TEST(Daemon, TwoDaemonsGossipThroughTheirBoundPortsOverTcp) {
     std::string out = node.config().grid_name + ": deltas " +
                       std::to_string(stats.digests_delta_sent) + " fulls " +
                       std::to_string(stats.digests_full_sent) + " failures " +
-                      std::to_string(stats.send_failures) + " text " +
-                      std::to_string(stats.text_fallbacks) + " sessions";
+                      std::to_string(stats.send_failures) + " sessions";
     for (const auto& session : node.membership()->peer_sessions()) {
       out += " " + session.peer + "=" + session.mode;
     }
     return out + "\n";
   };
+  // Answering a crossing request with the full already in flight settles
+  // this in about 2 s; a fresh full per reply can keep a pair resyncing
+  // for 10 s, or indefinitely.
   ASSERT_TRUE(eventually(
-      [&] { return steady(alpha, "beta") && steady(beta, "alpha"); }, 15000))
+      [&] { return steady(alpha, "beta") && steady(beta, "alpha"); }, 5000))
       << describe(alpha) << describe(beta);
 
-  // One GOSSIP1 text exchange, answered in text.
-  auto text = transport.connect(alpha_gossip, 2 * kMicrosPerSecond);
-  ASSERT_TRUE(text.ok());
-  ASSERT_TRUE((*text)->write_all(gossip::encode_digest("probe", {})).ok());
-  auto reply = net::read_to_eof(**text);
-  ASSERT_TRUE(reply.ok()) << reply.error().to_string();
-  auto digest = gossip::decode_digest(*reply);
+  // One framed probe, answered with alpha's full table.
+  auto probe = transport.connect(alpha_gossip, 2 * kMicrosPerSecond);
+  ASSERT_TRUE(probe.ok());
+  ASSERT_TRUE((*probe)->write_all(gossip_probe("probe")).ok());
+  auto digest = read_gossip_reply(**probe);
   ASSERT_TRUE(digest.ok()) << digest.error().to_string();
   EXPECT_EQ(digest->sender_id, "alpha");
-  EXPECT_EQ(digest->entries.size(), 2u);
+  EXPECT_EQ(digest->rows.size(), 2u);
 
   // Garbage (a frame that is no digest) and an oversize digest are closed
   // without a reply.
@@ -433,8 +455,9 @@ void expect_ports_isolated(net::Transport& transport) {
   std::string half_frame;
   net::put_frame(half_frame, fed::kFramePoll, std::string(64, 'x'));
   half_frame.resize(half_frame.size() / 2);
-  std::string half_digest = gossip::encode_digest("idle", {});
-  half_digest.resize(half_digest.size() / 2);
+  // A Begin frame and half of its one Chunk.
+  std::string half_digest = gossip_probe("idle");
+  half_digest.resize(half_digest.size() - probe_payload("idle").size() / 2);
   const std::pair<std::string, std::string> ports[] = {
       {monitor.xml_address(), "/meteor/compute"},
       {monitor.interactive_address(), "/meteor/compute"},
@@ -496,10 +519,8 @@ void expect_ports_isolated(net::Transport& transport) {
   within_a_second("gossip exchange", [&] {
     auto stream = transport.connect(daemon.gossip_address(), kIo);
     ASSERT_TRUE(stream.ok());
-    ASSERT_TRUE((*stream)->write_all(gossip::encode_digest("probe", {})).ok());
-    auto reply = net::read_to_eof(**stream);
-    ASSERT_TRUE(reply.ok()) << reply.error().to_string();
-    auto digest = gossip::decode_digest(*reply);
+    ASSERT_TRUE((*stream)->write_all(gossip_probe("probe")).ok());
+    auto digest = read_gossip_reply(**stream);
     ASSERT_TRUE(digest.ok()) << digest.error().to_string();
     EXPECT_EQ(digest->sender_id, "ports");
   });

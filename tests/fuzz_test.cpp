@@ -466,7 +466,6 @@ TEST_P(FuzzSeeds, GossipAgentAnswersPoisonDigestsWithResync) {
   gossip::AgentOptions opts;
   opts.id = "gm0";
   opts.address = "gm0:8654";
-  opts.delta = true;
   gossip::Agent agent(std::move(opts), bound, clock);
 
   gossip::BinaryDigest poison;

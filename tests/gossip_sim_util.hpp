@@ -32,19 +32,12 @@ struct GossipSimOptions {
   std::size_t fanout = 2;
   TimeUs t_fail_us = 5 * kMicrosPerSecond;
   TimeUs t_cleanup_us = 5 * kMicrosPerSecond;
-  /// Binary digest-delta sessions instead of full-table text digests.
-  bool delta = false;
-  /// Mixed fleets: the first N members stay on text digests even when
-  /// `delta` is set (receivers are always bilingual; this exercises the
-  /// rolling-upgrade shape).
-  std::size_t text_members = 0;
   /// Route outbound digests through a simulated federation channel (a
   /// direct call into the target's digest receiver, standing in for an
   /// open poll stream) instead of dialling gossip connections.
   bool piggyback = false;
   /// Per-exchange digest payload cap (0 = the agent default).
   std::size_t max_digest_bytes = 0;
-  std::uint64_t resync_backoff_rounds = 8;
   /// Give every member a production-shaped metadata block (source=, xml=,
   /// fed=, authority=), as a real federated gmetad advertises.
   bool realistic_meta = false;
@@ -158,8 +151,8 @@ class GossipSim {
   /// (The delta protocol's correctness bar: sessions may never fork the
   /// stable columns — id, address, state, incarnation, metadata.  The
   /// heartbeat counter is excluded because it is *designed* to be in
-  /// flight: while agents tick, no two nodes agree on it in text mode
-  /// either.)
+  /// flight: while agents tick, no two nodes agree on it, whatever the
+  /// wire carries.)
   bool same_view(std::size_t i, std::size_t j) const {
     const auto a = agents_[i]->members();
     const auto b = agents_[j]->members();
@@ -189,11 +182,9 @@ class GossipSim {
     opts.t_cleanup_us = options_.t_cleanup_us;
     opts.connect_timeout_us = options_.interval_us;
     opts.rng_seed = 0x9e3779b97f4a7c15ULL * (i + 1);
-    opts.delta = options_.delta && i >= options_.text_members;
     if (options_.max_digest_bytes != 0) {
       opts.max_digest_bytes = options_.max_digest_bytes;
     }
-    opts.resync_backoff_rounds = options_.resync_backoff_rounds;
     if (options_.realistic_meta) {
       opts.meta["source"] = name_of(i);
       opts.meta["xml"] = "gm" + std::to_string(i) + ":8651";

@@ -10,7 +10,6 @@
 #include "gossip/agent.hpp"
 #include "gossip/delta.hpp"
 #include "gossip/member_table.hpp"
-#include "gossip/message.hpp"
 #include "gossip_sim_util.hpp"
 #include "net/inmem.hpp"
 #include "sim/failure_schedule.hpp"
@@ -21,54 +20,125 @@ namespace {
 
 // ------------------------------------------------------------------- codec
 
-TEST(GossipCodec, RoundTrips) {
-  std::vector<MemberEntry> entries;
-  MemberEntry a;
-  a.id = "core";
-  a.address = "core:8654";
-  a.incarnation = 3;
-  a.heartbeat = 17;
-  a.meta = {{"source", "core"}, {"xml", "core:8651"}, {"parent", "root"}};
-  entries.push_back(a);
-  MemberEntry gone;
-  gone.id = "old";
-  gone.address = "old:8654";
-  gone.heartbeat = 9;
-  gone.state = MemberState::left;
-  entries.push_back(gone);
+DigestRow defining_row(std::uint32_t name_id, const std::string& id) {
+  DigestRow row;
+  row.flags = kRowDefine | kRowFields;
+  row.name_id = name_id;
+  row.id = id;
+  row.address = id + ":8654";
+  return row;
+}
 
-  const std::string wire = encode_digest("core", entries);
-  auto decoded = decode_digest(wire);
+TEST(GossipCodec, RoundTrips) {
+  BinaryDigest digest;
+  digest.kind = DigestKind::delta;
+  digest.sender_id = "core";
+  digest.ack = {AckKind::cursor, 11, 42, 3};
+  digest.epoch = 7;
+  digest.from_seq = 5;
+  digest.to_seq = 9;
+  DigestRow alive = defining_row(0, "core");
+  alive.flags |= kRowMeta;
+  alive.meta = {{"source", "core"}, {"xml", "core:8651"}, {"parent", "root"}};
+  alive.incarnation = 3;
+  alive.heartbeat = 17;
+  digest.rows.push_back(alive);
+  DigestRow gone;  // a tombstone against an already-defined name
+  gone.flags = kRowLeft;
+  gone.name_id = 1;
+  gone.heartbeat = 9;
+  digest.rows.push_back(gone);
+
+  auto decoded = decode_binary_digest(encode_binary_digest(digest));
   ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
+  EXPECT_EQ(decoded->kind, DigestKind::delta);
   EXPECT_EQ(decoded->sender_id, "core");
-  ASSERT_EQ(decoded->entries.size(), 2u);
-  EXPECT_EQ(decoded->entries[0].id, "core");
-  EXPECT_EQ(decoded->entries[0].incarnation, 3u);
-  EXPECT_EQ(decoded->entries[0].heartbeat, 17u);
-  EXPECT_EQ(decoded->entries[0].state, MemberState::alive);
-  EXPECT_EQ(decoded->entries[0].meta, a.meta);
-  EXPECT_EQ(decoded->entries[1].state, MemberState::left);
-  EXPECT_TRUE(decoded->entries[1].meta.empty());
+  EXPECT_EQ(decoded->ack.kind, AckKind::cursor);
+  EXPECT_EQ(decoded->ack.epoch, 11u);
+  EXPECT_EQ(decoded->ack.seq, 42u);
+  EXPECT_EQ(decoded->ack.names, 3u);
+  EXPECT_EQ(decoded->epoch, 7u);
+  EXPECT_EQ(decoded->from_seq, 5u);
+  EXPECT_EQ(decoded->to_seq, 9u);
+  ASSERT_EQ(decoded->rows.size(), 2u);
+  const DigestRow& a = decoded->rows[0];
+  EXPECT_EQ(a.flags, kRowDefine | kRowFields | kRowMeta);
+  EXPECT_EQ(a.name_id, 0u);
+  EXPECT_EQ(a.id, "core");
+  EXPECT_EQ(a.address, "core:8654");
+  EXPECT_EQ(a.meta, alive.meta);
+  EXPECT_EQ(a.incarnation, 3u);
+  EXPECT_EQ(a.heartbeat, 17u);
+  const DigestRow& b = decoded->rows[1];
+  EXPECT_EQ(b.flags, kRowLeft);
+  EXPECT_EQ(b.name_id, 1u);
+  EXPECT_TRUE(b.id.empty());
+  EXPECT_TRUE(b.address.empty());
+  EXPECT_TRUE(b.meta.empty());
+  EXPECT_EQ(b.incarnation, 0u);
+  EXPECT_EQ(b.heartbeat, 9u);
+}
+
+/// One full digest from `sender` carrying `rows`, framed for service().
+std::string framed_full(const std::string& sender,
+                        std::vector<DigestRow> rows) {
+  BinaryDigest digest;
+  digest.sender_id = sender;
+  digest.epoch = 1;
+  digest.to_seq = rows.size();
+  digest.rows = std::move(rows);
+  std::string framed;
+  put_digest_frames(framed, encode_binary_digest(digest), 64u << 10);
+  return framed;
+}
+
+/// Decode a framed reply from service().
+BinaryDigest unframe(const Result<std::string>& reply) {
+  EXPECT_TRUE(reply.ok()) << reply.error().to_string();
+  auto payload = collect_digest_frames(*reply, kMaxDigestBytes);
+  EXPECT_TRUE(payload.ok()) << payload.error().to_string();
+  auto digest = decode_binary_digest(*payload);
+  EXPECT_TRUE(digest.ok()) << digest.error().to_string();
+  return *digest;
 }
 
 TEST(GossipCodec, LocalVerdictsAreNeverEncoded) {
-  MemberEntry suspect;
-  suspect.id = "s";
-  suspect.address = "s:1";
-  suspect.state = MemberState::suspect;
-  MemberEntry dead = suspect;
-  dead.id = "d";
-  dead.state = MemberState::dead;
-  const std::string wire = encode_digest("me", {suspect, dead});
-  auto decoded = decode_digest(wire);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(decoded->entries.empty())
+  // "me" learns `d` and `s` from a peer, then its own timers convict them:
+  // `d` DEAD, `s` SUSPECT.  Neither verdict may reach another member.
+  sim::SimClock clock;
+  net::InMemTransport fabric;
+  AgentOptions opts;
+  opts.id = "me";
+  opts.address = "me:8654";
+  opts.t_fail_us = 5 * kMicrosPerSecond;
+  opts.t_cleanup_us = 5 * kMicrosPerSecond;
+  Agent agent(std::move(opts), fabric, clock);
+  const auto service = agent.service();
+
+  DigestRow d = defining_row(0, "d");
+  d.heartbeat = 1;
+  (void)unframe(service(framed_full("p", {d})));
+  clock.advance_us(6 * kMicrosPerSecond);
+  DigestRow s = defining_row(0, "s");
+  s.heartbeat = 1;
+  (void)unframe(service(framed_full("q", {s})));
+  agent.tick();  // d: SUSPECT
+  clock.advance_us(5 * kMicrosPerSecond);
+  agent.tick();  // d: DEAD, s: SUSPECT
+  ASSERT_EQ(agent.member("d")->state, MemberState::dead);
+  ASSERT_EQ(agent.member("s")->state, MemberState::suspect);
+
+  // A newcomer gets a full table from "me": only "me" itself is in it.
+  const BinaryDigest reply = unframe(service(framed_full("newcomer", {})));
+  EXPECT_EQ(reply.kind, DigestKind::full);
+  ASSERT_EQ(reply.rows.size(), 1u);
+  EXPECT_EQ(reply.rows[0].id, "me")
       << "SUSPECT/DEAD are local judgements; forwarding them would let one "
          "slow link convict a member everywhere";
 }
 
-// The gossip port's request boundary, in both wire formats, found exactly
-// wherever the bytes split — with the scan resuming instead of restarting.
+// The gossip port's request boundary found exactly wherever the bytes
+// split — with the scan resuming instead of restarting.
 TEST(GossipCodec, RequestEndFindsEveryDigestAtAnySplit) {
   sim::SimClock clock;
   net::InMemTransport fabric;
@@ -78,22 +148,17 @@ TEST(GossipCodec, RequestEndFindsEveryDigestAtAnySplit) {
   opts.max_frame = 8;  // many small chunks
   Agent agent(std::move(opts), fabric, clock);
 
-  MemberEntry entry;
-  entry.id = "gm1";
-  entry.address = "gm1:8654";
-  std::string framed;
-  put_digest_frames(framed, std::string(50, 'p'), 8);
-  for (const std::string& request : {encode_digest("gm1", {entry}), framed}) {
-    const std::string wire = request + "trailing";
-    for (std::size_t split = 0; split < request.size(); ++split) {
-      net::ScanState scan;
-      EXPECT_EQ(agent.request_end(std::string_view(wire).substr(0, split), scan)
-                    .state,
-                net::RequestEnd::State::need_more);
-      const net::RequestEnd end = agent.request_end(wire, scan);
-      ASSERT_EQ(end.state, net::RequestEnd::State::complete) << split;
-      EXPECT_EQ(end.consumed, request.size()) << split;
-    }
+  std::string request;
+  put_digest_frames(request, std::string(50, 'p'), 8);
+  const std::string wire = request + "trailing";
+  for (std::size_t split = 0; split < request.size(); ++split) {
+    net::ScanState scan;
+    EXPECT_EQ(agent.request_end(std::string_view(wire).substr(0, split), scan)
+                  .state,
+              net::RequestEnd::State::need_more);
+    const net::RequestEnd end = agent.request_end(wire, scan);
+    ASSERT_EQ(end.state, net::RequestEnd::State::complete) << split;
+    EXPECT_EQ(end.consumed, request.size()) << split;
   }
   // A Begin frame claiming more than the digest cap is refused at once.
   std::string total;
@@ -106,18 +171,53 @@ TEST(GossipCodec, RequestEndFindsEveryDigestAtAnySplit) {
 }
 
 TEST(GossipCodec, RejectsMalformedDigests) {
-  EXPECT_FALSE(decode_digest("").ok());
-  EXPECT_FALSE(decode_digest("GOSSIP1 me\n").ok()) << "missing END";
-  EXPECT_FALSE(decode_digest("M a a:1 0 1 A -\nEND\n").ok()) << "no header";
-  EXPECT_FALSE(decode_digest("GOSSIP1 me\nM a a:1 0 1 X -\nEND\n").ok())
-      << "state must be A or L";
-  EXPECT_FALSE(decode_digest("GOSSIP1 me\nM a a:1 zero 1 A -\nEND\n").ok());
-  EXPECT_FALSE(decode_digest("GOSSIP1 me\nM a a:1 0 1 A =v\nEND\n").ok())
-      << "meta pair needs a key";
-  EXPECT_FALSE(decode_digest("GOSSIP1 me\nM a a:1 0 1 A\nEND\n").ok())
-      << "short row";
-  const std::string long_line(kMaxDigestLine + 1, 'x');
-  EXPECT_FALSE(decode_digest("GOSSIP1 me\n" + long_line + "\nEND\n").ok());
+  BinaryDigest valid;
+  valid.sender_id = "me";
+  valid.epoch = 1;
+  valid.to_seq = 1;
+  valid.rows.push_back(defining_row(0, "a"));
+  const std::string wire = encode_binary_digest(valid);
+  ASSERT_TRUE(decode_binary_digest(wire).ok());
+
+  EXPECT_FALSE(decode_binary_digest("").ok());
+  std::string bad_magic = wire;
+  bad_magic[0] = static_cast<char>(bad_magic[0] ^ 0x01);
+  EXPECT_FALSE(decode_binary_digest(bad_magic).ok()) << "bad magic";
+
+  std::string magic;
+  net::put_varint(magic, kDigestMagic);
+  for (const char kind : {'\0', '\3'}) {
+    std::string unknown = wire;
+    unknown[magic.size()] = kind;
+    EXPECT_FALSE(decode_binary_digest(unknown).ok())
+        << "unknown kind " << static_cast<int>(kind);
+  }
+
+  BinaryDigest backwards = valid;
+  backwards.from_seq = 5;
+  backwards.to_seq = 3;
+  EXPECT_FALSE(decode_binary_digest(encode_binary_digest(backwards)).ok())
+      << "from_seq > to_seq";
+
+  BinaryDigest bare_meta = valid;
+  bare_meta.rows[0].flags = kRowDefine | kRowMeta;
+  bare_meta.rows[0].meta = {{"source", "a"}};
+  EXPECT_FALSE(decode_binary_digest(encode_binary_digest(bare_meta)).ok())
+      << "a meta flag travels only with fields";
+
+  std::string too_many = magic;
+  net::put_u8(too_many, static_cast<std::uint8_t>(DigestKind::full));
+  net::put_string(too_many, "me");
+  net::put_u8(too_many, static_cast<std::uint8_t>(AckKind::resync));
+  net::put_varint(too_many, 1);  // epoch
+  net::put_varint(too_many, 0);  // from_seq
+  net::put_varint(too_many, 1);  // to_seq
+  net::put_varint(too_many, kMaxDigestEntries + 1);
+  EXPECT_FALSE(decode_binary_digest(too_many).ok()) << "row count over cap";
+
+  EXPECT_FALSE(decode_binary_digest(wire + "x").ok()) << "trailing bytes";
+  EXPECT_FALSE(decode_binary_digest(wire.substr(0, wire.size() - 1)).ok())
+      << "truncated";
 }
 
 // ------------------------------------------------------------ merge rules
@@ -457,17 +557,12 @@ TEST(GossipDeltaSim, ConvergesLikeTextModeAndSendsDeltas) {
   GossipSimOptions options;
   options.members = 12;
   options.realistic_meta = true;
-  GossipSimOptions text = options;
-  options.delta = true;
   GossipSim sim(options);
-  GossipSim ref(text);
 
   const int rounds = sim.run_until([&] { return sim.converged(); }, 20);
-  const int ref_rounds = ref.run_until([&] { return ref.converged(); }, 20);
-  ASSERT_GE(rounds, 0) << "delta-mode group never converged";
-  ASSERT_GE(ref_rounds, 0);
+  ASSERT_GE(rounds, 0) << "group never converged";
   // Dissemination speed is a property of the exchange graph, not the wire
-  // format: join detection must not regress past the text baseline bound.
+  // format: join detection must stay within the full-table bound.
   EXPECT_LE(rounds, 15);
 
   // Let the sessions warm and the heartbeat traffic settle.
@@ -485,20 +580,41 @@ TEST(GossipDeltaSim, ConvergesLikeTextModeAndSendsDeltas) {
   EXPECT_GT(rows, 0u);
   EXPECT_EQ(rejects, 0u) << "a loss-free fabric must never force a reject";
 
-  // Steady state: a delta round carries ~1 changed row per exchange where
-  // text mode re-ships all 12 members with their full metadata blocks.
-  const std::uint64_t before = sim.total_bytes_out();
-  const std::uint64_t ref_before = ref.total_bytes_out();
-  for (int i = 0; i < 10; ++i) {
-    sim.run_round();
-    ref.run_round();
+  // The full-table baseline: every exchange shipping all 12 members with
+  // their metadata blocks, in both directions.
+  BinaryDigest table;
+  table.sender_id = GossipSim::name_of(0);
+  for (const MemberEntry& member : sim.agent(0).members()) {
+    DigestRow row;
+    row.flags = kRowDefine | kRowFields | kRowMeta;
+    row.name_id = static_cast<std::uint32_t>(table.rows.size());
+    row.id = member.id;
+    row.address = member.address;
+    row.meta = member.meta;
+    row.incarnation = member.incarnation;
+    row.heartbeat = member.heartbeat;
+    table.rows.push_back(std::move(row));
   }
+  const std::uint64_t full_table_bytes = encode_binary_digest(table).size();
+
+  // Steady state: a delta round carries ~1 changed row per exchange.
+  const auto sends = [&] {
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < sim.size(); ++i) {
+      total += sim.agent(i).stats().sends;
+    }
+    return total;
+  };
+  const std::uint64_t before = sim.total_bytes_out();
+  const std::uint64_t sends_before = sends();
+  for (int i = 0; i < 10; ++i) sim.run_round();
   const std::uint64_t delta_bytes = sim.total_bytes_out() - before;
-  const std::uint64_t text_bytes = ref.total_bytes_out() - ref_before;
-  EXPECT_LT(delta_bytes * 5, text_bytes)
+  const std::uint64_t baseline_bytes =
+      (sends() - sends_before) * 2 * full_table_bytes;
+  EXPECT_LT(delta_bytes * 5, baseline_bytes)
       << "steady-state delta traffic should be a small fraction of "
          "full-table traffic (delta=" << delta_bytes
-      << " text=" << text_bytes << ")";
+      << " full tables=" << baseline_bytes << ")";
 }
 
 TEST(GossipDeltaSim, EchoSuppressionDropsReflectedRows) {
@@ -509,7 +625,6 @@ TEST(GossipDeltaSim, EchoSuppressionDropsReflectedRows) {
   // touching convergence.
   GossipSimOptions options;
   options.members = 12;
-  options.delta = true;
   options.realistic_meta = true;
   GossipSim sim(options);
   ASSERT_GE(sim.run_until([&] { return sim.converged(); }, 20), 0);
@@ -542,7 +657,6 @@ TEST(GossipDeltaSim, CompletenessHoldsUnderMessageLoss) {
   GossipSimOptions options;
   options.members = 10;
   options.fanout = 3;
-  options.delta = true;
   options.realistic_meta = true;
   GossipSim sim(options);
   sim.fabric.set_loss(0.10, /*seed=*/7);
@@ -571,48 +685,73 @@ TEST(GossipDeltaSim, CompletenessHoldsUnderMessageLoss) {
 }
 
 TEST(GossipDeltaSim, PartitionConvictsHealsAndResyncs) {
-  GossipSimOptions options;
-  options.members = 8;
-  options.delta = true;
-  options.realistic_meta = true;
-  GossipSim sim(options);
-  ASSERT_GE(sim.run_until([&] { return sim.converged(); }, 20), 0);
-
-  const std::vector<std::string> minority = {GossipSim::address_of(0),
-                                             GossipSim::address_of(1),
-                                             GossipSim::address_of(2)};
-  const TimeUs now = sim.clock.now_us();
-  sim::FailureSchedule schedule;
-  schedule.add_partition(now + kMicrosPerSecond, now + 13 * kMicrosPerSecond,
-                         minority);
-  const auto step = [&] {
-    schedule.apply_due(sim.clock.now_us(), sim.fabric);
-    sim.run_round();
+  // Uncapped, then capped far below the table with a partition long
+  // enough for each side to drop the other: the first full after healing
+  // is cut, and the rows past the cut must not lean on members the peer
+  // held before the partition but has since dropped.
+  struct Case {
+    std::size_t cap;
+    int partition_rounds;
   };
+  for (const Case c : {Case{0, 12}, Case{256, 20}}) {
+    SCOPED_TRACE("cap " + std::to_string(c.cap));
+    GossipSimOptions options;
+    options.members = 8;
+    options.realistic_meta = true;
+    options.max_digest_bytes = c.cap;
+    GossipSim sim(options);
+    ASSERT_GE(sim.run_until([&] { return sim.converged(); }, 20), 0);
 
-  for (int i = 0; i < 12; ++i) step();
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 3; j < sim.size(); ++j) {
-      EXPECT_TRUE(sim.sees_failed(i, j)) << i << " should convict " << j;
-      EXPECT_TRUE(sim.sees_failed(j, i)) << j << " should convict " << i;
+    const std::vector<std::string> minority = {GossipSim::address_of(0),
+                                               GossipSim::address_of(1),
+                                               GossipSim::address_of(2)};
+    const TimeUs now = sim.clock.now_us();
+    sim::FailureSchedule schedule;
+    schedule.add_partition(
+        now + kMicrosPerSecond,
+        now + (c.partition_rounds + 1) * kMicrosPerSecond, minority);
+    const auto step = [&] {
+      schedule.apply_due(sim.clock.now_us(), sim.fabric);
+      sim.run_round();
+    };
+
+    for (int i = 0; i < c.partition_rounds; ++i) step();
+    for (std::size_t i = 0; i < 3; ++i) {
+      for (std::size_t j = 3; j < sim.size(); ++j) {
+        EXPECT_TRUE(sim.sees_failed(i, j)) << i << " should convict " << j;
+        EXPECT_TRUE(sim.sees_failed(j, i)) << j << " should convict " << i;
+      }
     }
-  }
 
-  int rounds = 0;
-  while (!sim.converged() && rounds < 25) {
-    step();
-    ++rounds;
+    int rounds = 0;
+    while (!sim.converged() && rounds < 25) {
+      step();
+      ++rounds;
+    }
+    EXPECT_TRUE(sim.converged())
+        << "healed partition failed to re-converge after " << rounds;
+    for (int i = 0; i < 10; ++i) step();
+    expect_identical_views(sim);
+
+    // Healing costs each session a resync or two (a dropped member taints
+    // every session that held it); then the sessions settle for good.
+    const auto resyncs = [&] {
+      std::uint64_t total = 0;
+      for (std::size_t i = 0; i < sim.size(); ++i) {
+        total += sim.agent(i).stats().full_resyncs;
+      }
+      return total;
+    };
+    const std::uint64_t healed = resyncs();
+    EXPECT_LE(healed, 2 * sim.size() * (sim.size() - 1));
+    for (int i = 0; i < 10; ++i) step();
+    EXPECT_EQ(resyncs(), healed) << "a session keeps resyncing";
   }
-  EXPECT_TRUE(sim.converged())
-      << "healed partition failed to re-converge after " << rounds;
-  for (int i = 0; i < 10; ++i) step();
-  expect_identical_views(sim);
 }
 
 TEST(GossipDeltaSim, RestartForcesResyncNotDivergence) {
   GossipSimOptions options;
   options.members = 8;
-  options.delta = true;
   options.realistic_meta = true;
   GossipSim sim(options);
   ASSERT_GE(sim.run_until([&] { return sim.converged(); }, 20), 0);
@@ -645,52 +784,241 @@ TEST(GossipDeltaSim, RestartForcesResyncNotDivergence) {
       << "crash/restart churn must surface as counted resyncs";
 }
 
-TEST(GossipDeltaSim, MixedFleetInteroperates) {
-  // Rolling upgrade: gm0..gm3 still initiate text digests, gm4..gm9 run
-  // delta sessions.  Receivers answer in the request's format, so every
-  // pair interoperates and the group converges as one.
-  GossipSimOptions options;
-  options.members = 10;
-  options.delta = true;
-  options.text_members = 4;
-  options.realistic_meta = true;
-  GossipSim sim(options);
-  ASSERT_GE(sim.run_until([&] { return sim.converged(); }, 25), 0);
-  for (int i = 0; i < 10; ++i) sim.run_round();
-  expect_identical_views(sim);
+TEST(GossipDeltaSim, OversizeFullTablesShipInChunks) {
+  // A cap far below the table: every full ships the prefix that fits and
+  // the rest follows as deltas.  The group must converge as if uncapped,
+  // with no dictionary gap, no reject and no resync along the way.
+  struct Case {
+    std::size_t members;
+    std::size_t cap;
+  };
+  for (const Case c : {Case{6, 256}, Case{12, 512}, Case{24, 1024},
+                       Case{48, 1024}, Case{64, 2048}, Case{128, 4096}}) {
+    SCOPED_TRACE(std::to_string(c.members) + " members, cap " +
+                 std::to_string(c.cap));
+    GossipSimOptions options;
+    options.members = c.members;
+    options.realistic_meta = true;  // ~90 bytes per row with its fields
+    options.max_digest_bytes = c.cap;
+    GossipSim sim(options);
+    ASSERT_GE(sim.run_until([&] { return sim.converged(); }, 15), 0)
+        << "chunked fulls must not hold up convergence";
+    for (int i = 0; i < 10; ++i) sim.run_round();
+    expect_identical_views(sim);
 
-  // The text member never *initiates* binary exchanges, but as a responder
-  // it still answers them, so only the delta member's initiations are a
-  // clean observable.
-  EXPECT_GT(sim.agent(9).stats().digests_delta_sent, 0u);
+    std::uint64_t truncations = 0, rejects = 0, resyncs = 0;
+    for (std::size_t i = 0; i < sim.size(); ++i) {
+      const AgentStats stats = sim.agent(i).stats();
+      truncations += stats.digest_truncations;
+      rejects += stats.digest_rejects;
+      resyncs += stats.full_resyncs;
+    }
+    EXPECT_GT(truncations, 0u) << "the cap must have cut some digest";
+    EXPECT_EQ(rejects, 0u);
+    EXPECT_EQ(resyncs, 0u);
+  }
 }
 
-TEST(GossipDeltaSim, OversizeTableRefusesAndFallsBackToText) {
-  // A cap too small for even a self-digest: every full encode refuses,
-  // every pair demotes to text digests, and the group still converges —
-  // the cap degrades efficiency, never correctness.
-  GossipSimOptions options;
-  options.members = 6;
-  options.delta = true;
-  options.realistic_meta = true;  // ~150 bytes of metadata per row
-  options.max_digest_bytes = 256;
-  GossipSim sim(options);
-  ASSERT_GE(sim.run_until([&] { return sim.converged(); }, 30), 0)
-      << "byte-cap refusals must not prevent convergence";
-
-  std::uint64_t refusals = 0, fallbacks = 0;
-  for (std::size_t i = 0; i < sim.size(); ++i) {
-    refusals += sim.agent(i).stats().digest_refusals;
-    fallbacks += sim.agent(i).stats().text_fallbacks;
+/// Two agents "a" and "b" that know each other, on a fabric with no
+/// services: only their carriers connect them.
+struct CarrierPair {
+  CarrierPair() {
+    const auto make = [&](const std::string& id) {
+      AgentOptions opts;
+      opts.id = id;
+      opts.address = id + ":8654";
+      opts.fanout = 1;
+      opts.t_fail_us = 5 * kMicrosPerSecond;
+      opts.t_cleanup_us = 5 * kMicrosPerSecond;
+      return std::make_unique<Agent>(std::move(opts), fabric, clock);
+    };
+    a = make("a");
+    b = make("b");
+    (void)unframe(a->handle_request(framed_full("b", {defining_row(0, "b")})));
+    (void)unframe(b->handle_request(framed_full("a", {defining_row(0, "a")})));
   }
-  EXPECT_GT(refusals, 0u) << "a 256-byte cap must refuse full tables";
-  EXPECT_GT(fallbacks, 0u) << "refused pairs must demote to text";
+
+  static std::string mode(const Agent& agent, const std::string& peer) {
+    for (const PeerSessionView& session : agent.peer_sessions()) {
+      if (session.peer == peer) return session.mode;
+    }
+    return "none";
+  }
+
+  sim::SimClock clock;
+  net::InMemTransport fabric;
+  std::unique_ptr<Agent> a;
+  std::unique_ptr<Agent> b;
+};
+
+BinaryDigest decoded(const std::string& payload) {
+  auto digest = decode_binary_digest(payload);
+  EXPECT_TRUE(digest.ok()) << digest.error().to_string();
+  return *digest;
+}
+
+TEST(GossipSession, CrossingFullsSettleOnTheirFirstExchange) {
+  // Both tick at once and their fulls cross: each takes the other's full
+  // while its own is still in flight.  Each answers with the full already
+  // in flight (same epoch), so whichever copy the peer acks establishes
+  // the cursor.  A fresh full would turn both acks stale, every round.
+  CarrierPair pair;
+  Agent& a = *pair.a;
+  Agent& b = *pair.b;
+  bool crossing = true;
+  std::string a_full, b_full, a_answer, b_answer;
+  a.set_carrier([&](const std::string&, const std::string& payload)
+                    -> std::optional<Result<std::string>> {
+    if (!crossing) return b.handle_digest_payload(payload);
+    a_full = payload;
+    b.tick();  // b's tick runs while a's full is in flight
+    return Result<std::string>(b_answer);
+  });
+  b.set_carrier([&](const std::string&, const std::string& payload)
+                    -> std::optional<Result<std::string>> {
+    if (!crossing) return a.handle_digest_payload(payload);
+    b_full = payload;
+    auto to_b = a.handle_digest_payload(b_full);  // a's full still in flight
+    auto to_a = b.handle_digest_payload(a_full);  // b's full still in flight
+    EXPECT_TRUE(to_b.ok() && to_a.ok());
+    b_answer = *to_a;
+    a_answer = *to_b;
+    return to_b;
+  });
+
+  pair.clock.advance_us(kMicrosPerSecond);
+  a.tick();
+  const BinaryDigest a_sent = decoded(a_full), b_sent = decoded(b_full);
+  ASSERT_EQ(a_sent.kind, DigestKind::full);
+  ASSERT_EQ(b_sent.kind, DigestKind::full);
+  for (const auto& [sent, answer] :
+       {std::pair{a_sent, decoded(a_answer)}, {b_sent, decoded(b_answer)}}) {
+    SCOPED_TRACE(sent.sender_id);
+    EXPECT_EQ(answer.kind, DigestKind::full);
+    EXPECT_EQ(answer.epoch, sent.epoch)
+        << "a fresh epoch turns the ack of the in-flight full stale";
+    EXPECT_EQ(answer.rows.size(), sent.rows.size());
+  }
+  EXPECT_EQ(CarrierPair::mode(a, "b"), "delta");
+  EXPECT_EQ(CarrierPair::mode(b, "a"), "delta");
+
+  // Settled: the next round is deltas both ways.
+  crossing = false;
+  const std::uint64_t fulls =
+      a.stats().digests_full_sent + b.stats().digests_full_sent;
+  pair.clock.advance_us(kMicrosPerSecond);
+  a.tick();
+  b.tick();
+  EXPECT_EQ(a.stats().digests_full_sent + b.stats().digests_full_sent, fulls);
+  EXPECT_EQ(a.stats().digest_rejects + b.stats().digest_rejects, 0u);
+}
+
+TEST(GossipSession, CrossedPullsCarryRowsWhileOurDialFails) {
+  // a cannot reach b while b reaches a, and every exchange b starts lands
+  // while a's own digest to b is in flight (their ticks coincide).  b's
+  // pulls must still bring a's rows back, or b convicts a live member.
+  CarrierPair pair;
+  Agent& a = *pair.a;
+  Agent& b = *pair.b;
+  a.set_carrier([&](const std::string&, const std::string&)
+                    -> std::optional<Result<std::string>> {
+    b.tick();
+    return Result<std::string>(Err(Errc::timeout, "link from a to b down"));
+  });
+  b.set_carrier([&](const std::string&, const std::string& payload)
+                    -> std::optional<Result<std::string>> {
+    return a.handle_digest_payload(payload);
+  });
+
+  for (int round = 0; round < 30; ++round) {
+    pair.clock.advance_us(kMicrosPerSecond);
+    a.tick();
+  }
+  EXPECT_GE(a.stats().send_failures, 30u) << "a's own dials must all fail";
+  ASSERT_TRUE(b.member("a").has_value());
+  EXPECT_EQ(b.member("a")->state, MemberState::alive)
+      << "b heard nothing from a through its own pulls";
+  EXPECT_EQ(a.member("b")->state, MemberState::alive);
+}
+
+TEST(GossipSession, RowsPastACutFullCarryFieldsOnceThePeerResyncs) {
+  // "p" told us about x0..x4 once.  A resync says p lost our session, and
+  // it may have dropped those members since.  The full we send next is
+  // cut at the cap, and every row defined after it must carry its fields:
+  // a bare row for a member p no longer holds is rejected, and the resync
+  // that forces would cut the same full again.
+  sim::SimClock clock;
+  net::InMemTransport fabric;
+  AgentOptions opts;
+  opts.id = "q";
+  opts.address = "q:8654";
+  opts.max_digest_bytes = 256;
+  Agent q(std::move(opts), fabric, clock);
+  const auto exchange = [&](BinaryDigest request) {
+    std::string framed;
+    put_digest_frames(framed, encode_binary_digest(request), 64u << 10);
+    return unframe(q.handle_request(framed));
+  };
+  const auto table = [](const std::string& sender, std::uint64_t heartbeat) {
+    BinaryDigest digest;
+    digest.sender_id = sender;
+    digest.epoch = 1;
+    for (std::uint32_t i = 0; i < 5; ++i) {
+      const std::string id = "x" + std::to_string(i);
+      DigestRow row = defining_row(i, id);
+      row.flags |= kRowMeta;
+      row.meta = {{"source", id}, {"xml", id + ":8651"}};
+      row.heartbeat = heartbeat;
+      digest.rows.push_back(std::move(row));
+    }
+    digest.to_seq = digest.rows.size();
+    return digest;
+  };
+  // p's idle stream, acking what q sent it last.
+  const auto acking = [](const BinaryDigest& last) {
+    BinaryDigest digest;
+    digest.kind = DigestKind::delta;
+    digest.sender_id = "p";
+    digest.epoch = 1;
+    digest.from_seq = 5;
+    digest.to_seq = 5;
+    std::uint64_t names = 0;
+    for (const DigestRow& row : last.rows) {
+      if ((row.flags & kRowDefine) != 0) {
+        names = std::max<std::uint64_t>(names, row.name_id + 1u);
+      }
+    }
+    digest.ack = {AckKind::cursor, last.epoch, last.to_seq, names};
+    return digest;
+  };
+
+  BinaryDigest last = exchange(table("p", 1));
+  (void)exchange(table("r", 2));  // fresher news: no longer echoes to p
+  last = exchange(acking(last));
+  ASSERT_EQ(last.kind, DigestKind::delta) << "the cursor to p is established";
+
+  BinaryDigest resync = acking(last);
+  resync.ack = DigestAck{};
+  last = exchange(resync);
+  ASSERT_EQ(last.kind, DigestKind::full);
+  ASSERT_EQ(q.stats().digest_truncations, 1u) << "the new full was not cut";
+  const std::size_t in_full = last.rows.size();
+  std::size_t defined = 0;
+  for (int i = 0; i < 10; ++i) {
+    last = exchange(acking(last));
+    ASSERT_EQ(last.kind, DigestKind::delta);
+    for (const DigestRow& row : last.rows) {
+      if ((row.flags & kRowDefine) == 0) continue;
+      ++defined;
+      EXPECT_NE(row.flags & kRowFields, 0) << row.id << " ships bare";
+    }
+  }
+  EXPECT_EQ(in_full + defined, 6u) << "q and x0..x4, each defined once";
 }
 
 TEST(GossipDeltaSim, PiggybackCarrierCarriesExchanges) {
   GossipSimOptions options;
   options.members = 8;
-  options.delta = true;
   options.piggyback = true;
   options.realistic_meta = true;
   GossipSim sim(options);
@@ -714,7 +1042,6 @@ TEST(GossipDeltaSim, PiggybackCarrierCarriesExchanges) {
 TEST(GossipDeltaSim, PiggybackSurvivesPartitionAndCrash) {
   GossipSimOptions options;
   options.members = 8;
-  options.delta = true;
   options.piggyback = true;
   options.realistic_meta = true;
   GossipSim sim(options);
