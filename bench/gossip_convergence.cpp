@@ -8,9 +8,8 @@
 // SimClock, one in-memory fabric, service-mode exchanges) over increasing
 // group sizes, once per transport mode:
 //
-//   * delta — digest sessions dialled on the gossip port (per-peer
-//     cursors, interned names, only changed rows on the wire);
-//   * piggyback — the same sessions riding a carrier channel, as when
+//   * direct — SWIM messages dialled on the gossip port;
+//   * piggyback — the same messages riding a carrier channel, as when
 //     membership shares the federation poll stream.
 //
 // Every member advertises a production-shaped metadata block (source=,
@@ -20,11 +19,11 @@
 //   * join convergence — rounds until every member knows every member,
 //     starting from nothing but one seed address;
 //   * steady-state bandwidth — gossip payload bytes per member per round
-//     once the group has converged (a steady round re-sends heartbeats,
-//     not names/addresses/metadata);
+//     once the group has converged (a steady round is one ping and one ack
+//     per member, each holding only its sender's own row);
 //   * failure detection — rounds from a silent crash until every live
-//     member has convicted the dead one, i.e. the completeness latency on
-//     top of the configured t_fail.
+//     member holds the dead one SUSPECT or worse, i.e. the completeness
+//     latency of probing plus dissemination.
 //
 // Writes machine-readable results to BENCH_gossip.json.
 //
@@ -44,14 +43,14 @@ using namespace ganglia;
 namespace {
 
 struct ModeResult {
-  const char* mode = "delta";
+  const char* mode = "direct";
   std::size_t members = 0;
   int join_rounds = -1;
   double join_bytes_per_member_round = 0;
   double steady_bytes_per_member_round = 0;
-  double steady_rows_per_member_round = 0;  ///< digest rows
+  double steady_rows_per_member_round = 0;  ///< rows beyond the senders' own
   int detect_rounds = -1;
-  std::uint64_t full_resyncs = 0;
+  std::uint64_t syncs = 0;
   std::uint64_t piggyback_exchanges = 0;
 };
 
@@ -92,8 +91,8 @@ ModeResult run_mode(std::size_t members, const char* mode) {
          static_cast<double>(members));
   }
 
-  // Steady state: converged table; deltas ship the rows that moved
-  // (heartbeats) against established cursors.
+  // Steady state: converged table; no row changes, so nothing but the
+  // senders' own rows moves.
   constexpr int kSteadyRounds = 10;
   const std::uint64_t bytes_before = sim.total_bytes_out();
   const std::uint64_t rows_before =
@@ -122,7 +121,7 @@ ModeResult run_mode(std::size_t members, const char* mode) {
   };
   result.detect_rounds = sim.run_until(all_convicted, kJoinBound);
 
-  result.full_resyncs =
+  result.syncs =
       sum([](const gossip::AgentStats& s) { return s.full_resyncs; });
   result.piggyback_exchanges =
       sum([](const gossip::AgentStats& s) { return s.piggyback_exchanges; });
@@ -143,14 +142,14 @@ int main(int argc, char** argv) {
   }
   if (sizes.empty()) sizes = {64, 256, 1024};
 
-  static constexpr const char* kModes[] = {"delta", "piggyback"};
+  static constexpr const char* kModes[] = {"direct", "piggyback"};
 
   std::printf(
       "gossip membership: convergence + bandwidth vs group size and mode\n"
       "(interval 1 s, fanout 3, t_fail 5 s, t_cleanup 5 s, realistic meta)\n\n"
       "%8s %10s %10s %14s %16s %12s %10s\n",
       "members", "mode", "join(rds)", "join(B/m/rd)", "steady(B/m/rd)",
-      "detect(rds)", "resyncs");
+      "detect(rds)", "syncs");
 
   std::vector<ModeResult> results;
   for (const std::size_t members : sizes) {
@@ -160,7 +159,7 @@ int main(int argc, char** argv) {
       std::printf("%8zu %10s %10d %14.0f %16.0f %12d %10llu\n", r.members,
                   r.mode, r.join_rounds, r.join_bytes_per_member_round,
                   r.steady_bytes_per_member_round, r.detect_rounds,
-                  static_cast<unsigned long long>(r.full_resyncs));
+                  static_cast<unsigned long long>(r.syncs));
       if (r.join_rounds < 0 || r.detect_rounds < 0) {
         std::fprintf(stderr, "group of %zu (%s) failed to converge\n",
                      members, mode);
@@ -215,8 +214,8 @@ int main(int argc, char** argv) {
     w.value(r.steady_rows_per_member_round);
     w.key("detect_rounds");
     w.value(static_cast<std::int64_t>(r.detect_rounds));
-    w.key("full_resyncs");
-    w.value(r.full_resyncs);
+    w.key("syncs");
+    w.value(r.syncs);
     w.key("piggyback_exchanges");
     w.value(r.piggyback_exchanges);
     w.end_object();

@@ -55,15 +55,15 @@ poll_threads 0                     # poll pipeline width; 0 = auto, 1 = sequenti
 # gossip_port 8654                 # join the federation's gossip membership
 # gossip_seed peer1:8654 peer2:8654
 # gossip_interval 2                # seconds between gossip rounds
-# gossip_fanout 3                  # peers contacted per round
-# t_fail 20                        # silence before SUSPECT (s)
-# t_cleanup 20                     # SUSPECT -> DEAD grace (s)
+# gossip_fanout 3                  # ping-reqs sent when a ping fails
+# t_fail 20                        # SUSPECT -> DEAD after t_fail + t_cleanup (s)
+# t_cleanup 20                     # DEAD/LEFT rows kept t_cleanup more (s)
 # gossip_aggregate on              # adopt sources for members naming us parent
 # gossip_parent "SDSC"             # advertise our aggregator (child side)
 # standby_for "SDSC"               # promote when that primary is DEAD
 # gossip_piggyback on              # ride open federation poll streams instead
 #                                  #   of dialing gossip connections (default on)
-# gossip_max_digest 4194304        # per-exchange digest byte cap (chunk above)
+# gossip_max_digest 4194304        # message and sync-page byte cap
 # federation_port 8655             # serve binary delta polls (parents fetch
 #                                  #   changed rows instead of full XML dumps;
 #                                  #   add fed=host:8655 to a data_source line

@@ -97,9 +97,12 @@ struct GmetadConfig {
   /// partition or restarted node always finds its way back).
   std::vector<std::string> gossip_seeds;
   std::int64_t gossip_interval_s = 2;   ///< seconds between gossip rounds
-  std::size_t gossip_fanout = 3;        ///< peers contacted per round
-  std::int64_t gossip_t_fail_s = 20;    ///< silence before SUSPECT
-  std::int64_t gossip_t_cleanup_s = 20; ///< SUSPECT→DEAD grace
+  std::size_t gossip_fanout = 3;        ///< ping-reqs after a failed ping
+  /// A SUSPECT member turns DEAD after t_fail + t_cleanup on each member's
+  /// own timer (DEAD is never gossiped); DEAD and LEFT rows are kept
+  /// t_cleanup more.
+  std::int64_t gossip_t_fail_s = 20;
+  std::int64_t gossip_t_cleanup_s = 20;
   /// Adopt data sources for ALIVE members advertising parent=<our grid>.
   bool gossip_aggregate = false;
   /// Primary aggregator id this node advertises as its parent (the child
@@ -108,11 +111,11 @@ struct GmetadConfig {
   /// Primary ids this node stands by for: when one is declared DEAD, we
   /// adopt its children's sources until it recovers.
   std::vector<std::string> standby_for;
-  /// Offer outbound digests a ride on live federation poll sessions
-  /// before dialling a gossip connection.
+  /// Offer outbound gossip messages a ride on live federation poll
+  /// sessions before dialling a gossip connection.
   bool gossip_piggyback = true;
-  /// Per-exchange digest payload cap (bytes); a larger table ships in
-  /// chunks above it (a full prefix, then deltas).
+  /// Payload cap (bytes) of every gossip message and sync page; news past
+  /// it waits for the next message, a table past it is pulled in pages.
   std::size_t gossip_max_digest = 4u << 20;
 
   // -- delta federation (streaming incremental polls) ----------------------
@@ -178,14 +181,14 @@ struct GmetadConfig {
 ///   gossip_port 8654                     # or gossip_bind host:port; enables gossip
 ///   gossip_seed peer1:8654 peer2:8654    # repeatable
 ///   gossip_interval 2                    # seconds between rounds
-///   gossip_fanout 3
-///   t_fail 20                            # silence before SUSPECT (s)
-///   t_cleanup 20                         # SUSPECT->DEAD grace (s)
+///   gossip_fanout 3                      # ping-reqs after a failed ping
+///   t_fail 20                            # SUSPECT->DEAD after t_fail+t_cleanup
+///   t_cleanup 20                         # DEAD/LEFT rows kept t_cleanup more
 ///   gossip_aggregate on                  # adopt children naming us as parent
 ///   gossip_parent "core"                 # advertise our primary aggregator
 ///   standby_for "core"                   # repeatable; promote when DEAD
-///   gossip_piggyback on                  # ride digests on federation poll streams
-///   gossip_max_digest 4194304            # digest payload cap (bytes); chunk above
+///   gossip_piggyback on                  # ride gossip on federation poll streams
+///   gossip_max_digest 4194304            # message/sync-page cap (bytes)
 ///   federation off                       # disable the delta poll client
 ///   federation_port 8655                 # or federation_bind host:port; delta serving
 ///   federation_heartbeat 30              # idle-session ping cadence (s; 0 = never)

@@ -1,27 +1,38 @@
 #include "gossip/agent.hpp"
 
 #include <algorithm>
+#include <unordered_set>
 #include <utility>
 
 namespace ganglia::gossip {
 
 namespace {
 
-std::uint64_t hash_str(std::string_view s) {
-  // FNV-1a 64.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+MemberEntry self_row(const AgentOptions& options, TimeUs now) {
+  MemberEntry self;
+  self.id = options.id;
+  self.address = options.address;
+  // The start time: a restarted process outranks its previous life.
+  self.incarnation = static_cast<std::uint64_t>(now);
+  self.local_time_us = now;
+  self.meta = options.meta;
+  return self;
 }
 
-std::uint64_t mix64(std::uint64_t z) {
-  // SplitMix64 finalizer.
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+/// A row as it travels.  DEAD is our own verdict; what goes out is the
+/// doubt behind it.
+MemberEntry wire_form(const MemberEntry& row) {
+  MemberEntry out = row;
+  if (out.state == MemberState::dead) out.state = MemberState::suspect;
+  return out;
+}
+
+/// How often one piece of news is piggybacked: 3·⌈log10(n+1)⌉ sends, and
+/// ⌈log10(n+1)⌉ is the number of decimal digits of n.
+unsigned retransmit_limit(std::size_t members) {
+  unsigned digits = 1;
+  for (std::size_t n = members; n >= 10; n /= 10) ++digits;
+  return 3 * digits;
 }
 
 }  // namespace
@@ -30,491 +41,353 @@ Agent::Agent(AgentOptions options, net::Transport& transport, Clock& clock)
     : options_(std::move(options)),
       transport_(transport),
       clock_(clock),
-      table_(options_.id, options_.address, clock_.now_us()),
-      rng_(options_.rng_seed) {
-  for (const auto& [key, value] : options_.meta) {
-    table_.set_self_meta(key, std::string(value));
-  }
-}
+      table_(self_row(options_, clock_.now_us())),
+      rng_(options_.rng_seed) {}
 
 Agent::~Agent() = default;
 
-const std::vector<PeerRef>& Agent::stable_partners() {
-  // Caller holds mutex_.  Recomputed only when the alive set changes:
-  // stable pairings are what give the per-peer cursors something to
-  // amortise against, and the pairwise-hash ranking still yields a random
-  // graph across the grid (expected degree ~2·fanout), so dissemination
-  // keeps the log-n spread of random fanout.
-  const std::uint64_t version = table_.membership_version();
-  if (partners_valid_ && partners_version_ == version) return partners_;
-  partners_valid_ = true;
-  partners_version_ = version;
-  partners_.clear();
-  std::vector<PeerRef> alive = table_.alive_peers();
-  const std::size_t k = std::min(options_.fanout, alive.size());
-  if (k == 0) return partners_;
-  const std::uint64_t self_hash = hash_str(options_.id);
-  std::vector<std::pair<std::uint64_t, std::size_t>> scored;
-  scored.reserve(alive.size());
-  for (std::size_t i = 0; i < alive.size(); ++i) {
-    scored.emplace_back(
-        mix64(self_hash ^ (hash_str(alive[i].id) * 0x9e3779b97f4a7c15ULL)), i);
-  }
-  std::partial_sort(
-      scored.begin(), scored.begin() + static_cast<std::ptrdiff_t>(k),
-      scored.end(), [](const auto& a, const auto& b) { return a.first > b.first; });
-  for (std::size_t i = 0; i < k; ++i) {
-    partners_.push_back(std::move(alive[scored[i].second]));
-  }
-  return partners_;
-}
+// -------------------------------------------------------------- planning
 
-std::vector<PeerRef> Agent::pick_targets() {
-  // Caller holds mutex_.
-  const std::vector<PeerRef> alive = table_.alive_peers();
-  std::vector<PeerRef> targets = stable_partners();
-
-  // Resurrection probe: while any peer stands convicted (or we know no live
-  // peer at all), keep dialling the doubted addresses — if the silence was a
-  // partition, the first answered probe re-merges both sides.  Otherwise
-  // fall back to a periodic seed probe so a pruned table can rediscover the
-  // group.
-  const std::vector<PeerRef> faulty = table_.faulty_peers();
-  if (!faulty.empty()) {
-    targets.push_back(
-        faulty[rng_.next_below(static_cast<std::uint32_t>(faulty.size()))]);
-  } else if (!options_.seeds.empty() &&
-             (alive.empty() || stats_.rounds % kSeedProbePeriod == 0)) {
-    const std::string& seed = options_.seeds[rng_.next_below(
-        static_cast<std::uint32_t>(options_.seeds.size()))];
-    const bool already =
-        std::any_of(targets.begin(), targets.end(),
-                    [&](const PeerRef& t) { return t.address == seed; });
-    if (seed != table_.self().address && !already) {
-      PeerRef ref{"", seed};
-      for (const PeerRef& peer : alive) {
-        if (peer.address == seed) {
-          ref.id = peer.id;
-          break;
-        }
-      }
-      targets.push_back(std::move(ref));
+const MemberEntry* Agent::next_probe_locked() {
+  // The ring: ourselves and every ALIVE or SUSPECT peer, in id order.
+  // Period p probes the member 1 + p mod (m - 1) places on from us, so each
+  // member visits every peer once per m - 1 periods, and members that hold
+  // the same ring probe every member exactly once per period.
+  std::vector<const MemberEntry*> ring;
+  std::size_t self_at = 0;
+  for (const auto& [id, entry] : table_.rows()) {
+    if (id == options_.id) {
+      self_at = ring.size();
+      ring.push_back(&entry);
+    } else if (entry.state == MemberState::alive ||
+               entry.state == MemberState::suspect) {
+      ring.push_back(&entry);
     }
   }
-  return targets;
+  if (ring.size() < 2) return nullptr;
+  const auto period = static_cast<std::uint64_t>(
+      clock_.now_us() / std::max<TimeUs>(options_.interval_us, 1));
+  const std::size_t offset = 1 + period % (ring.size() - 1);
+  return ring[(self_at + offset) % ring.size()];
 }
 
-// Session capacity: the configured LRU bound is a floor, not a ceiling —
-// sessions are per-peer protocol state, so the natural working set is the
-// membership itself.  Evicting below that thrashes: every member
-// seed-probes on the same cadence, and a seed whose sessions cycle
-// answers each prober with a resync, turning O(changed) steady-state
-// digests back into full tables.  Memory stays O(n), which the member
-// table already is.
-std::size_t Agent::session_cap_locked() const {
-  return std::max(options_.max_sessions, table_.size());
-}
-
-Agent::SenderCursor& Agent::touch_cursor(const std::string& peer_id) {
-  auto it = cursors_.find(peer_id);
-  if (it == cursors_.end()) {
-    if (cursors_.size() >= session_cap_locked()) {
-      auto victim = cursors_.begin();
-      for (auto i = cursors_.begin(); i != cursors_.end(); ++i) {
-        if (i->second.last_used < victim->second.last_used) victim = i;
-      }
-      cursors_.erase(victim);
-    }
-    it = cursors_.emplace(peer_id, SenderCursor{}).first;
+std::optional<PeerRef> Agent::pick_seed_locked() {
+  std::vector<const std::string*> seeds;
+  for (const std::string& seed : options_.seeds) {
+    if (seed != table_.self().address) seeds.push_back(&seed);
   }
-  it->second.last_used = ++session_use_;
-  return it->second;
-}
-
-Agent::ReceiverSession& Agent::touch_rx(const std::string& sender_id) {
-  auto it = rx_.find(sender_id);
-  if (it == rx_.end()) {
-    if (rx_.size() >= session_cap_locked()) {
-      auto victim = rx_.begin();
-      for (auto i = rx_.begin(); i != rx_.end(); ++i) {
-        if (i->second.last_used < victim->second.last_used) victim = i;
-      }
-      rx_.erase(victim);
-    }
-    it = rx_.emplace(sender_id, ReceiverSession{}).first;
-  }
-  it->second.last_used = ++session_use_;
-  return it->second;
-}
-
-DigestAck Agent::rx_ack_locked(const std::string& sender_id) const {
-  const auto it = rx_.find(sender_id);
-  if (it == rx_.end() || !it->second.valid) return DigestAck{};
-  const ReceiverSession& session = it->second;
-  return DigestAck{AckKind::cursor, session.epoch, session.applied_seq,
-                   session.names.size()};
-}
-
-bool Agent::peer_holds(const ReceiverSession& rx, const MemberEntry& entry) {
-  const auto it = rx.heard.find(entry.id);
-  if (it == rx.heard.end()) return false;
-  const ReceiverSession::Heard& heard = it->second;
-  if (heard.left) {
-    // Tombstoned at the peer: merge() only listens to a fresher-incarnation
-    // rejoin; further tombstones and same-life heartbeats are ignored.
-    return entry.state == MemberState::left ||
-           entry.incarnation <= heard.incarnation;
-  }
-  if (entry.state == MemberState::left) {
-    // merge() honours a tombstone at an equal-or-newer incarnation.
-    return entry.incarnation < heard.incarnation;
-  }
-  // Liveness rows need strictly fresher (incarnation, heartbeat) to land.
-  return entry.incarnation < heard.incarnation ||
-         (entry.incarnation == heard.incarnation &&
-          entry.heartbeat <= heard.heartbeat);
-}
-
-BinaryDigest Agent::build_digest_locked(const std::string& peer_id) {
-  BinaryDigest digest;
-  digest.sender_id = options_.id;
-  if (!peer_id.empty()) digest.ack = rx_ack_locked(peer_id);
-  SenderCursor* cursor = peer_id.empty() ? nullptr : &touch_cursor(peer_id);
-  const bool incremental = cursor != nullptr && cursor->established;
-  const std::uint64_t floor = incremental ? cursor->acked_seq : 0;
-
-  if (incremental) {
-    digest.kind = DigestKind::delta;
-    digest.epoch = cursor->epoch;
-  } else {
-    // Full resync: a fresh dictionary generation.  The epoch fences stale
-    // acks from the previous generation, and reassigning ids densely keeps
-    // the receiver's dictionary hole-free.
-    digest.kind = DigestKind::full;
-    digest.epoch = rng_.next_u64() | 1;
-    if (cursor != nullptr) {
-      cursor->epoch = digest.epoch;
-      cursor->ids.clear();
-      cursor->acked_seq = 0;
-      cursor->acked_names = 0;
-    }
-  }
-  digest.from_seq = floor;
-  digest.to_seq = table_.seq();
-
-  std::map<std::string, std::uint32_t> one_shot_ids;
-  std::map<std::string, std::uint32_t>& ids =
-      cursor != nullptr ? cursor->ids : one_shot_ids;
-  const std::vector<const MemberEntry*> changed = table_.gossipable_since(floor);
-  const ReceiverSession* peer_rx = nullptr;
-  if (!peer_id.empty()) {
-    const auto rx_it = rx_.find(peer_id);
-    if (rx_it != rx_.end()) peer_rx = &rx_it->second;
-  }
-
-  // Encode rows against the byte cap (96 bytes of header slack).
-  const std::size_t budget =
-      options_.max_digest_bytes > 96 ? options_.max_digest_bytes - 96 : 0;
-  std::string scratch;
-  std::uint64_t covered = floor;
-  bool truncated = false;
-  for (const MemberEntry* entry : changed) {
-    if (digest.rows.size() >= kMaxDigestEntries) {
-      truncated = true;
+  if (seeds.empty()) return std::nullopt;
+  PeerRef seed{"", *seeds[rng_.next_below(
+                       static_cast<std::uint32_t>(seeds.size()))]};
+  for (const auto& [id, entry] : table_.rows()) {
+    if (id != options_.id && entry.address == seed.address) {
+      seed.id = id;
       break;
     }
-    if (peer_rx != nullptr && peer_holds(*peer_rx, *entry)) {
-      // Echo suppression: the peer told us this row (or fresher) itself —
-      // their merge() would reject it.  The cursor still advances past it;
-      // any later change re-versions the row back into the next delta.
-      covered = entry->version;
-      ++stats_.digest_rows_suppressed;
-      continue;
-    }
-    DigestRow row;
-    const auto [it, inserted] =
-        ids.try_emplace(entry->id, static_cast<std::uint32_t>(ids.size()));
-    row.name_id = it->second;
-    const bool define =
-        !incremental || inserted || row.name_id >= cursor->acked_names;
-    if (define) {
-      row.flags |= kRowDefine;
-      row.id = entry->id;
-    }
-    // A defining row carries its fields unless the peer sent us this
-    // member itself since it last resynced us: after a cut full the rest
-    // of the table arrives as defining rows, and the peer may hold none
-    // of those members yet.
-    const bool peer_sent =
-        peer_rx != nullptr && peer_rx->heard.count(entry->id) != 0;
-    if (!incremental || entry->fields_version > floor ||
-        (define && !peer_sent)) {
-      row.flags |= kRowFields;
-      row.address = entry->address;
-      if (!entry->meta.empty()) {
-        row.flags |= kRowMeta;
-        row.meta = entry->meta;
-      }
-    }
-    if (entry->state == MemberState::left) row.flags |= kRowLeft;
-    row.incarnation = entry->incarnation;
-    row.heartbeat = entry->heartbeat;
-    encode_digest_row(scratch, row);
-    if (scratch.size() > budget) {
-      // The cut row leaves no dictionary id behind: the next digest must
-      // not define a later id past one the peer never received.
-      if (inserted) ids.erase(it);
-      truncated = true;
-      break;
-    }
-    covered = entry->version;
-    digest.rows.push_back(std::move(row));
   }
-
-  if (truncated) {
-    // A cut digest, full or delta, stays correct by claiming only the
-    // covered prefix: the peer's ack floor advances to `covered` and the
-    // rest ships as deltas in the following exchanges.
-    ++stats_.digest_truncations;
-    digest.to_seq = covered;
-  }
-
-  if (incremental) {
-    ++stats_.digests_delta_sent;
-  } else {
-    ++stats_.digests_full_sent;
-  }
-  stats_.digest_rows_sent += digest.rows.size();
-  if (cursor != nullptr) cursor->rows_sent += digest.rows.size();
-  return digest;
+  return seed;
 }
 
-void Agent::apply_ack_locked(const std::string& peer_id,
-                             const DigestAck& ack) {
-  const auto it = cursors_.find(peer_id);
-  if (it == cursors_.end()) return;
-  SenderCursor& cursor = it->second;
-  if (ack.kind == AckKind::cursor) {
-    if (cursor.epoch == 0 || ack.epoch != cursor.epoch) return;  // stale
-    cursor.established = true;
-    cursor.acked_seq =
-        std::max(cursor.acked_seq, std::min(ack.seq, table_.seq()));
-    cursor.acked_names = std::max(
-        cursor.acked_names,
-        std::min<std::uint64_t>(ack.names, cursor.ids.size()));
-  } else if (cursor.established) {
-    // The peer lost our session (restart, eviction, reject): next digest
-    // is a self-contained full.  Nor can we trust what the peer once sent
-    // us — it may have dropped those members since — so until it sends
-    // them again, the rows past a cut full carry their fields.
-    cursor.established = false;
-    ++cursor.resyncs;
-    ++stats_.full_resyncs;
-    if (const auto rx = rx_.find(peer_id); rx != rx_.end()) {
-      rx->second.heard.clear();
-    }
+std::vector<PeerRef> Agent::sample_locked(std::vector<PeerRef> peers,
+                                          std::size_t count) {
+  count = std::min(count, peers.size());
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t j =
+        i + rng_.next_below(static_cast<std::uint32_t>(peers.size() - i));
+    std::swap(peers[i], peers[j]);
   }
-}
-
-bool Agent::apply_body_locked(const BinaryDigest& digest,
-                              std::vector<MemberEvent>& events) {
-  ReceiverSession& session = touch_rx(digest.sender_id);
-  const bool full = digest.kind == DigestKind::full;
-  if (!full) {
-    // `from_seq <= applied_seq` rather than `==`: merges are idempotent,
-    // so replaying rows we already applied (a lost ack left the sender's
-    // floor behind) is harmless; only a gap *beyond* what we applied — or
-    // a different dictionary generation — forces a resync.
-    if (!session.valid || session.epoch != digest.epoch ||
-        digest.from_seq > session.applied_seq) {
-      session.valid = false;
-      ++stats_.digest_rejects;
-      return false;
-    }
-  }
-
-  // Phase 1: resolve every row, staging dictionary changes.  Any failure
-  // rejects the whole digest before a single row is merged — the strict
-  // applier rule that makes corruption cost a resync, never divergence.
-  const std::size_t base = full ? 0 : session.names.size();
-  std::map<std::uint32_t, std::string> staged;
-  std::size_t appended = 0;
-  std::vector<MemberEntry> entries;
-  entries.reserve(digest.rows.size());
-  std::vector<const std::string*> fresh_fields;
-  for (const DigestRow& row : digest.rows) {
-    std::string id;
-    if ((row.flags & kRowDefine) != 0) {
-      if (row.name_id > base + appended) {
-        session.valid = false;
-        ++stats_.digest_rejects;
-        return false;  // dictionary gap
-      }
-      if (row.name_id == base + appended) ++appended;
-      staged[row.name_id] = row.id;
-      id = row.id;
-    } else {
-      const auto it = staged.find(row.name_id);
-      if (it != staged.end()) {
-        id = it->second;
-      } else if (!full && row.name_id < base &&
-                 !session.names[row.name_id].empty()) {
-        id = session.names[row.name_id];
-      } else {
-        session.valid = false;
-        ++stats_.digest_rejects;
-        return false;  // unknown dictionary id
-      }
-    }
-    MemberEntry entry;
-    entry.id = id;
-    if ((row.flags & kRowFields) != 0) {
-      entry.address = row.address;
-      if ((row.flags & kRowMeta) != 0) entry.meta = row.meta;
-    } else {
-      // Context-stateful row: fill address/meta from our own table, which
-      // the session contract guarantees is current — unless we dropped and
-      // re-learned the member since (tainted), where the local copy may be
-      // from an older life.  Either miss is a hard reject.
-      if (full) {
-        session.valid = false;
-        ++stats_.digest_rejects;
-        return false;  // fulls must be self-contained
-      }
-      const MemberEntry* own = table_.find(id);
-      if (own == nullptr || session.tainted.count(id) != 0) {
-        session.valid = false;
-        ++stats_.digest_rejects;
-        return false;
-      }
-      entry.address = own->address;
-      entry.meta = own->meta;
-    }
-    entry.state =
-        (row.flags & kRowLeft) != 0 ? MemberState::left : MemberState::alive;
-    entry.incarnation = row.incarnation;
-    entry.heartbeat = row.heartbeat;
-    entries.push_back(std::move(entry));
-    if ((row.flags & kRowFields) != 0) {
-      fresh_fields.push_back(&entries.back().id);
-    }
-  }
-
-  // Phase 2: commit.
-  if (full) {
-    session.epoch = digest.epoch;
-    session.names.assign(appended, std::string());
-    session.applied_seq = digest.to_seq;
-    session.valid = true;
-    session.tainted.clear();
-    session.heard.clear();  // the full IS the peer's table; start over
-  } else {
-    session.names.resize(base + appended);
-    session.applied_seq = std::max(session.applied_seq, digest.to_seq);
-  }
-  for (auto& [name_id, name] : staged) {
-    session.names[name_id] = std::move(name);
-  }
-  for (const std::string* id : fresh_fields) {
-    session.tainted.erase(*id);
-  }
-  for (const MemberEntry& entry : entries) {
-    // Record what the peer demonstrably holds (echo suppression's floor).
-    ReceiverSession::Heard& heard = session.heard[entry.id];
-    const bool newer_life = entry.incarnation > heard.incarnation;
-    if (!newer_life && (entry.incarnation < heard.incarnation ||
-                        entry.heartbeat < heard.heartbeat)) {
-      continue;
-    }
-    if (entry.state == MemberState::left) {
-      heard.left = true;
-    } else if (newer_life) {
-      heard.left = false;  // a fresher incarnation supersedes a tombstone
-    }
-    heard.incarnation = entry.incarnation;
-    heard.heartbeat = entry.heartbeat;
-  }
-  table_.merge(entries, clock_.now_us(), events);
-  return true;
-}
-
-Agent::Outbound Agent::plan_exchange_locked(PeerRef target) {
-  BinaryDigest digest = build_digest_locked(target.id);
-  Outbound out;
-  out.payload = encode_binary_digest(digest);
-  if (digest.kind == DigestKind::full && !target.id.empty()) {
-    cursors_.at(target.id).full_in_flight = std::move(digest);
-  }
-  out.target = std::move(target);
-  return out;
+  peers.resize(count);
+  return peers;
 }
 
 void Agent::tick() {
-  std::vector<MemberEvent> events;
-  std::vector<Outbound> outs;
+  std::optional<PeerRef> target;
+  std::uint64_t incarnation = 0;
+  std::optional<PeerRef> extra;
+  std::optional<Sync> sync;
   {
     std::lock_guard lock(mutex_);
-    const TimeUs now = clock_.now_us();
-    table_.tick_self(now);
-    table_.advance(now, options_.t_fail_us, options_.t_cleanup_us, events);
+    table_.advance(clock_.now_us(), options_.t_fail_us, options_.t_cleanup_us,
+                   pending_);
     ++stats_.rounds;
-    // A removed row taints every receiver session holding it: a later
-    // context-stateful row for that member can no longer trust the local
-    // copy (it may be a re-learned older life) and must carry its fields.
-    for (const MemberEvent& event : events) {
-      if (event.kind == MemberEvent::Kind::removed) {
-        for (auto& [sender, session] : rx_) {
-          (void)sender;
-          session.tainted.insert(event.entry.id);
-          // Drop the echo-suppression floor too: if the member rejoins in
-          // a same-incarnation life, stale "peer holds fresher" evidence
-          // must not stop us forwarding the rejoin.
-          session.heard.erase(event.entry.id);
-        }
-      }
+    if (const MemberEntry* next = next_probe_locked()) {
+      target = PeerRef{next->id, next->address};
+      incarnation = next->incarnation;
+    } else if (!sync_) {
+      // Nobody to probe: pull the group from a seed.
+      if (auto seed = pick_seed_locked()) sync_ = Sync{std::move(*seed), ""};
     }
-    for (PeerRef& target : pick_targets()) {
-      outs.push_back(plan_exchange_locked(std::move(target)));
+    const std::vector<PeerRef> dead = table_.peers({MemberState::dead});
+    if (!dead.empty()) {
+      extra = dead[rng_.next_below(static_cast<std::uint32_t>(dead.size()))];
+    } else if (target && stats_.rounds % kSeedProbePeriod == 0) {
+      extra = pick_seed_locked();
+      if (extra && extra->address == target->address) extra.reset();
+    }
+    sync = sync_;
+  }
+  dispatch();
+  if (target) probe(*target, incarnation);
+  if (extra) (void)ping(*extra);
+  if (sync) sync_page(*sync);
+}
+
+// -------------------------------------------------------------- messages
+
+Message Agent::message_locked(MessageKind kind, const std::string& receiver_id,
+                              const PeerRef& target) {
+  Message message;
+  message.kind = kind;
+  message.digest = table_.digest();
+  message.sender = table_.self();
+  message.target_id = target.id;
+  message.target_address = target.address;
+
+  // Piggyback rows within the cap (3 bytes of slack for the row count).
+  std::size_t size = encode_message(message).size() + 3;
+  std::string scratch;
+  const auto add = [&](const MemberEntry& row) {
+    scratch.clear();
+    encode_row(scratch, row);
+    if (message.rows.size() >= kMaxDigestEntries ||
+        size + scratch.size() > options_.max_digest_bytes) {
+      return false;
+    }
+    size += scratch.size();
+    message.rows.push_back(wire_form(row));
+    return true;
+  };
+  // Lead with the receiver's own row when we doubt it, so it can refute.
+  const MemberEntry* receiver = table_.find(receiver_id);
+  if (receiver != nullptr && receiver_id != options_.id &&
+      (receiver->state == MemberState::suspect ||
+       receiver->state == MemberState::dead)) {
+    (void)add(*receiver);
+  }
+  std::vector<std::pair<unsigned, std::string>> queued;
+  queued.reserve(news_.size());
+  for (const auto& [id, sent] : news_) queued.emplace_back(sent, id);
+  std::stable_sort(
+      queued.begin(), queued.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  const unsigned limit = retransmit_limit(table_.size());
+  for (const auto& [sent, id] : queued) {
+    if (id == receiver_id) continue;
+    const MemberEntry* row = table_.find(id);
+    if (row == nullptr) {
+      news_.erase(id);
+      continue;
+    }
+    if (!add(*row)) break;
+    if (sent + 1 >= limit) {
+      news_.erase(id);
+    } else {
+      news_[id] = sent + 1;
     }
   }
-  dispatch(events);
-  for (const Outbound& out : outs) {
-    exchange_with(out);
+  stats_.digest_rows_sent += message.rows.size();
+  return message;
+}
+
+Message Agent::sync_request_locked(const std::string& from) {
+  Message request;
+  request.kind = MessageKind::sync;
+  request.digest = table_.digest();
+  request.sender = table_.self();
+  request.page_from = from;
+  // Hash the rows after `from` while they fit; each may also end the page,
+  // so reserve room to name it.
+  std::size_t size = encode_message(request).size() + 3;
+  const auto& rows = table_.rows();
+  auto it = rows.upper_bound(from);
+  for (; it != rows.end(); ++it) {
+    if (request.have.size() >= kMaxDigestEntries ||
+        size + 8 + it->first.size() + 2 > options_.max_digest_bytes) {
+      break;
+    }
+    size += 8;
+    request.have.push_back(row_hash(it->second));
+  }
+  // A page cut short ends at its last id; one that reached the end is open.
+  if (it != rows.end() && !request.have.empty()) {
+    request.page_to = std::prev(it)->first;
+  }
+  return request;
+}
+
+Message Agent::sync_reply_locked(const Message& request) {
+  Message reply;
+  reply.kind = MessageKind::sync;
+  reply.digest = table_.digest();
+  reply.sender = table_.self();
+  reply.page_from = request.page_from;
+  std::size_t size = encode_message(reply).size() + 3 +
+                     request.page_to.size() + 2;
+  const std::unordered_set<std::uint64_t> have(request.have.begin(),
+                                               request.have.end());
+  std::unordered_set<std::uint64_t> mine;
+  const auto& rows = table_.rows();
+  const auto end = request.page_to.empty() ? rows.end()
+                                           : rows.upper_bound(request.page_to);
+  bool cut = false;
+  std::string scratch;
+  for (auto it = rows.upper_bound(request.page_from); it != end; ++it) {
+    const std::uint64_t hash = row_hash(it->second);
+    mine.insert(hash);
+    if (cut) continue;
+    const MemberEntry& row = it->second;
+    if (have.count(hash) == 0 && row.id != request.sender.id) {
+      scratch.clear();
+      encode_row(scratch, row);
+      if (reply.rows.size() >= kMaxDigestEntries ||
+          size + scratch.size() > options_.max_digest_bytes) {
+        cut = true;  // the requester resumes after the last id we covered
+        continue;
+      }
+      size += scratch.size();
+      reply.rows.push_back(wire_form(row));
+    }
+    reply.page_to = it->first;
+  }
+  if (!cut) reply.page_to = request.page_to;
+  stats_.digest_rows_sent += reply.rows.size();
+  // The request shows rows we do not hold: pull them back.
+  for (const std::uint64_t hash : request.have) {
+    if (mine.count(hash) == 0) {
+      schedule_sync_locked(request.sender);
+      break;
+    }
+  }
+  return reply;
+}
+
+void Agent::merge_locked(const MemberEntry& row, TimeUs now) {
+  if (table_.merge(row, now, pending_)) news_[row.id] = 0;
+}
+
+void Agent::absorb_locked(const Message& message, bool compare_digest) {
+  const TimeUs now = clock_.now_us();
+  merge_locked(message.sender, now);
+  for (const MemberEntry& row : message.rows) merge_locked(row, now);
+  if (compare_digest && message.digest != table_.digest()) {
+    schedule_sync_locked(message.sender);
   }
 }
 
-void Agent::exchange_with(const Outbound& out) {
+void Agent::schedule_sync_locked(const MemberEntry& peer) {
+  if (!sync_ && peer.state == MemberState::alive) {
+    sync_ = Sync{{peer.id, peer.address}, ""};
+  }
+}
+
+// ------------------------------------------------------------- exchanges
+
+void Agent::probe(const PeerRef& target, std::uint64_t incarnation) {
+  if (ping(target)) return;
+  std::vector<PeerRef> helpers;
+  {
+    std::lock_guard lock(mutex_);
+    std::vector<PeerRef> alive = table_.peers({MemberState::alive});
+    std::erase_if(alive, [&](const PeerRef& p) { return p.id == target.id; });
+    helpers = sample_locked(std::move(alive), options_.fanout);
+  }
+  for (const PeerRef& helper : helpers) {
+    Message request;
+    {
+      std::lock_guard lock(mutex_);
+      request = message_locked(MessageKind::ping_req, helper.id, target);
+    }
+    const Result<Message> reply = round_trip(helper.address, request);
+    if (!reply.ok()) continue;
+    {
+      std::lock_guard lock(mutex_);
+      absorb_locked(*reply, true);
+    }
+    dispatch();
+    if (reply->kind == MessageKind::ack) return;
+  }
+  {
+    std::lock_guard lock(mutex_);
+    // Our verdict merges like anyone's: a SUSPECT row at the incarnation we
+    // probed, which a refutation that arrived meanwhile outranks.
+    if (const MemberEntry* row = table_.find(target.id)) {
+      MemberEntry doubt = *row;
+      doubt.state = MemberState::suspect;
+      doubt.incarnation = incarnation;
+      merge_locked(doubt, clock_.now_us());
+    }
+  }
+  dispatch();
+}
+
+bool Agent::ping(const PeerRef& target) {
+  Message request;
+  {
+    std::lock_guard lock(mutex_);
+    request = message_locked(MessageKind::ping, target.id);
+  }
+  const Result<Message> reply = round_trip(target.address, request);
+  if (!reply.ok() || reply->kind != MessageKind::ack) return false;
+  {
+    std::lock_guard lock(mutex_);
+    absorb_locked(*reply, true);
+  }
+  dispatch();
+  return target.id.empty() || reply->sender.id == target.id;
+}
+
+void Agent::sync_page(const Sync& sync) {
+  Message request;
+  {
+    std::lock_guard lock(mutex_);
+    if (sync.from.empty()) ++stats_.full_resyncs;
+    request = sync_request_locked(sync.from);
+  }
+  const Result<Message> reply = round_trip(sync.peer.address, request);
+  {
+    std::lock_guard lock(mutex_);
+    sync_.reset();
+    if (reply.ok() && reply->kind == MessageKind::sync) {
+      absorb_locked(*reply, false);
+      // Keep paging until a reply covers the rest of our id order.
+      if (!reply->page_to.empty() && reply->page_to > sync.from) {
+        sync_ = Sync{{reply->sender.id, reply->sender.address},
+                     reply->page_to};
+      }
+    }
+  }
+  dispatch();
+}
+
+Result<Message> Agent::round_trip(const std::string& address,
+                                  const Message& request) {
+  const std::string payload = encode_message(request);
   {
     std::lock_guard lock(mutex_);
     ++stats_.sends;
-    stats_.bytes_out += out.payload.size();
+    stats_.bytes_out += payload.size();
   }
   bool carried = false;
-  const Result<std::string> reply = round_trip(out, carried);
-  const Result<BinaryDigest> digest =
-      reply.ok() ? decode_binary_digest(*reply) : reply.error();
-  std::vector<MemberEvent> events;
-  {
-    std::lock_guard lock(mutex_);
-    // Under the same lock as the reply's ack, so no crossing request can
-    // slip in between and start a new epoch before this one is acked.
-    if (const auto it = cursors_.find(out.target.id); it != cursors_.end()) {
-      it->second.full_in_flight.reset();
-    }
-    if (!digest.ok()) {
-      ++stats_.send_failures;
-      return;
-    }
-    if (carried) ++stats_.piggyback_exchanges;
-    stats_.bytes_in += reply->size();
-    ++stats_.digests_received;
-    apply_ack_locked(digest->sender_id, digest->ack);
-    apply_body_locked(*digest, events);
+  const Result<std::string> reply = exchange(address, payload, carried);
+  Result<Message> message =
+      reply.ok() ? decode_message(*reply) : Result<Message>(reply.error());
+  if (message.ok() && message->sender.id == options_.id) {
+    message = Error{Errc::invalid_argument, "gossip: reply from own id"};
   }
-  dispatch(events);
+  std::lock_guard lock(mutex_);
+  if (!message.ok()) {
+    ++stats_.send_failures;
+    return message;
+  }
+  if (carried) ++stats_.piggyback_exchanges;
+  stats_.bytes_in += reply->size();
+  ++stats_.digests_received;
+  return message;
 }
 
-Result<std::string> Agent::round_trip(const Outbound& out, bool& carried) {
+Result<std::string> Agent::exchange(const std::string& address,
+                                    const std::string& payload,
+                                    bool& carried) {
   // Piggyback: offer the exchange to the carrier (an already-open
   // federation stream) first; dial a gossip connection only when no
   // carrier channel exists for this peer.
@@ -524,67 +397,91 @@ Result<std::string> Agent::round_trip(const Outbound& out, bool& carried) {
     carrier = carrier_;
   }
   if (carrier) {
-    auto via = carrier(out.target.address, out.payload);
+    auto via = carrier(address, payload);
     if (via.has_value() && via->ok()) {
       carried = true;
       return std::move(*via);
     }
-    // No channel, or it broke mid-exchange: dial directly this round.
+    // No channel, or it broke mid-exchange: dial directly this time.
   }
 
   const TimeUs timeout =
       std::min(options_.connect_timeout_us, options_.interval_us);
-  auto conn = transport_.connect(out.target.address, timeout);
+  auto conn = transport_.connect(address, timeout);
   if (!conn.ok()) return conn.error();
   net::Stream& stream = **conn;
   std::string framed;
-  put_digest_frames(framed, out.payload, options_.max_frame);
+  put_digest_frames(framed, payload, options_.max_frame);
   if (Status written = stream.write_all(framed); !written.ok()) {
     return written.error();
   }
   net::FrameReader reader(stream, options_.max_frame + 64);
   auto begin = reader.next();
   if (!begin.ok()) return begin.error();
-  auto payload = read_digest_frames(reader, *begin, options_.max_digest_bytes);
+  auto reply = read_digest_frames(reader, *begin, options_.max_digest_bytes);
   stream.close();
-  return payload;
+  return reply;
 }
 
+// --------------------------------------------------------------- serving
+
 Result<std::string> Agent::handle_digest_payload(std::string_view payload) {
-  auto digest = decode_binary_digest(payload);
-  if (!digest.ok()) return digest.error();
-  if (digest->sender_id == options_.id) {
-    return Error{Errc::invalid_argument, "gossip: digest from own id"};
+  auto request = decode_message(payload);
+  if (!request.ok()) return request.error();
+  if (request->sender.id == options_.id) {
+    return Error{Errc::invalid_argument, "gossip: message from own id"};
   }
-  std::vector<MemberEvent> events;
-  std::string reply;
+  Message reply;
+  std::optional<PeerRef> relay;
   {
     std::lock_guard lock(mutex_);
     stats_.bytes_in += payload.size();
     ++stats_.digests_received;
-    apply_ack_locked(digest->sender_id, digest->ack);
-    apply_body_locked(*digest, events);
-    // Reply after applying, so our ack covers the digest we just took and
-    // the initiator's floor advances one round sooner.  A rejected body
-    // still gets a reply — carrying the resync ack that heals the session.
-    SenderCursor& cursor = touch_cursor(digest->sender_id);
-    if (!cursor.established && cursor.full_in_flight) {
-      // Crossing fulls: send the in-flight full again, same epoch and
-      // ids, with a fresh ack.  Whichever copy the peer acks establishes
-      // the cursor, where a fresh epoch would turn that ack stale.
-      BinaryDigest& full = *cursor.full_in_flight;
-      full.ack = rx_ack_locked(digest->sender_id);
-      reply = encode_binary_digest(full);
-      ++stats_.digests_full_sent;
-      stats_.digest_rows_sent += full.rows.size();
-      cursor.rows_sent += full.rows.size();
-    } else {
-      reply = encode_binary_digest(build_digest_locked(digest->sender_id));
+    switch (request->kind) {
+      case MessageKind::ping:
+        absorb_locked(*request, true);
+        reply = message_locked(MessageKind::ack, request->sender.id);
+        break;
+      case MessageKind::ping_req: {
+        absorb_locked(*request, true);
+        // Dial only a member we hold at that address: the port is open to
+        // untrusted peers, and a ping-req must not make us a relay to
+        // arbitrary hosts.  A relay holds the serving thread for up to one
+        // exchange bound, so relay one at a time and nack the rest.
+        const MemberEntry* target = table_.find(request->target_id);
+        const bool known =
+            target != nullptr && target->address == request->target_address;
+        const bool self = known && target->id == options_.id;
+        if (known && !self && !relaying_) {
+          relaying_ = true;
+          relay = PeerRef{target->id, target->address};
+        } else {
+          reply = message_locked(self ? MessageKind::ack : MessageKind::nack,
+                                 request->sender.id);
+        }
+        break;
+      }
+      case MessageKind::sync:
+        absorb_locked(*request, false);
+        reply = sync_reply_locked(*request);
+        break;
+      case MessageKind::ack:
+      case MessageKind::nack:
+        return Error{Errc::invalid_argument, "gossip: a reply is no request"};
     }
-    stats_.bytes_out += reply.size();
   }
-  dispatch(events);
-  return reply;
+  dispatch();
+  if (relay) {
+    const bool reached = ping(*relay);
+    std::lock_guard lock(mutex_);
+    relaying_ = false;
+    reply = message_locked(reached ? MessageKind::ack : MessageKind::nack,
+                           request->sender.id);
+  }
+  std::string out = encode_message(reply);
+  std::lock_guard lock(mutex_);
+  stats_.bytes_out += out.size();
+  return out;
 }
 
 Result<std::string> Agent::handle_request(std::string_view request) {
@@ -608,41 +505,46 @@ net::RequestEnd Agent::request_end(std::string_view unread,
 }
 
 void Agent::leave() {
-  std::vector<Outbound> outs;
+  std::vector<std::pair<std::string, Message>> pings;
   {
     std::lock_guard lock(mutex_);
     table_.leave_self(clock_.now_us());
-    std::vector<PeerRef> targets = table_.alive_peers();
-    // Best effort: tell `fanout` live peers; gossip spreads the tombstone.
-    if (targets.size() > options_.fanout) {
-      for (std::size_t i = 0; i < options_.fanout; ++i) {
-        const std::size_t j =
-            i + rng_.next_below(static_cast<std::uint32_t>(targets.size() - i));
-        std::swap(targets[i], targets[j]);
-      }
-      targets.resize(options_.fanout);
-    }
-    for (PeerRef& target : targets) {
-      outs.push_back(plan_exchange_locked(std::move(target)));
+    // Best effort: tell `fanout` live members; they spread the news.
+    for (const PeerRef& peer : sample_locked(
+             table_.peers({MemberState::alive}), options_.fanout)) {
+      pings.emplace_back(peer.address,
+                         message_locked(MessageKind::ping, peer.id));
     }
   }
-  for (const Outbound& out : outs) {
-    exchange_with(out);
+  for (const auto& [address, message] : pings) {
+    (void)round_trip(address, message);
   }
 }
 
-void Agent::dispatch(std::vector<MemberEvent>& events) {
-  if (events.empty()) return;
-  EventHandler handler;
-  {
-    std::lock_guard lock(handler_mutex_);
-    handler = handler_;
-  }
-  if (!handler) return;
-  for (const MemberEvent& event : events) {
-    handler(event);
+void Agent::dispatch() {
+  // One thread hands events out at a time and drains everything queued so
+  // far, so the handler sees them in the order the table made them even
+  // when a tick and a peer's message race (a `died` cannot arrive after
+  // the refutation that followed it).
+  std::lock_guard order(dispatch_mutex_);
+  for (;;) {
+    std::vector<MemberEvent> events;
+    {
+      std::lock_guard lock(mutex_);
+      events.swap(pending_);
+    }
+    if (events.empty()) return;
+    EventHandler handler;
+    {
+      std::lock_guard lock(handler_mutex_);
+      handler = handler_;
+    }
+    if (!handler) continue;
+    for (const MemberEvent& event : events) handler(event);
   }
 }
+
+// ----------------------------------------------------------------- views
 
 std::vector<MemberEntry> Agent::members() const {
   std::lock_guard lock(mutex_);
@@ -664,22 +566,6 @@ std::size_t Agent::alive_count() const {
 AgentStats Agent::stats() const {
   std::lock_guard lock(mutex_);
   return stats_;
-}
-
-std::vector<PeerSessionView> Agent::peer_sessions() const {
-  std::lock_guard lock(mutex_);
-  std::vector<PeerSessionView> out;
-  out.reserve(cursors_.size());
-  for (const auto& [peer, cursor] : cursors_) {
-    PeerSessionView view;
-    view.peer = peer;
-    view.mode = cursor.established ? "delta" : "full";
-    view.acked_seq = cursor.acked_seq;
-    view.rows_sent = cursor.rows_sent;
-    view.resyncs = cursor.resyncs;
-    out.push_back(std::move(view));
-  }
-  return out;
 }
 
 void Agent::set_self_meta(const std::string& key, std::string value) {

@@ -4,131 +4,144 @@ namespace ganglia::gossip {
 
 namespace {
 
-void encode_ack(std::string& out, const DigestAck& ack) {
-  net::put_u8(out, static_cast<std::uint8_t>(ack.kind));
-  if (ack.kind == AckKind::cursor) {
-    net::put_varint(out, ack.epoch);
-    net::put_varint(out, ack.seq);
-    net::put_varint(out, ack.names);
+void put_u64(std::string& out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    net::put_u8(out, static_cast<std::uint8_t>(v >> (8 * i)));
   }
 }
 
-bool decode_ack(net::WireReader& reader, DigestAck& ack) {
-  std::uint8_t kind = 0;
-  if (!reader.get_u8(kind)) return false;
-  if (kind > static_cast<std::uint8_t>(AckKind::cursor)) return false;
-  ack.kind = static_cast<AckKind>(kind);
-  if (ack.kind == AckKind::cursor) {
-    return reader.get_varint(ack.epoch) && reader.get_varint(ack.seq) &&
-           reader.get_varint(ack.names) && ack.names <= kMaxDigestNames;
+bool get_u64(net::WireReader& reader, std::uint64_t& v) {
+  v = 0;
+  for (int i = 0; i < 8; ++i) {
+    std::uint8_t byte = 0;
+    if (!reader.get_u8(byte)) return false;
+    v |= std::uint64_t{byte} << (8 * i);
   }
   return true;
 }
 
-bool decode_row(net::WireReader& reader, DigestRow& row) {
-  std::uint8_t flags = 0;
-  if (!reader.get_u8(flags)) return false;
-  if ((flags & ~kRowFlagsMask) != 0) return false;
-  row.flags = flags;
-  std::uint64_t name_id = 0;
-  if (!reader.get_varint(name_id) || name_id >= kMaxDigestNames) return false;
-  row.name_id = static_cast<std::uint32_t>(name_id);
+bool get_text(net::WireReader& reader, std::string& out, std::size_t max,
+              bool allow_empty) {
   std::string_view s;
-  if ((flags & kRowDefine) != 0) {
-    if (!reader.get_string(s, kMaxDigestIdBytes) || s.empty()) return false;
-    row.id.assign(s);
+  if (!reader.get_string(s, max) || (s.empty() && !allow_empty)) return false;
+  out.assign(s);
+  return true;
+}
+
+bool decode_row(net::WireReader& reader, MemberEntry& row) {
+  std::uint8_t state = 0;
+  if (!reader.get_u8(state) ||
+      state > static_cast<std::uint8_t>(MemberState::left)) {
+    return false;
   }
-  if ((flags & kRowFields) != 0) {
-    if (!reader.get_string(s, kMaxDigestAddrBytes) || s.empty()) return false;
-    row.address.assign(s);
+  row.state = static_cast<MemberState>(state);
+  std::uint64_t pairs = 0;
+  if (!get_text(reader, row.id, kMaxIdBytes, false) ||
+      !get_text(reader, row.address, kMaxAddressBytes, false) ||
+      !reader.get_varint(row.incarnation) ||
+      !wire_row_ok(row.state, row.incarnation) || !reader.get_varint(pairs) ||
+      pairs > kMaxMetaPairs) {
+    return false;
   }
-  if ((flags & kRowMeta) != 0) {
-    // Metadata only travels alongside fresh fields; a bare meta flag is
-    // structurally meaningless and rejected.
-    if ((flags & kRowFields) == 0) return false;
-    std::uint64_t pairs = 0;
-    if (!reader.get_varint(pairs) || pairs > kMaxDigestMetaPairs) return false;
-    for (std::uint64_t i = 0; i < pairs; ++i) {
-      std::string_view key;
-      std::string_view value;
-      if (!reader.get_string(key, kMaxDigestMetaBytes) || key.empty()) {
-        return false;
-      }
-      if (!reader.get_string(value, kMaxDigestMetaBytes)) return false;
-      row.meta.emplace(std::string(key), std::string(value));
+  for (std::uint64_t i = 0; i < pairs; ++i) {
+    std::string key;
+    std::string value;
+    if (!get_text(reader, key, kMaxMetaBytes, false) ||
+        !get_text(reader, value, kMaxMetaBytes, true)) {
+      return false;
     }
+    row.meta.emplace(std::move(key), std::move(value));
   }
-  return reader.get_varint(row.incarnation) && reader.get_varint(row.heartbeat);
+  return true;
 }
 
 }  // namespace
 
-void encode_digest_row(std::string& out, const DigestRow& row) {
-  net::put_u8(out, row.flags);
-  net::put_varint(out, row.name_id);
-  if ((row.flags & kRowDefine) != 0) net::put_string(out, row.id);
-  if ((row.flags & kRowFields) != 0) net::put_string(out, row.address);
-  if ((row.flags & kRowMeta) != 0) {
-    net::put_varint(out, row.meta.size());
-    for (const auto& [key, value] : row.meta) {
-      net::put_string(out, key);
-      net::put_string(out, value);
-    }
-  }
+void encode_row(std::string& out, const MemberEntry& row) {
+  net::put_u8(out, static_cast<std::uint8_t>(row.state));
+  net::put_string(out, row.id);
+  net::put_string(out, row.address);
   net::put_varint(out, row.incarnation);
-  net::put_varint(out, row.heartbeat);
+  net::put_varint(out, row.meta.size());
+  for (const auto& [key, value] : row.meta) {
+    net::put_string(out, key);
+    net::put_string(out, value);
+  }
 }
 
-std::string encode_binary_digest(const BinaryDigest& digest) {
+std::string encode_message(const Message& message) {
   std::string out;
-  net::put_varint(out, kDigestMagic);
-  net::put_u8(out, static_cast<std::uint8_t>(digest.kind));
-  net::put_string(out, digest.sender_id);
-  encode_ack(out, digest.ack);
-  net::put_varint(out, digest.epoch);
-  net::put_varint(out, digest.from_seq);
-  net::put_varint(out, digest.to_seq);
-  net::put_varint(out, digest.rows.size());
-  for (const DigestRow& row : digest.rows) {
-    encode_digest_row(out, row);
+  net::put_varint(out, kMessageMagic);
+  net::put_u8(out, static_cast<std::uint8_t>(message.kind));
+  put_u64(out, message.digest);
+  encode_row(out, message.sender);
+  if (message.kind == MessageKind::ping_req) {
+    net::put_string(out, message.target_id);
+    net::put_string(out, message.target_address);
+  } else if (message.kind == MessageKind::sync) {
+    net::put_string(out, message.page_from);
+    net::put_string(out, message.page_to);
+    net::put_varint(out, message.have.size());
+    for (const std::uint64_t hash : message.have) put_u64(out, hash);
   }
+  net::put_varint(out, message.rows.size());
+  for (const MemberEntry& row : message.rows) encode_row(out, row);
   return out;
 }
 
-Result<BinaryDigest> decode_binary_digest(std::string_view payload) {
+Result<Message> decode_message(std::string_view payload) {
   net::WireReader reader(payload);
   const auto fail = [] {
-    return Error{Errc::parse_error, "gossip: malformed binary digest"};
+    return Error{Errc::parse_error, "gossip: malformed message"};
   };
   std::uint64_t magic = 0;
-  if (!reader.get_varint(magic) || magic != kDigestMagic) return fail();
-  BinaryDigest digest;
   std::uint8_t kind = 0;
-  if (!reader.get_u8(kind) ||
-      kind < static_cast<std::uint8_t>(DigestKind::full) ||
-      kind > static_cast<std::uint8_t>(DigestKind::delta)) {
+  if (!reader.get_varint(magic) || magic != kMessageMagic ||
+      !reader.get_u8(kind) ||
+      kind < static_cast<std::uint8_t>(MessageKind::ping) ||
+      kind > static_cast<std::uint8_t>(MessageKind::sync)) {
     return fail();
   }
-  digest.kind = static_cast<DigestKind>(kind);
-  std::string_view s;
-  if (!reader.get_string(s, kMaxDigestIdBytes) || s.empty()) return fail();
-  digest.sender_id.assign(s);
-  if (!decode_ack(reader, digest.ack)) return fail();
+  Message message;
+  message.kind = static_cast<MessageKind>(kind);
+  if (!get_u64(reader, message.digest) ||
+      !decode_row(reader, message.sender)) {
+    return fail();
+  }
+  // Only the member itself speaks for its row, and it never doubts itself.
+  if (message.sender.state != MemberState::alive &&
+      message.sender.state != MemberState::left) {
+    return fail();
+  }
+  if (message.kind == MessageKind::ping_req &&
+      (!get_text(reader, message.target_id, kMaxIdBytes, false) ||
+       !get_text(reader, message.target_address, kMaxAddressBytes, false))) {
+    return fail();
+  }
+  if (message.kind == MessageKind::sync) {
+    std::uint64_t count = 0;
+    if (!get_text(reader, message.page_from, kMaxIdBytes, true) ||
+        !get_text(reader, message.page_to, kMaxIdBytes, true) ||
+        !reader.get_varint(count) || count > kMaxDigestEntries ||
+        count * 8 > reader.remaining()) {
+      return fail();
+    }
+    message.have.resize(static_cast<std::size_t>(count));
+    for (std::uint64_t& hash : message.have) {
+      if (!get_u64(reader, hash)) return fail();
+    }
+  }
   std::uint64_t row_count = 0;
-  if (!reader.get_varint(digest.epoch) || !reader.get_varint(digest.from_seq) ||
-      !reader.get_varint(digest.to_seq) || !reader.get_varint(row_count) ||
-      row_count > kMaxDigestEntries) {
+  if (!reader.get_varint(row_count) || row_count > kMaxDigestEntries) {
     return fail();
   }
-  if (digest.from_seq > digest.to_seq) return fail();
-  digest.rows.reserve(static_cast<std::size_t>(row_count));
   for (std::uint64_t i = 0; i < row_count; ++i) {
-    DigestRow row;
+    MemberEntry row;
     if (!decode_row(reader, row)) return fail();
-    digest.rows.push_back(std::move(row));
+    message.rows.push_back(std::move(row));
   }
   if (!reader.done()) return fail();
-  return digest;
+  return message;
 }
 
 void put_digest_frames(std::string& out, std::string_view payload,

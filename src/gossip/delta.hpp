@@ -1,163 +1,129 @@
-// GGD1, the gossip wire: membership digests over net/framing.
+// The gossip wire: SWIM membership messages over net/framing.
 //
-// Shipping the whole member table every exchange costs O(n) per exchange,
-// O(n²) grid-wide.  This codec is the gossip twin of the fed delta
-// protocol: each sender keeps a per-peer cursor of what the peer last
-// acknowledged and ships only the rows whose (incarnation, heartbeat,
-// state, metadata) changed since, with member ids interned into a
-// per-session dictionary so a steady-state row costs a handful of bytes.
+// Five message kinds carry the whole protocol (gossip/agent.hpp):
 //
-// One digest payload (before framing):
+//   ping      "are you there?"              answered by ack
+//   ping_req  "ping `target` for me"         answered by ack or nack
+//   sync      one anti-entropy page          answered by sync
 //
-//   varint  magic "GGD1"
-//   u8      kind            full | delta
-//   string  sender_id
-//   u8      ack.kind        resync | cursor
-//   [cursor: varint epoch, varint seq, varint names]
-//   varint  epoch           sender's dictionary generation
-//   varint  from_seq        cursor floor this delta starts at (0 for full)
-//   varint  to_seq          sender table seq covered by this digest
+// Every message carries its sender's own row and the sender's digest
+// (gossip/member_table.hpp), so a steady probe costs one row each way and
+// a differing digest is how two members notice that their views differ.
+// Pings, acks, ping-reqs and nacks also piggyback membership news: rows
+// that changed recently.  A sync request names one page of the
+// requester's id order — the ids after `page_from` up to `page_to`, ""
+// meaning the end — and the 8-byte hashes (row_hash) of the rows it holds
+// there; the reply carries the responder's rows in that page whose hashes
+// the request lacks, and its `page_to` says how far it got.
+//
+// One message payload (before framing):
+//
+//   varint  magic "GGS1"
+//   u8      kind
+//   u64     digest              sender's digest, little-endian
+//   row     sender              the sender's own row
+//   [ping_req: string target_id, string target_address]
+//   [sync:     string page_from, string page_to,
+//              varint n, n * u64 row hash]
 //   varint  row_count
 //   row*    row_count
 //
-// Every digest — request or reply — carries an `ack` describing what the
-// sender has applied *from the opposite stream*, so one push-pull exchange
-// advances both cursors.  A row is:
+// A row is:
 //
-//   u8      flags           define | fields | meta | left
-//   varint  name_id
-//   [define: string id]     binds name_id -> id (append or overwrite)
-//   [fields: string address]
-//   [meta:   varint n, n * (string key, string value)]
+//   u8      state               ALIVE | SUSPECT | DEAD | LEFT
+//   string  id
+//   string  address
 //   varint  incarnation
-//   varint  heartbeat
+//   varint  n, n * (string key, string value)   metadata
 //
-// `fields` marks the address (and metadata, when `meta` is also set) as
-// present; a row without it asserts the receiver already holds the
-// member's current address/metadata from this same session and fills them
-// from its own table.  The receiver is strict, exactly like fed::apply:
-// unknown dictionary id, a gap (from_seq beyond what was applied), a
-// dictionary-epoch mismatch, a fill-in for a row it no longer holds — any
-// of these rejects the whole digest and answers with a resync ack, which
-// makes the sender rebuild a self-contained full table.  Corruption can
-// cost a round trip; it can never diverge a table.
+// The decoder is structural and bounded: every string, row count, hash
+// count and metadata block has a hard cap, a sender may only describe
+// itself as ALIVE or LEFT, every row must pass wire_row_ok (no DEAD row,
+// no incarnation past kMaxIncarnation, no doubt at it), and anything
+// malformed is refused whole.
 //
-// A digest that would pass the byte cap or kMaxDigestEntries rows is cut
-// at a row boundary and claims only the prefix it covers (to_seq wound
-// back to the last row shipped); the rest follows as deltas.  So a table
-// too large for one digest reaches a new peer as a full prefix plus
-// deltas.
-//
-// Frames: a digest rides the GFD1 frame space as kFrameDigestBegin (varint
-// total payload size) followed by kFrameDigestChunk frames, each bounded
-// by the negotiated max_frame — the same chunking fed::Publisher applies
-// to full dumps, so a 10k-member table can never emit one unbounded frame.
-// This is what lets a digest piggyback on an open federation connection:
-// the publisher routes digest frames to the gossip agent and everything
-// else to the poll codec, one persistent stream for polls, pings, and
-// membership.
+// Frames: a message rides the GFD1 frame space as kFrameDigestBegin
+// (varint total payload size) followed by kFrameDigestChunk frames, each
+// bounded by the negotiated max_frame — the same chunking fed::Publisher
+// applies to full dumps.  This is what lets gossip piggyback on an open
+// federation connection: the publisher routes digest frames to the gossip
+// agent and everything else to the poll codec, one persistent stream for
+// polls and membership.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/result.hpp"
-#include "gossip/message.hpp"
+#include "gossip/member_table.hpp"
 #include "net/framing.hpp"
 #include "net/service_server.hpp"
 
 namespace ganglia::gossip {
 
-// Digest frame types, allocated from the GFD1 frame-type space
+// Message frame types, allocated from the GFD1 frame-type space
 // (fed/codec.hpp stops at kFrameError = 9).
 inline constexpr std::uint8_t kFrameDigestBegin = 10;
 inline constexpr std::uint8_t kFrameDigestChunk = 11;
 
-/// Payload magic: "GGD1" little-endian.
-inline constexpr std::uint64_t kDigestMagic = 0x31444747;
+/// Payload magic: "GGS1" little-endian.
+inline constexpr std::uint64_t kMessageMagic = 0x31534747;
 
-enum class DigestKind : std::uint8_t {
-  full = 1,   ///< self-contained table snapshot (resets the session)
-  delta = 2,  ///< rows changed since from_seq, against the session
+enum class MessageKind : std::uint8_t {
+  ping = 1,
+  ack = 2,
+  ping_req = 3,
+  nack = 4,
+  sync = 5,
 };
 
-enum class AckKind : std::uint8_t {
-  resync = 0,  ///< no valid session for your stream: send me a full table
-  cursor = 1,  ///< applied your stream through (epoch, seq, names)
-};
-
-/// What the digest's sender has applied from the receiver's stream.
-struct DigestAck {
-  AckKind kind = AckKind::resync;
-  std::uint64_t epoch = 0;
-  std::uint64_t seq = 0;
-  std::uint64_t names = 0;  ///< dictionary entries applied (dense prefix)
-};
-
-// Row flags.
-inline constexpr std::uint8_t kRowDefine = 0x01;  ///< binds name_id -> id
-inline constexpr std::uint8_t kRowFields = 0x02;  ///< address (+meta) present
-inline constexpr std::uint8_t kRowMeta = 0x04;    ///< metadata pairs follow
-inline constexpr std::uint8_t kRowLeft = 0x08;    ///< LEFT tombstone
-inline constexpr std::uint8_t kRowFlagsMask = 0x0f;
-
-struct DigestRow {
-  std::uint8_t flags = 0;
-  std::uint32_t name_id = 0;
-  std::string id;       ///< set iff kRowDefine
-  std::string address;  ///< set iff kRowFields
-  std::map<std::string, std::string> meta;  ///< meaningful iff kRowMeta
-  std::uint64_t incarnation = 0;
-  std::uint64_t heartbeat = 0;
-};
-
-struct BinaryDigest {
-  DigestKind kind = DigestKind::full;
-  std::string sender_id;
-  DigestAck ack;
-  std::uint64_t epoch = 0;
-  std::uint64_t from_seq = 0;
-  std::uint64_t to_seq = 0;
-  std::vector<DigestRow> rows;
+struct Message {
+  MessageKind kind = MessageKind::ping;
+  std::uint64_t digest = 0;  ///< sender's digest (MemberTable::digest)
+  MemberEntry sender;        ///< the sender's own row
+  /// ping_req: the member to probe, at the address the requester holds.
+  std::string target_id;
+  std::string target_address;
+  /// sync: the page, (page_from, page_to] in id order ("" = the end).
+  std::string page_from;
+  std::string page_to;
+  std::vector<std::uint64_t> have;  ///< sync request: rows held, hashed
+  std::vector<MemberEntry> rows;    ///< news, or a sync reply's page
 };
 
 // Hard caps the decoder enforces, beside kMaxDigestEntries and
-// kMaxDigestBytes (gossip/message.hpp), so no digest can balloon a table.
-inline constexpr std::size_t kMaxDigestIdBytes = 256;
-inline constexpr std::size_t kMaxDigestAddrBytes = 256;
-inline constexpr std::size_t kMaxDigestMetaPairs = 64;
-inline constexpr std::size_t kMaxDigestMetaBytes = 2048;
-inline constexpr std::size_t kMaxDigestNames = 65536;
+// kMaxDigestBytes (gossip/message.hpp), so no message can balloon a table.
+inline constexpr std::size_t kMaxIdBytes = 256;
+inline constexpr std::size_t kMaxAddressBytes = 256;
+inline constexpr std::size_t kMaxMetaPairs = 64;
+inline constexpr std::size_t kMaxMetaBytes = 2048;
 
-std::string encode_binary_digest(const BinaryDigest& digest);
+std::string encode_message(const Message& message);
 
 /// Append one encoded row to `out` (the incremental form the agent uses to
-/// enforce the per-digest byte cap row by row).
-void encode_digest_row(std::string& out, const DigestRow& row);
+/// keep a message under its byte cap row by row).
+void encode_row(std::string& out, const MemberEntry& row);
 
-/// Parse + validate one digest payload.  Structural validation only; the
-/// session-level checks (epoch, cursor floor, dictionary resolution) are
-/// the agent's.
-Result<BinaryDigest> decode_binary_digest(std::string_view payload);
+/// Parse and validate one message payload.
+Result<Message> decode_message(std::string_view payload);
 
 // -- framing ----------------------------------------------------------------
 
-/// Append a digest payload as Begin + Chunk frames, each chunk bounded by
+/// Append a message payload as Begin + Chunk frames, each chunk bounded by
 /// `max_frame` payload bytes.
 void put_digest_frames(std::string& out, std::string_view payload,
                        std::size_t max_frame);
 
-/// Reassemble a digest payload from a complete frame buffer (the in-memory
+/// Reassemble a payload from a complete frame buffer (the in-memory
 /// service path): Begin, then exactly enough Chunks, nothing trailing.
 Result<std::string> collect_digest_frames(std::string_view buf,
                                           std::size_t max_payload);
 
 /// Request-boundary rule of the framed ports (federation, gossip): one
 /// frame, or a digest Begin frame followed by all its Chunks.  Malformed
-/// when a frame exceeds `max_frame` or a digest's total `max_payload`.
+/// when a frame exceeds `max_frame` or a message's total `max_payload`.
 net::RequestEnd framed_request_end(std::string_view unread,
                                    net::ScanState& scan, std::size_t max_frame,
                                    std::size_t max_payload);

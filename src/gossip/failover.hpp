@@ -10,11 +10,14 @@
 //   recovered/joined(primary)   → demote, once, when the primary proves
 //                                 alive again.
 //
-// Because the member table never re-emits `died` without an intervening
-// recovery (DEAD rows stay DEAD until dropped), and `removed` while
-// promoted does not demote (the primary is still gone), the promoted flag
-// cannot flap across a SUSPECT window: suspicion either refutes (no event
-// we act on) or hardens into a single `died` edge.
+// `died` comes only from the standby's own timer, t_fail + t_cleanup after
+// it suspected the primary; no message can declare a member DEAD.  A
+// repeated `died` without a recovery between (a later suspicion of a DEAD
+// row) promotes nothing new, and `removed` while promoted does not demote
+// (the primary is still gone), so the promoted flag cannot flap across a
+// SUSPECT window: suspicion either refutes (no event we act on) or hardens
+// into a `died` edge.  The agent hands events out in the order the table
+// made them, so a refutation cannot overtake the `died` it followed.
 //
 // The controller is protocol-agnostic — the gmetad layer supplies the
 // actions (adopt/drop the primary's advertised sources); deterministic

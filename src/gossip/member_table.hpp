@@ -1,32 +1,41 @@
 // Gossip membership table: the soft state every federated gmetad keeps.
 //
 // Each member holds one row per known peer — (id, address, incarnation,
-// heartbeat, local receipt time, state, metadata) — and three operations
-// maintain it:
+// state, metadata, local time of the last state change) — and two
+// operations maintain it:
 //
-//  * merge(): fold a received digest in.  Fresher liveness evidence (higher
-//    (incarnation, heartbeat)) wins, refreshes the receipt time, and
-//    resurrects SUSPECT/DEAD rows; LEFT tombstones at an equal-or-newer
-//    incarnation override ALIVE, so a deliberate leave is never mistaken
-//    for a failure.
+//  * merge(): fold a received row in.  Rows for one member are ordered by
+//    precedence: the higher incarnation wins, and at equal incarnations
+//    LEFT > DEAD > SUSPECT > ALIVE.  So ALIVE(i) beats SUSPECT or DEAD(j)
+//    iff i > j, SUSPECT(i) beats ALIVE(j) iff i ≥ j, DEAD(i) beats ALIVE
+//    or SUSPECT(j) iff i ≥ j, and LEFT(i) beats any other state iff i ≥ j.
+//    A row about ourselves that would beat our own is a doubt (or news of
+//    a later life of ours): we refute it by taking its incarnation + 1.
+//    Unknown members join only ALIVE; news of an unknown member's doubt
+//    or departure is stale.  A failed probe's verdict is merged the same
+//    way, as a SUSPECT row at the probed incarnation.  Only rows that
+//    could travel are merged (wire_row_ok): never DEAD, and never a doubt
+//    its subject could not outrank.
 //
-//  * advance(): apply the local failure-detection timers.  A row whose
-//    heartbeat has not progressed for t_fail is SUSPECT; t_cleanup later it
-//    is DEAD; one more t_cleanup and the row is dropped entirely (a healed
-//    partition re-learns the member as a fresh join via the agent's
-//    resurrection probes).
-//
-//  * tick(): advance our own heartbeat.
+//  * advance(): the local timers.  SUSPECT turns DEAD after
+//    t_fail + t_cleanup; DEAD and LEFT rows are dropped t_cleanup later (a
+//    healed partition re-learns the member as a fresh join).  DEAD is a
+//    local verdict: no message can convict a member, so `died` fires only
+//    here, on the thread that drives the timers.
 //
 // State transitions are reported as MemberEvents so the failover
 // controller and the dynamic-topology layer react to *edges* (ALIVE→DEAD)
 // rather than polling levels — that is what makes "promote once, demote
 // once" enforceable.
 //
+// The table also keeps its digest, the XOR of row_hash over every row:
+// two members with equal digests hold the same rows, up to the difference
+// between SUSPECT and DEAD, which each member times on its own clock.
+//
 // The table itself is not synchronised; the owning Agent serialises access.
 #pragma once
 
-#include <functional>
+#include <initializer_list>
 #include <map>
 #include <vector>
 
@@ -36,10 +45,10 @@ namespace ganglia::gossip {
 
 struct MemberEvent {
   enum class Kind {
-    joined,     ///< previously unknown member appeared ALIVE
-    recovered,  ///< SUSPECT/DEAD member proved alive again
-    suspected,  ///< t_fail without heartbeat progress
-    died,       ///< t_cleanup after suspicion
+    joined,     ///< previously unknown (or departed) member appeared ALIVE
+    recovered,  ///< SUSPECT/DEAD member refuted with a fresh incarnation
+    suspected,  ///< a SUSPECT row we accepted (ours or a peer's)
+    died,       ///< t_fail + t_cleanup after suspicion (local timer only)
     left,       ///< voluntary leave disseminated
     removed,    ///< row dropped after the post-mortem retention window
   };
@@ -65,67 +74,59 @@ struct PeerRef {
   std::string address;
 };
 
+/// The 64-bit hash of one version of a row — its id, incarnation and
+/// verdict (ALIVE; SUSPECT or DEAD; LEFT) — that digests and sync
+/// requests are built on.
+std::uint64_t row_hash(const MemberEntry& row) noexcept;
+
+/// Precedence: does `a` override `b`, two rows for the same member?
+bool overrides(const MemberEntry& a, const MemberEntry& b) noexcept;
+
 class MemberTable {
  public:
-  MemberTable(std::string self_id, std::string self_address, TimeUs now);
+  /// `self` is our own row: id, address, starting incarnation, metadata.
+  explicit MemberTable(MemberEntry self);
 
   // -- self ----------------------------------------------------------------
   const MemberEntry& self() const { return members_.at(self_id_); }
   const std::string& self_id() const noexcept { return self_id_; }
-  /// Heartbeat progress for this round.
-  void tick_self(TimeUs now);
+  /// A new address or metadata value bumps our incarnation, so the new row
+  /// outranks every copy of the old one.
   void set_self_meta(const std::string& key, std::string value);
   void set_self_address(std::string address);
-  /// Mark ourselves LEFT (broadcast by the agent's final digest).
+  /// Mark ourselves LEFT (announced by the agent's leave pings).
   void leave_self(TimeUs now);
 
   // -- gossip --------------------------------------------------------------
-  /// Fold remote entries in; transition events are appended to `events`.
-  void merge(const std::vector<MemberEntry>& remote, TimeUs now,
+  /// Fold one remote row in; transition events are appended to `events`.
+  /// True when our row for a known peer changed: that is news.  Joins and
+  /// our own refutations are not (our row rides every message we send).
+  bool merge(const MemberEntry& theirs, TimeUs now,
              std::vector<MemberEvent>& events);
 
-  /// Run the local failure-detection timers.
+  /// Run the local timers (SUSPECT → DEAD → dropped, LEFT → dropped).
   void advance(TimeUs now, TimeUs t_fail, TimeUs t_cleanup,
                std::vector<MemberEvent>& events);
 
   // -- views ---------------------------------------------------------------
-  /// Rows worth gossiping (self, ALIVE peers, LEFT tombstones) whose
-  /// (incarnation, heartbeat, state, metadata) changed after `floor`,
-  /// oldest change first — the digest feed.
-  /// Pointers stay valid until the next mutating call.
-  std::vector<const MemberEntry*> gossipable_since(std::uint64_t floor) const;
+  /// Every row, self included, in id order (the order sync pages walk).
+  const std::map<std::string, MemberEntry>& rows() const noexcept {
+    return members_;
+  }
   /// Everything, self included (the /api/v1/members payload).
   std::vector<MemberEntry> snapshot() const;
   const MemberEntry* find(const std::string& id) const;
-  /// (id, address) of ALIVE peers.
-  std::vector<PeerRef> alive_peers() const;
-  /// (id, address) of SUSPECT/DEAD peers.
-  std::vector<PeerRef> faulty_peers() const;
+  /// (id, address) of the peers in any of `states`.
+  std::vector<PeerRef> peers(std::initializer_list<MemberState> states) const;
   std::size_t alive_count() const;  ///< self included
   std::size_t size() const noexcept { return members_.size(); }
-
-  // -- change tracking ------------------------------------------------------
-  /// Monotone mutation counter; every row change gets the next value as
-  /// its version, so `gossipable_since(seq-at-last-ack)` is exactly what a
-  /// peer has not acknowledged yet.
-  std::uint64_t seq() const noexcept { return seq_; }
-  /// Bumped whenever the ALIVE peer set (or a live address) changes —
-  /// invalidates cached partner selections.
-  std::uint64_t membership_version() const noexcept {
-    return membership_version_;
-  }
+  /// XOR of row_hash over every row, self included.
+  std::uint64_t digest() const noexcept { return digest_; }
 
  private:
-  /// Record a row mutation: assign the next seq as its version and reindex
-  /// it in the change log.  `fields` marks an address/metadata change.
-  void touch(MemberEntry& entry, bool fields);
-
   std::string self_id_;
   std::map<std::string, MemberEntry> members_;
-  std::uint64_t seq_ = 0;
-  std::uint64_t membership_version_ = 0;
-  /// version -> member id, the change log gossipable_since() walks.
-  std::map<std::uint64_t, std::string> changed_;
+  std::uint64_t digest_ = 0;
 };
 
 }  // namespace ganglia::gossip

@@ -418,8 +418,6 @@ Result<Gateway::Content> Gateway::render_members() {
       w.value(gossip::member_state_name(member.state));
       w.key("INCARNATION");
       w.value(member.incarnation);
-      w.key("HEARTBEAT");
-      w.value(member.heartbeat);
       w.key("SELF");
       w.value(member.id == agent->options().id);
       w.key("META");
@@ -437,20 +435,10 @@ Result<Gateway::Content> Gateway::render_members() {
     w.begin_object();
     w.key("ROUNDS");
     w.value(stats.rounds);
-    w.key("DIGESTS_DELTA_SENT");
-    w.value(stats.digests_delta_sent);
-    w.key("DIGESTS_FULL_SENT");
-    w.value(stats.digests_full_sent);
     w.key("DIGEST_ROWS_SENT");
     w.value(stats.digest_rows_sent);
-    w.key("DIGEST_ROWS_SUPPRESSED");
-    w.value(stats.digest_rows_suppressed);
     w.key("FULL_RESYNCS");
     w.value(stats.full_resyncs);
-    w.key("DIGEST_REJECTS");
-    w.value(stats.digest_rejects);
-    w.key("DIGEST_TRUNCATIONS");
-    w.value(stats.digest_truncations);
     w.key("PIGGYBACK_EXCHANGES");
     w.value(stats.piggyback_exchanges);
     w.key("BYTES_OUT");
@@ -458,23 +446,6 @@ Result<Gateway::Content> Gateway::render_members() {
     w.key("BYTES_IN");
     w.value(stats.bytes_in);
     w.end_object();
-    w.key("SESSIONS");
-    w.begin_array();
-    for (const gossip::PeerSessionView& session : agent->peer_sessions()) {
-      w.begin_object();
-      w.key("PEER");
-      w.value(session.peer);
-      w.key("MODE");
-      w.value(session.mode);
-      w.key("ACKED_SEQ");
-      w.value(session.acked_seq);
-      w.key("ROWS_SENT");
-      w.value(session.rows_sent);
-      w.key("RESYNCS");
-      w.value(session.resyncs);
-      w.end_object();
-    }
-    w.end_array();
   });
   // Liveness must be observed live: a cached SUSPECT row would defeat the
   // point of looking.

@@ -9,9 +9,9 @@
 //   /api/v1/archiver          archiver stats (ARCHIVER JSON object; never
 //                             cached — Cache-Control: no-store)
 //   /api/v1/members           gossip membership table (MEMBERS JSON array:
-//                             id, address, state, incarnation, heartbeat,
-//                             metadata; never cached); 404 when membership
-//                             gossip is not enabled
+//                             id, address, state, incarnation, metadata,
+//                             plus GOSSIP counters; never cached); 404 when
+//                             membership gossip is not enabled
 //   /api/v1/federation        delta federation live stats (FEDERATION JSON
 //                             object: per-source session mode and delta vs
 //                             full counters, plus this node's publisher

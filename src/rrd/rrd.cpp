@@ -56,6 +56,16 @@ Result<RoundRobinDb> RoundRobinDb::create(RrdDef def, std::int64_t created_at) {
     if (rra.xff < 0.0 || rra.xff >= 1.0) {
       return Err(Errc::invalid_argument, "xff must be in [0, 1)");
     }
+    // Every time computation multiplies step, pdp_per_row and rows; an
+    // archive whose whole span overflows int64 has no valid timeline.
+    std::int64_t span = 0;
+    if (__builtin_mul_overflow(def.step_s,
+                               static_cast<std::int64_t>(rra.pdp_per_row),
+                               &span) ||
+        __builtin_mul_overflow(span, static_cast<std::int64_t>(rra.rows),
+                               &span)) {
+      return Err(Errc::invalid_argument, "archive span overflows int64");
+    }
   }
 
   RoundRobinDb db;

@@ -46,6 +46,7 @@ class Reader {
   }
 
   bool done() const { return pos_ == data_.size(); }
+  std::size_t remaining() const { return data_.size() - pos_; }
 
  private:
   std::string_view data_;
@@ -139,6 +140,17 @@ Result<RoundRobinDb> RrdCodec::deserialize(std::string_view bytes) {
     if (cf > static_cast<std::uint8_t>(ConsolidationFn::last)) return fail();
     rra.cf = static_cast<ConsolidationFn>(cf);
   }
+
+  // The state that follows has a fixed size per data source and per ring
+  // row: refuse an image too short to hold it before allocating the rings
+  // (a corrupt `rows` field would otherwise claim gigabytes).  The counts
+  // are capped above, so this sum cannot overflow.
+  const std::uint64_t ds_n = ds_count;
+  std::uint64_t needed = 3 * 8 + ds_n * (3 * 8 + 8);
+  for (const RraDef& rra : def.rras) {
+    needed += 4 + 4 + 8 + ds_n * (8 + 4) + std::uint64_t{rra.rows} * ds_n * 8;
+  }
+  if (needed > r.remaining()) return fail();
 
   auto created = RoundRobinDb::create(def, 0);
   if (!created.ok()) return created.error();

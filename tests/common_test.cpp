@@ -272,12 +272,12 @@ TEST(CpuTimer, DoesNotChargeOtherThreads) {
 TEST(CpuTimer, StartStopAccumulates) {
   CpuMeter meter;
   meter.start();
-  volatile int sink = 0;
-  for (int i = 0; i < 100000; ++i) sink = sink + i;
+  volatile std::uint64_t sink = 0;
+  for (std::uint64_t i = 0; i < 100000; ++i) sink = sink + i;
   meter.stop();
   const auto first = meter.total_ns();
   meter.start();
-  for (int i = 0; i < 100000; ++i) sink = sink + i;
+  for (std::uint64_t i = 0; i < 100000; ++i) sink = sink + i;
   meter.stop();
   EXPECT_GT(meter.total_ns(), first);
   meter.reset();

@@ -29,13 +29,15 @@ using gmetad::Gmetad;
 using gmetad::GmetadConfig;
 using net::ServiceServer;
 
-/// A GGD1 full digest with no rows from `sender`: the smallest request
-/// the gossip port answers.
+/// A sync request from `sender` that holds no member: the smallest
+/// request the gossip port answers, with every row the daemon holds.  The
+/// sender's row names a loopback port nothing listens on.
 std::string probe_payload(const std::string& sender) {
-  gossip::BinaryDigest probe;
-  probe.sender_id = sender;
-  probe.epoch = 1;
-  return gossip::encode_binary_digest(probe);
+  gossip::Message probe;
+  probe.kind = gossip::MessageKind::sync;
+  probe.sender.id = sender;
+  probe.sender.address = "127.0.0.1:1";
+  return gossip::encode_message(probe);
 }
 
 /// The probe as the wire carries it: a Begin frame and one Chunk.
@@ -45,15 +47,15 @@ std::string gossip_probe(const std::string& sender) {
   return framed;
 }
 
-/// Read and decode the framed digest a gossip port answers with.
-Result<gossip::BinaryDigest> read_gossip_reply(net::Stream& stream) {
+/// Read and decode the framed message a gossip port answers with.
+Result<gossip::Message> read_gossip_reply(net::Stream& stream) {
   net::FrameReader reader(stream, (64u << 10) + 64);
   auto begin = reader.next();
   if (!begin.ok()) return begin.error();
   auto payload =
       gossip::read_digest_frames(reader, *begin, gossip::kMaxDigestBytes);
   if (!payload.ok()) return payload.error();
-  return gossip::decode_binary_digest(*payload);
+  return gossip::decode_message(*payload);
 }
 
 /// Spin until `predicate` holds or ~deadline_ms elapses.
@@ -280,9 +282,9 @@ TEST(Daemon, TrustedLoopbackIsServed) {
 
 // Two daemons gossip through the ports they bound themselves: each learns
 // the other's *bound* gossip address from its member row (a configured
-// ":0" would be undialable), sessions settle into deltas, and the port
-// answers a framed probe while refusing garbage.  Both tick every second,
-// on the same second boundary, so their fulls cross each other.
+// ":0" would be undialable), each holds the other ALIVE, and the port
+// answers a framed sync request while refusing garbage.  Both tick every
+// second, on the same second boundary, so their probes cross each other.
 TEST(Daemon, TwoDaemonsGossipThroughTheirBoundPortsOverTcp) {
   WallClock clock;
   net::TcpTransport transport;
@@ -304,41 +306,39 @@ TEST(Daemon, TwoDaemonsGossipThroughTheirBoundPortsOverTcp) {
   Gmetad beta(gossiping("beta", {alpha_gossip}), transport, clock);
   ASSERT_TRUE(beta.start().ok());
 
-  const auto steady = [](const Gmetad& node, const std::string& peer) {
-    const gossip::AgentStats stats = node.membership()->stats();
-    if (stats.digests_delta_sent < 2) return false;
-    for (const gossip::PeerSessionView& session :
-         node.membership()->peer_sessions()) {
-      if (session.peer == peer) return session.mode == "delta";
-    }
-    return false;
+  // Each daemon holds the other ALIVE at its bound address and has heard
+  // from it.
+  const auto steady = [](const Gmetad& node, const Gmetad& peer) {
+    const std::string& id = peer.config().grid_name;
+    const auto row = node.membership()->member(id);
+    return row && row->state == gossip::MemberState::alive &&
+           row->address == peer.membership()->member(id)->address &&
+           node.membership()->stats().digests_received > 0;
   };
   const auto describe = [](const Gmetad& node) {
     const gossip::AgentStats stats = node.membership()->stats();
-    std::string out = node.config().grid_name + ": deltas " +
-                      std::to_string(stats.digests_delta_sent) + " fulls " +
-                      std::to_string(stats.digests_full_sent) + " failures " +
-                      std::to_string(stats.send_failures) + " sessions";
-    for (const auto& session : node.membership()->peer_sessions()) {
-      out += " " + session.peer + "=" + session.mode;
+    std::string out = node.config().grid_name + ": sends " +
+                      std::to_string(stats.sends) + " failures " +
+                      std::to_string(stats.send_failures) + " received " +
+                      std::to_string(stats.digests_received) + " members";
+    for (const auto& member : node.membership()->members()) {
+      out += " " + member.id + "@" + member.address + "=" +
+             gossip::member_state_name(member.state);
     }
     return out + "\n";
   };
-  // Answering a crossing request with the full already in flight settles
-  // this in about 2 s; a fresh full per reply can keep a pair resyncing
-  // for 10 s, or indefinitely.
   ASSERT_TRUE(eventually(
-      [&] { return steady(alpha, "beta") && steady(beta, "alpha"); }, 5000))
+      [&] { return steady(alpha, beta) && steady(beta, alpha); }, 5000))
       << describe(alpha) << describe(beta);
 
-  // One framed probe, answered with alpha's full table.
+  // One framed sync request, answered with alpha's whole table.
   auto probe = transport.connect(alpha_gossip, 2 * kMicrosPerSecond);
   ASSERT_TRUE(probe.ok());
   ASSERT_TRUE((*probe)->write_all(gossip_probe("probe")).ok());
-  auto digest = read_gossip_reply(**probe);
-  ASSERT_TRUE(digest.ok()) << digest.error().to_string();
-  EXPECT_EQ(digest->sender_id, "alpha");
-  EXPECT_EQ(digest->rows.size(), 2u);
+  auto reply = read_gossip_reply(**probe);
+  ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+  EXPECT_EQ(reply->sender.id, "alpha");
+  EXPECT_EQ(reply->rows.size(), 2u);
 
   // Garbage (a frame that is no digest) and an oversize digest are closed
   // without a reply.
@@ -520,9 +520,9 @@ void expect_ports_isolated(net::Transport& transport) {
     auto stream = transport.connect(daemon.gossip_address(), kIo);
     ASSERT_TRUE(stream.ok());
     ASSERT_TRUE((*stream)->write_all(gossip_probe("probe")).ok());
-    auto digest = read_gossip_reply(**stream);
-    ASSERT_TRUE(digest.ok()) << digest.error().to_string();
-    EXPECT_EQ(digest->sender_id, "ports");
+    auto reply = read_gossip_reply(**stream);
+    ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+    EXPECT_EQ(reply->sender.id, "ports");
   });
 
   monitor.stop();

@@ -5,7 +5,8 @@
 //    replacing static data_source lines;
 //  * automatic failover — a `standby_for` node promotes when the primary is
 //    declared DEAD, serves the orphaned subtree, and demotes exactly once
-//    when the primary recovers (no flapping across the SUSPECT window);
+//    when the primary recovers (no flapping across the SUSPECT window),
+//    and never on a forged verdict from an untrusted peer;
 //  * the join-registry prune racing concurrent re-joins (satellite of the
 //    same soft-state membership story).
 //
@@ -24,6 +25,7 @@
 
 #include "gmetad/gmetad.hpp"
 #include "gmetad/join.hpp"
+#include "gossip/delta.hpp"
 #include "net/inmem.hpp"
 #include "sim/sim_clock.hpp"
 
@@ -52,8 +54,9 @@ GmetadConfig parse(const std::string& text) {
 
 // Three federated gmetads on one fabric: a child grid ("attic") naming
 // "prime" as its aggregator, the primary itself, and a standby covering
-// the primary.  Timers are tight (1 s rounds, t_fail 5 s, t_cleanup 5 s)
-// so conviction lands at round 10 and the acceptance bound
+// the primary.  Timers are tight (1 s rounds, t_fail 5 s, t_cleanup 5 s):
+// a probe suspects the dead primary in the first round or two, DEAD follows
+// t_fail + t_cleanup later, and the acceptance bound
 // t_fail + t_cleanup + 2*interval is 12 rounds.
 class FailoverTest : public ::testing::Test {
  protected:
@@ -132,7 +135,7 @@ class FailoverTest : public ::testing::Test {
   }
 
   /// The process comes back with its state intact (same Agent resumes
-  /// ticking — its next heartbeat is fresher than anything peers hold).
+  /// ticking, and refutes the doubts peers hold about it).
   void revive(Gmetad& node) {
     plug_in(node);
     down_.erase(std::remove(down_.begin(), down_.end(), &node), down_.end());
@@ -219,8 +222,8 @@ TEST_F(FailoverTest, StandbyPromotesOnDeathAndDemotesOnceOnRecovery) {
   EXPECT_EQ(stand_->failover()->promotions(), 1u);
   EXPECT_EQ(stand_->failover()->demotions(), 0u);
 
-  // Recovery: the primary's next heartbeat is fresher than the DEAD row
-  // peers hold, so the table flips back to ALIVE and the standby demotes —
+  // Recovery: the primary refutes the DEAD row peers hold with a fresh
+  // incarnation, so the table flips back to ALIVE and the standby demotes —
   // exactly once — and hands the subtree back.
   revive(*prime_);
   ASSERT_GE(rounds_until(
@@ -262,6 +265,36 @@ TEST_F(FailoverTest, SuspectWindowAloneNeverPromotes) {
                 10),
             0);
   for (int n = 0; n < 10; ++n) round();
+  EXPECT_EQ(stand_->failover()->promotions(), 0u);
+  EXPECT_TRUE(stand_->sources().empty());
+}
+
+TEST_F(FailoverTest, ForgedVerdictsAboutALivePrimaryNeverPromote) {
+  // The gossip port admits untrusted peers.  A forged DEAD row, or a doubt
+  // too high to refute, is refused whole; the highest doubt that is taken,
+  // the primary refutes.  Either way the standby never moves.
+  ASSERT_GE(rounds_until([&] { return has_source(*prime_, "attic"); }, 10), 0);
+  gossip::Agent& standby = *stand_->membership();
+  gossip::Message lie;
+  lie.sender.id = "evil";
+  lie.sender.address = "evil:8654";
+  lie.rows.push_back(*standby.member("prime"));
+  const auto tell = [&](gossip::MemberState state, std::uint64_t incarnation) {
+    lie.rows[0].state = state;
+    lie.rows[0].incarnation = incarnation;
+    return standby.handle_digest_payload(gossip::encode_message(lie)).ok();
+  };
+  EXPECT_FALSE(tell(gossip::MemberState::dead, lie.rows[0].incarnation));
+  EXPECT_FALSE(tell(gossip::MemberState::suspect, ~std::uint64_t{0}));
+  EXPECT_EQ(standby.member("prime")->state, gossip::MemberState::alive);
+  ASSERT_TRUE(tell(gossip::MemberState::suspect, gossip::kMaxIncarnation - 1));
+  EXPECT_EQ(standby.member("prime")->state, gossip::MemberState::suspect);
+
+  for (int n = 0; n < 2 * kPromoteBound; ++n) round();
+  const auto prime = standby.member("prime");
+  ASSERT_TRUE(prime.has_value());
+  EXPECT_EQ(prime->state, gossip::MemberState::alive);
+  EXPECT_EQ(prime->incarnation, gossip::kMaxIncarnation);
   EXPECT_EQ(stand_->failover()->promotions(), 0u);
   EXPECT_TRUE(stand_->sources().empty());
 }

@@ -17,6 +17,7 @@
 #include "gmon/wire.hpp"
 #include "gossip/agent.hpp"
 #include "gossip/delta.hpp"
+#include "gossip_sim_util.hpp"
 #include "net/framing.hpp"
 #include "net/inmem.hpp"
 #include "sim/sim_clock.hpp"
@@ -391,75 +392,121 @@ TEST_P(FuzzSeeds, CorruptedDeltaStreamResyncsCleanly) {
   }
 }
 
-/// A well-formed binary membership digest for mutation.
-gossip::BinaryDigest make_digest_corpus() {
-  gossip::BinaryDigest digest;
-  digest.kind = gossip::DigestKind::full;
-  digest.sender_id = "fuzz-sender";
-  digest.ack.kind = gossip::AckKind::cursor;
-  digest.ack.epoch = 7;
-  digest.ack.seq = 42;
-  digest.ack.names = 3;
-  digest.epoch = 9;
-  digest.to_seq = 50;
-  for (std::uint32_t n = 0; n < 4; ++n) {
-    gossip::DigestRow row;
-    row.flags = gossip::kRowDefine | gossip::kRowFields | gossip::kRowMeta;
-    row.name_id = n;
+/// Well-formed membership messages for mutation: a ping carrying news, a
+/// ping-req, and a sync request with its page of id hashes.
+std::vector<std::string> make_message_corpus() {
+  const auto member = [](std::uint32_t n, gossip::MemberState state) {
+    gossip::MemberEntry row;
     row.id = "gm" + std::to_string(n);
-    row.address = "gm" + std::to_string(n) + ":8654";
-    row.meta = {{"source", row.id}, {"fed", row.address}};
-    row.incarnation = n;
-    row.heartbeat = 100 + n;
-    digest.rows.push_back(std::move(row));
+    row.address = row.id + ":8654";
+    row.meta = {{"source", row.id}, {"fed", row.id + ":8655"}};
+    row.incarnation = 1'062'000'000'000'000ULL + n;
+    row.state = state;
+    return row;
+  };
+  gossip::Message ping;
+  ping.digest = 0x5eed;
+  ping.sender = member(0, gossip::MemberState::alive);
+  // Every state that travels (DEAD never does).
+  ping.rows = {member(1, gossip::MemberState::suspect),
+               member(2, gossip::MemberState::alive),
+               member(3, gossip::MemberState::left)};
+  gossip::Message ping_req = ping;
+  ping_req.kind = gossip::MessageKind::ping_req;
+  ping_req.target_id = "gm9";
+  ping_req.target_address = "gm9:8654";
+  gossip::Message sync;
+  sync.kind = gossip::MessageKind::sync;
+  sync.sender = ping.sender;
+  sync.page_from = "gm1";
+  sync.page_to = "gm7";
+  for (std::uint32_t n = 2; n < 8; ++n) {
+    sync.have.push_back(gossip::row_hash(member(n, gossip::MemberState::alive)));
   }
-  return digest;
+  return {gossip::encode_message(ping), gossip::encode_message(ping_req),
+          gossip::encode_message(sync)};
+}
+
+std::string mutate(Rng& rng, std::string bytes) {
+  const auto pos = rng.next_below(static_cast<std::uint32_t>(bytes.size()));
+  switch (rng.next_below(3)) {
+    case 0: bytes[pos] = static_cast<char>(rng.next_below(256)); break;
+    case 1: bytes.resize(pos); break;
+    case 2: bytes.insert(pos, 1, static_cast<char>(rng.next_below(256))); break;
+  }
+  return bytes;
 }
 
 TEST_P(FuzzSeeds, GossipDigestDecoderNeverCrashes) {
-  // Raw bytes, then a valid digest mutated every way — flips, truncations
-  // at every boundary, insertions.  decode must accept or fail cleanly.
+  // Raw bytes, then valid messages of every kind mutated every way —
+  // flips, truncations at every boundary, insertions.  decode must accept
+  // or fail cleanly.
   for (int i = 0; i < 300; ++i) {
-    (void)gossip::decode_binary_digest(random_bytes(rng_, 300));
+    (void)gossip::decode_message(random_bytes(rng_, 300));
     (void)gossip::collect_digest_frames(random_bytes(rng_, 300), 1u << 20);
   }
-  const std::string valid = gossip::encode_binary_digest(make_digest_corpus());
-  ASSERT_TRUE(gossip::decode_binary_digest(valid).ok());
-  for (int i = 0; i < 400; ++i) {
-    std::string mutated = valid;
-    const auto pos =
-        rng_.next_below(static_cast<std::uint32_t>(mutated.size()));
-    switch (rng_.next_below(3)) {
-      case 0: mutated[pos] = static_cast<char>(rng_.next_below(256)); break;
-      case 1: mutated.resize(pos); break;
-      case 2: mutated.insert(pos, 1,
-                             static_cast<char>(rng_.next_below(256))); break;
+  for (const std::string& valid : make_message_corpus()) {
+    ASSERT_TRUE(gossip::decode_message(valid).ok());
+    for (int i = 0; i < 150; ++i) {
+      (void)gossip::decode_message(mutate(rng_, valid));
     }
-    (void)gossip::decode_binary_digest(mutated);
-  }
-  // The framed form, chunked small so mutations tear chunk sequences too.
-  std::string framed;
-  gossip::put_digest_frames(framed, valid, 32);
-  for (int i = 0; i < 400; ++i) {
-    std::string mutated = framed;
-    const auto pos =
-        rng_.next_below(static_cast<std::uint32_t>(mutated.size()));
-    switch (rng_.next_below(3)) {
-      case 0: mutated[pos] = static_cast<char>(rng_.next_below(256)); break;
-      case 1: mutated.resize(pos); break;
-      case 2: mutated.insert(pos, 1,
-                             static_cast<char>(rng_.next_below(256))); break;
+    // The framed form, chunked small so mutations tear chunk sequences too.
+    std::string framed;
+    gossip::put_digest_frames(framed, valid, 32);
+    for (int i = 0; i < 150; ++i) {
+      auto payload =
+          gossip::collect_digest_frames(mutate(rng_, framed), 1u << 20);
+      if (payload.ok()) (void)gossip::decode_message(*payload);
     }
-    auto payload = gossip::collect_digest_frames(mutated, 1u << 20);
-    if (payload.ok()) (void)gossip::decode_binary_digest(*payload);
   }
 }
 
 TEST_P(FuzzSeeds, GossipAgentAnswersPoisonDigestsWithResync) {
-  // Session-level poison a structurally valid digest can carry: a delta
-  // against a session that never existed (stale cursor), and rows
-  // referencing dictionary ids nobody defined.  The agent must answer with
-  // a resync ack — never crash, never apply a torn digest.
+  // Poison a structurally valid message can carry.  First, a forged doubt
+  // about a live member, a SUSPECT row at its incarnation or at the
+  // highest a doubt may carry: precedence accepts it, so the lie spreads —
+  // and its subject refutes it with a fresh incarnation, so nobody stays
+  // convicted.  A DEAD row, or a doubt that leaves no room to refute it,
+  // is refused whole: no message convicts anyone.
+  gossip::GossipSimOptions sim_options;
+  sim_options.members = 5;
+  gossip::GossipSim sim(sim_options);
+  ASSERT_GE(sim.run_until([&] { return sim.converged(); }, 20), 0);
+  const std::size_t victim = 1 + rng_.next_below(4);
+  const std::size_t receiver = (victim + 1 + rng_.next_below(4)) % 5;
+  const std::string victim_id = gossip::GossipSim::name_of(victim);
+  auto forged = *sim.agent(victim).member(victim_id);
+  gossip::Message lie;
+  lie.sender.id = "evil";
+  lie.sender.address = "evil:8654";
+  lie.rows.push_back(forged);
+  for (const auto& [state, incarnation] :
+       {std::pair{gossip::MemberState::dead, forged.incarnation},
+        std::pair{gossip::MemberState::suspect, ~std::uint64_t{0}}}) {
+    lie.rows[0].state = state;
+    lie.rows[0].incarnation = incarnation;
+    EXPECT_FALSE(sim.agent(receiver)
+                     .handle_digest_payload(gossip::encode_message(lie))
+                     .ok())
+        << member_state_name(state) << " at " << incarnation;
+    EXPECT_EQ(sim.agent(receiver).member(victim_id)->state,
+              gossip::MemberState::alive);
+  }
+  forged.state = gossip::MemberState::suspect;
+  if (rng_.next_below(2) == 0) forged.incarnation = gossip::kMaxIncarnation - 1;
+  lie.rows[0] = forged;
+  ASSERT_TRUE(sim.agent(receiver)
+                  .handle_digest_payload(gossip::encode_message(lie))
+                  .ok());
+  EXPECT_EQ(sim.agent(receiver).member(forged.id)->state, forged.state)
+      << "the forged row outranks the live one";
+  EXPECT_GE(sim.run_until([&] { return sim.converged(); }, 20), 0)
+      << "the victim must refute the forged SUSPECT at "
+      << forged.incarnation;
+  EXPECT_GT(sim.agent(victim).member(forged.id)->incarnation,
+            forged.incarnation);
+
+  // A standalone agent for the rest.
   sim::SimClock clock;
   net::InMemTransport fabric;
   net::BoundTransport bound(fabric, "gm0:8654");
@@ -468,51 +515,45 @@ TEST_P(FuzzSeeds, GossipAgentAnswersPoisonDigestsWithResync) {
   opts.address = "gm0:8654";
   gossip::Agent agent(std::move(opts), bound, clock);
 
-  gossip::BinaryDigest poison;
-  poison.kind = gossip::DigestKind::delta;
-  poison.sender_id = "evil";
-  poison.epoch = 123;
-  poison.from_seq = 7;
-  poison.to_seq = 9;
-  gossip::DigestRow row;
-  row.name_id = 55;  // never defined
-  row.incarnation = 1;
-  row.heartbeat = 1;
-  poison.rows.push_back(row);
-  const auto reply =
-      agent.handle_digest_payload(gossip::encode_binary_digest(poison));
-  ASSERT_TRUE(reply.ok()) << "poison gets a reply, not a dropped connection";
-  const auto decoded = gossip::decode_binary_digest(*reply);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->ack.kind, gossip::AckKind::resync)
-      << "a stream with no valid session must be answered with resync";
-  EXPECT_GE(agent.stats().digest_rejects, 1u);
+  // A message carrying our own id as its sender is refused outright.
+  gossip::Message impostor;
+  impostor.sender.id = "gm0";
+  impostor.sender.address = "elsewhere:8654";
+  EXPECT_FALSE(
+      agent.handle_digest_payload(gossip::encode_message(impostor)).ok());
 
-  // Mutated digests and raw garbage through the full service entry point.
-  const std::string valid = gossip::encode_binary_digest(make_digest_corpus());
-  for (int i = 0; i < 200; ++i) {
-    std::string mutated = valid;
-    const auto pos =
-        rng_.next_below(static_cast<std::uint32_t>(mutated.size()));
-    switch (rng_.next_below(3)) {
-      case 0: mutated[pos] = static_cast<char>(rng_.next_below(256)); break;
-      case 1: mutated.resize(pos); break;
-      case 2: mutated.insert(pos, 1,
-                             static_cast<char>(rng_.next_below(256))); break;
+  // A ping-req for a target we do not hold is nacked, and nothing is
+  // dialed on its say-so.
+  gossip::Message relay;
+  relay.kind = gossip::MessageKind::ping_req;
+  relay.sender.id = "evil";
+  relay.sender.address = "evil:8654";
+  relay.target_id = "victim";
+  relay.target_address = "victim:" + std::to_string(1 + rng_.next_below(60000));
+  const auto nack = agent.handle_digest_payload(gossip::encode_message(relay));
+  ASSERT_TRUE(nack.ok());
+  const auto decoded = gossip::decode_message(*nack);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->kind, gossip::MessageKind::nack);
+  EXPECT_EQ(agent.stats().sends, 0u);
+
+  // Mutated messages and raw garbage through the full service entry point.
+  for (const std::string& valid : make_message_corpus()) {
+    for (int i = 0; i < 70; ++i) {
+      std::string framed;
+      gossip::put_digest_frames(framed, mutate(rng_, valid), 64);
+      (void)agent.handle_request(framed);
+      (void)agent.handle_request(random_bytes(rng_, 200));
     }
-    std::string framed;
-    gossip::put_digest_frames(framed, mutated, 64);
-    (void)agent.handle_request(framed);
-    (void)agent.handle_request(random_bytes(rng_, 200));
   }
 
   // Whatever landed, the agent's own row is intact and serving continues.
   const auto self = agent.member("gm0");
   ASSERT_TRUE(self.has_value());
   EXPECT_EQ(self->state, gossip::MemberState::alive);
-  const auto clean =
-      agent.handle_digest_payload(gossip::encode_binary_digest(poison));
-  EXPECT_TRUE(clean.ok());
+  EXPECT_EQ(self->address, "gm0:8654");
+  EXPECT_TRUE(
+      agent.handle_digest_payload(gossip::encode_message(relay)).ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeeds, ::testing::Range(0, 8));

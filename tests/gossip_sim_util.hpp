@@ -9,7 +9,7 @@
 //
 // Faults: crash() unregisters the service (connects refuse — a stop
 // failure), restart() brings the member back as a fresh process (new Agent,
-// incarnation refutation does the rest), leave() broadcasts the tombstone.
+// possibly on a new address), leave() announces the tombstone.
 // Message loss and partitions are injected on the fabric itself
 // (set_loss / FailureSchedule::add_partition).
 #pragma once
@@ -32,11 +32,11 @@ struct GossipSimOptions {
   std::size_t fanout = 2;
   TimeUs t_fail_us = 5 * kMicrosPerSecond;
   TimeUs t_cleanup_us = 5 * kMicrosPerSecond;
-  /// Route outbound digests through a simulated federation channel (a
-  /// direct call into the target's digest receiver, standing in for an
+  /// Route outbound messages through a simulated federation channel (a
+  /// direct call into the target's message receiver, standing in for an
   /// open poll stream) instead of dialling gossip connections.
   bool piggyback = false;
-  /// Per-exchange digest payload cap (0 = the agent default).
+  /// Per-message payload cap (0 = the agent default).
   std::size_t max_digest_bytes = 0;
   /// Give every member a production-shaped metadata block (source=, xml=,
   /// fed=, authority=), as a real federated gmetad advertises.
@@ -47,6 +47,7 @@ class GossipSim {
  public:
   explicit GossipSim(GossipSimOptions options = {}) : options_(options) {
     for (std::size_t i = 0; i < options_.members; ++i) {
+      addresses_.push_back(address_of(i));
       bound_.push_back(
           std::make_unique<net::BoundTransport>(fabric, address_of(i)));
       agents_.push_back(make_agent(i));
@@ -74,15 +75,18 @@ class GossipSim {
   /// Stop failure: the process vanishes; its address refuses connects.
   void crash(std::size_t i) {
     alive_[i] = false;
-    fabric.unregister_service(address_of(i));
+    fabric.unregister_service(addresses_[i]);
   }
 
-  /// Bring a crashed member back as a fresh process.  It restarts at
-  /// incarnation 0; the refutation rule bumps it past any stale memory of
-  /// its previous life within a round of gossip.
-  void restart(std::size_t i) {
+  /// Bring a crashed member back as a fresh process, by default on its old
+  /// address.  Its incarnation starts at the restart time, so its new row
+  /// outranks every copy of its previous life.
+  void restart(std::size_t i, const std::string& address = "") {
+    agents_[i].reset();
+    addresses_[i] = address.empty() ? address_of(i) : address;
+    bound_[i] = std::make_unique<net::BoundTransport>(fabric, addresses_[i]);
     agents_[i] = make_agent(i);
-    fabric.register_service(address_of(i), agents_[i]->service());
+    fabric.register_service(addresses_[i], agents_[i]->service());
     alive_[i] = true;
   }
 
@@ -147,12 +151,9 @@ class GossipSim {
     return total;
   }
 
-  /// Member tables of `i` and `j` identical in everything but heartbeats?
-  /// (The delta protocol's correctness bar: sessions may never fork the
-  /// stable columns — id, address, state, incarnation, metadata.  The
-  /// heartbeat counter is excluded because it is *designed* to be in
-  /// flight: while agents tick, no two nodes agree on it, whatever the
-  /// wire carries.)
+  /// Member tables of `i` and `j` identical in every gossiped column —
+  /// id, address, state, incarnation, metadata?  (Only the local timers
+  /// may differ.)
   bool same_view(std::size_t i, std::size_t j) const {
     const auto a = agents_[i]->members();
     const auto b = agents_[j]->members();
@@ -174,7 +175,7 @@ class GossipSim {
   std::unique_ptr<Agent> make_agent(std::size_t i) {
     AgentOptions opts;
     opts.id = name_of(i);
-    opts.address = address_of(i);
+    opts.address = addresses_[i];
     if (i != 0) opts.seeds = {address_of(0)};  // everyone bootstraps at gm0
     opts.interval_us = options_.interval_us;
     opts.fanout = options_.fanout;
@@ -195,7 +196,7 @@ class GossipSim {
     auto agent = std::make_unique<Agent>(std::move(opts), *bound_[i], clock);
     if (options_.piggyback) {
       // The stand-in federation channel: an exchange lands directly in the
-      // target's digest receiver, exactly what a live poll stream carries.
+      // target's message receiver, exactly what a live poll stream carries.
       // A crashed or partitioned target's channel reports broken (an
       // engaged error — a severed TCP stream), so the agent falls through
       // to a direct dial, which refuses/black-holes the same way.
@@ -203,9 +204,9 @@ class GossipSim {
                                    const std::string& payload)
                              -> std::optional<Result<std::string>> {
         for (std::size_t j = 0; j < agents_.size(); ++j) {
-          if (address_of(j) != peer_address) continue;
+          if (addresses_[j] != peer_address) continue;
           if (!alive_[j]) return Err(Errc::closed, "peer is down");
-          if (fabric.group(address_of(i)) != fabric.group(address_of(j))) {
+          if (fabric.group(addresses_[i]) != fabric.group(addresses_[j])) {
             return Err(Errc::timeout, "partitioned");
           }
           return agents_[j]->handle_digest_payload(payload);
@@ -217,6 +218,7 @@ class GossipSim {
   }
 
   GossipSimOptions options_;
+  std::vector<std::string> addresses_;  ///< current gossip address each
   std::vector<std::unique_ptr<net::BoundTransport>> bound_;
   std::vector<std::unique_ptr<Agent>> agents_;
   std::vector<bool> alive_;

@@ -1,6 +1,6 @@
-// Gossip membership: codec, merge semantics, and deterministic group
-// simulations (convergence, failure detection under loss, leaves,
-// partitions, churn) over the in-memory fabric.
+// Gossip membership: codec, precedence and merge rules, and deterministic
+// group simulations (convergence, failure detection under loss, leaves,
+// partitions, churn, restarts) over the in-memory fabric.
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -18,123 +18,132 @@
 namespace ganglia::gossip {
 namespace {
 
+constexpr TimeUs kSec = kMicrosPerSecond;
+
+MemberEntry row(const std::string& id, std::uint64_t incarnation,
+                MemberState state = MemberState::alive) {
+  MemberEntry entry;
+  entry.id = id;
+  entry.address = id + ":8654";
+  entry.incarnation = incarnation;
+  entry.state = state;
+  return entry;
+}
+
 // ------------------------------------------------------------------- codec
 
-DigestRow defining_row(std::uint32_t name_id, const std::string& id) {
-  DigestRow row;
-  row.flags = kRowDefine | kRowFields;
-  row.name_id = name_id;
-  row.id = id;
-  row.address = id + ":8654";
-  return row;
-}
-
 TEST(GossipCodec, RoundTrips) {
-  BinaryDigest digest;
-  digest.kind = DigestKind::delta;
-  digest.sender_id = "core";
-  digest.ack = {AckKind::cursor, 11, 42, 3};
-  digest.epoch = 7;
-  digest.from_seq = 5;
-  digest.to_seq = 9;
-  DigestRow alive = defining_row(0, "core");
-  alive.flags |= kRowMeta;
-  alive.meta = {{"source", "core"}, {"xml", "core:8651"}, {"parent", "root"}};
-  alive.incarnation = 3;
-  alive.heartbeat = 17;
-  digest.rows.push_back(alive);
-  DigestRow gone;  // a tombstone against an already-defined name
-  gone.flags = kRowLeft;
-  gone.name_id = 1;
-  gone.heartbeat = 9;
-  digest.rows.push_back(gone);
+  Message ping_req;
+  ping_req.kind = MessageKind::ping_req;
+  ping_req.digest = 0x0123456789abcdefULL;
+  ping_req.sender = row("core", 1'062'000'000'000'000ULL);
+  ping_req.sender.meta = {
+      {"source", "core"}, {"xml", "core:8651"}, {"parent", "root"}};
+  ping_req.target_id = "edge";
+  ping_req.target_address = "edge:8654";
+  ping_req.rows = {row("a", 3, MemberState::suspect),
+                   row("b", kMaxIncarnation),
+                   row("c", 9, MemberState::left)};
+  ping_req.rows[0].meta = {{"source", "a"}, {"empty", ""}};
 
-  auto decoded = decode_binary_digest(encode_binary_digest(digest));
-  ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
-  EXPECT_EQ(decoded->kind, DigestKind::delta);
-  EXPECT_EQ(decoded->sender_id, "core");
-  EXPECT_EQ(decoded->ack.kind, AckKind::cursor);
-  EXPECT_EQ(decoded->ack.epoch, 11u);
-  EXPECT_EQ(decoded->ack.seq, 42u);
-  EXPECT_EQ(decoded->ack.names, 3u);
-  EXPECT_EQ(decoded->epoch, 7u);
-  EXPECT_EQ(decoded->from_seq, 5u);
-  EXPECT_EQ(decoded->to_seq, 9u);
-  ASSERT_EQ(decoded->rows.size(), 2u);
-  const DigestRow& a = decoded->rows[0];
-  EXPECT_EQ(a.flags, kRowDefine | kRowFields | kRowMeta);
-  EXPECT_EQ(a.name_id, 0u);
-  EXPECT_EQ(a.id, "core");
-  EXPECT_EQ(a.address, "core:8654");
-  EXPECT_EQ(a.meta, alive.meta);
-  EXPECT_EQ(a.incarnation, 3u);
-  EXPECT_EQ(a.heartbeat, 17u);
-  const DigestRow& b = decoded->rows[1];
-  EXPECT_EQ(b.flags, kRowLeft);
-  EXPECT_EQ(b.name_id, 1u);
-  EXPECT_TRUE(b.id.empty());
-  EXPECT_TRUE(b.address.empty());
-  EXPECT_TRUE(b.meta.empty());
-  EXPECT_EQ(b.incarnation, 0u);
-  EXPECT_EQ(b.heartbeat, 9u);
-}
+  Message sync;
+  sync.kind = MessageKind::sync;
+  sync.digest = ~0ULL;
+  sync.sender = row("core", 7, MemberState::left);
+  sync.page_from = "a";
+  sync.page_to = "m";
+  sync.have = {0, 1, 0x8000000000000000ULL, ~0ULL};
+  sync.rows = {row("b", 2),
+               row("d", kMaxIncarnation - 1, MemberState::suspect)};
 
-/// One full digest from `sender` carrying `rows`, framed for service().
-std::string framed_full(const std::string& sender,
-                        std::vector<DigestRow> rows) {
-  BinaryDigest digest;
-  digest.sender_id = sender;
-  digest.epoch = 1;
-  digest.to_seq = rows.size();
-  digest.rows = std::move(rows);
-  std::string framed;
-  put_digest_frames(framed, encode_binary_digest(digest), 64u << 10);
-  return framed;
-}
+  Message ping;
+  ping.sender = row("core", 1);
+  Message ack = ping;
+  ack.kind = MessageKind::ack;
+  Message nack = ping;
+  nack.kind = MessageKind::nack;
+  nack.rows = {row("core", 2, MemberState::suspect)};
 
-/// Decode a framed reply from service().
-BinaryDigest unframe(const Result<std::string>& reply) {
-  EXPECT_TRUE(reply.ok()) << reply.error().to_string();
-  auto payload = collect_digest_frames(*reply, kMaxDigestBytes);
-  EXPECT_TRUE(payload.ok()) << payload.error().to_string();
-  auto digest = decode_binary_digest(*payload);
-  EXPECT_TRUE(digest.ok()) << digest.error().to_string();
-  return *digest;
+  for (const Message& sent : {ping_req, sync, ping, ack, nack}) {
+    SCOPED_TRACE(static_cast<int>(sent.kind));
+    auto got = decode_message(encode_message(sent));
+    ASSERT_TRUE(got.ok()) << got.error().to_string();
+    EXPECT_EQ(got->kind, sent.kind);
+    EXPECT_EQ(got->digest, sent.digest);
+    EXPECT_EQ(got->target_id, sent.target_id);
+    EXPECT_EQ(got->target_address, sent.target_address);
+    EXPECT_EQ(got->page_from, sent.page_from);
+    EXPECT_EQ(got->page_to, sent.page_to);
+    EXPECT_EQ(got->have, sent.have);
+    std::vector<MemberEntry> want = {sent.sender};
+    want.insert(want.end(), sent.rows.begin(), sent.rows.end());
+    std::vector<MemberEntry> have = {got->sender};
+    have.insert(have.end(), got->rows.begin(), got->rows.end());
+    ASSERT_EQ(have.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(have[i].id, want[i].id);
+      EXPECT_EQ(have[i].address, want[i].address);
+      EXPECT_EQ(have[i].incarnation, want[i].incarnation);
+      EXPECT_EQ(have[i].state, want[i].state);
+      EXPECT_EQ(have[i].meta, want[i].meta);
+    }
+  }
 }
 
 TEST(GossipCodec, LocalVerdictsAreNeverEncoded) {
-  // "me" learns `d` and `s` from a peer, then its own timers convict them:
-  // `d` DEAD, `s` SUSPECT.  Neither verdict may reach another member.
+  // DEAD is a local verdict.  "me" hears a doubt about `d` and its own
+  // timer convicts it; from then on every row "me" sends about `d` — the
+  // ping that leads with `d`'s own row, news on a probe, a sync page — is
+  // SUSPECT, and a DEAD row is refused on the way in.
   sim::SimClock clock;
   net::InMemTransport fabric;
+  std::vector<std::string> payloads;  // every message "me" sends
+  const auto unreachable = [&](std::string_view request) -> Result<std::string> {
+    auto payload = collect_digest_frames(request, kMaxDigestBytes);
+    if (payload.ok()) payloads.push_back(*payload);
+    return Error{Errc::io_error, "unreachable"};
+  };
+  fabric.register_service("d:8654", unreachable);
+  fabric.register_service("p:8654", unreachable);
   AgentOptions opts;
   opts.id = "me";
   opts.address = "me:8654";
-  opts.t_fail_us = 5 * kMicrosPerSecond;
-  opts.t_cleanup_us = 5 * kMicrosPerSecond;
+  opts.t_fail_us = 5 * kSec;
+  opts.t_cleanup_us = 5 * kSec;
   Agent agent(std::move(opts), fabric, clock);
-  const auto service = agent.service();
 
-  DigestRow d = defining_row(0, "d");
-  d.heartbeat = 1;
-  (void)unframe(service(framed_full("p", {d})));
-  clock.advance_us(6 * kMicrosPerSecond);
-  DigestRow s = defining_row(0, "s");
-  s.heartbeat = 1;
-  (void)unframe(service(framed_full("q", {s})));
-  agent.tick();  // d: SUSPECT
-  clock.advance_us(5 * kMicrosPerSecond);
-  agent.tick();  // d: DEAD, s: SUSPECT
+  Message doubt;
+  doubt.sender = row("p", 1);
+  doubt.rows = {row("d", 1)};
+  ASSERT_TRUE(agent.handle_digest_payload(encode_message(doubt)).ok());
+  doubt.rows = {row("d", 1, MemberState::suspect)};
+  ASSERT_TRUE(agent.handle_digest_payload(encode_message(doubt)).ok());
+  clock.advance_us(10 * kSec);
+  agent.tick();  // d: DEAD; probes p with d's news, pings d's address
   ASSERT_EQ(agent.member("d")->state, MemberState::dead);
-  ASSERT_EQ(agent.member("s")->state, MemberState::suspect);
 
-  // A newcomer gets a full table from "me": only "me" itself is in it.
-  const BinaryDigest reply = unframe(service(framed_full("newcomer", {})));
-  EXPECT_EQ(reply.kind, DigestKind::full);
-  ASSERT_EQ(reply.rows.size(), 1u);
-  EXPECT_EQ(reply.rows[0].id, "me")
-      << "SUSPECT/DEAD are local judgements; forwarding them would let one "
-         "slow link convict a member everywhere";
+  Message sync;
+  sync.kind = MessageKind::sync;
+  sync.sender = row("q", 1);
+  auto page = agent.handle_digest_payload(encode_message(sync));
+  ASSERT_TRUE(page.ok());
+  payloads.push_back(*page);
+
+  int carried = 0;
+  for (const std::string& payload : payloads) {
+    auto message = decode_message(payload);
+    ASSERT_TRUE(message.ok()) << message.error().to_string();
+    for (const MemberEntry& sent : message->rows) {
+      if (sent.id != "d") continue;
+      EXPECT_EQ(sent.state, MemberState::suspect);
+      ++carried;
+    }
+  }
+  EXPECT_GE(carried, 3) << "the ping to d, the news to p, the sync page";
+
+  doubt.rows = {row("d", 2, MemberState::dead)};
+  EXPECT_FALSE(agent.handle_digest_payload(encode_message(doubt)).ok());
+  EXPECT_EQ(agent.member("d")->incarnation, 1u);
 }
 
 // The gossip port's request boundary found exactly wherever the bytes
@@ -160,7 +169,7 @@ TEST(GossipCodec, RequestEndFindsEveryDigestAtAnySplit) {
     ASSERT_EQ(end.state, net::RequestEnd::State::complete) << split;
     EXPECT_EQ(end.consumed, request.size()) << split;
   }
-  // A Begin frame claiming more than the digest cap is refused at once.
+  // A Begin frame claiming more than the message cap is refused at once.
   std::string total;
   net::put_varint(total, kMaxDigestBytes + 1);
   std::string oversize;
@@ -171,174 +180,399 @@ TEST(GossipCodec, RequestEndFindsEveryDigestAtAnySplit) {
 }
 
 TEST(GossipCodec, RejectsMalformedDigests) {
-  BinaryDigest valid;
-  valid.sender_id = "me";
-  valid.epoch = 1;
-  valid.to_seq = 1;
-  valid.rows.push_back(defining_row(0, "a"));
-  const std::string wire = encode_binary_digest(valid);
-  ASSERT_TRUE(decode_binary_digest(wire).ok());
+  Message valid;
+  valid.sender = row("me", 1);
+  valid.rows = {row("a", 1)};
+  const std::string wire = encode_message(valid);
+  ASSERT_TRUE(decode_message(wire).ok());
 
-  EXPECT_FALSE(decode_binary_digest("").ok());
+  EXPECT_FALSE(decode_message("").ok());
   std::string bad_magic = wire;
   bad_magic[0] = static_cast<char>(bad_magic[0] ^ 0x01);
-  EXPECT_FALSE(decode_binary_digest(bad_magic).ok()) << "bad magic";
+  EXPECT_FALSE(decode_message(bad_magic).ok()) << "bad magic";
 
   std::string magic;
-  net::put_varint(magic, kDigestMagic);
-  for (const char kind : {'\0', '\3'}) {
+  net::put_varint(magic, kMessageMagic);
+  for (const char kind : {'\0', '\6'}) {
     std::string unknown = wire;
     unknown[magic.size()] = kind;
-    EXPECT_FALSE(decode_binary_digest(unknown).ok())
+    EXPECT_FALSE(decode_message(unknown).ok())
         << "unknown kind " << static_cast<int>(kind);
   }
+  // The sender row follows the kind byte and the 8-byte digest.
+  std::string bad_state = wire;
+  bad_state[magic.size() + 9] = '\4';
+  EXPECT_FALSE(decode_message(bad_state).ok()) << "unknown state";
 
-  BinaryDigest backwards = valid;
-  backwards.from_seq = 5;
-  backwards.to_seq = 3;
-  EXPECT_FALSE(decode_binary_digest(encode_binary_digest(backwards)).ok())
-      << "from_seq > to_seq";
+  for (const MemberState doubt : {MemberState::suspect, MemberState::dead}) {
+    Message self_doubt = valid;
+    self_doubt.sender.state = doubt;
+    EXPECT_FALSE(decode_message(encode_message(self_doubt)).ok())
+        << "a sender speaks for itself only as ALIVE or LEFT";
+  }
+  // Rows that may not travel: DEAD is a local verdict, and no row may pass
+  // the top of the range or leave a doubt's subject no room to refute it.
+  struct Forged {
+    MemberState state;
+    std::uint64_t incarnation;
+    const char* why;
+  };
+  for (const Forged& f :
+       {Forged{MemberState::dead, 1, "a DEAD row"},
+        Forged{MemberState::alive, kMaxIncarnation + 1, "past the top"},
+        Forged{MemberState::suspect, kMaxIncarnation, "a doubt with no room"},
+        Forged{MemberState::suspect, ~0ULL, "a doubt that would wrap"}}) {
+    Message forged = valid;
+    forged.rows[0].state = f.state;
+    forged.rows[0].incarnation = f.incarnation;
+    EXPECT_FALSE(decode_message(encode_message(forged)).ok()) << f.why;
+  }
+  Message no_id = valid;
+  no_id.rows[0].id.clear();
+  EXPECT_FALSE(decode_message(encode_message(no_id)).ok()) << "empty id";
+  Message no_address = valid;
+  no_address.sender.address.clear();
+  EXPECT_FALSE(decode_message(encode_message(no_address)).ok())
+      << "empty address";
+  Message no_target = valid;
+  no_target.kind = MessageKind::ping_req;
+  EXPECT_FALSE(decode_message(encode_message(no_target)).ok())
+      << "a ping-req names its target";
+  Message meta = valid;
+  for (std::size_t i = 0; i <= kMaxMetaPairs; ++i) {
+    meta.rows[0].meta["k" + std::to_string(i)] = "v";
+  }
+  EXPECT_FALSE(decode_message(encode_message(meta)).ok()) << "meta over cap";
 
-  BinaryDigest bare_meta = valid;
-  bare_meta.rows[0].flags = kRowDefine | kRowMeta;
-  bare_meta.rows[0].meta = {{"source", "a"}};
-  EXPECT_FALSE(decode_binary_digest(encode_binary_digest(bare_meta)).ok())
-      << "a meta flag travels only with fields";
+  const auto prefix = [&](MessageKind kind) {
+    std::string out = magic;
+    net::put_u8(out, static_cast<std::uint8_t>(kind));
+    out.append(8, '\0');  // digest
+    encode_row(out, valid.sender);
+    return out;
+  };
+  std::string too_many_rows = prefix(MessageKind::ping);
+  net::put_varint(too_many_rows, kMaxDigestEntries + 1);
+  EXPECT_FALSE(decode_message(too_many_rows).ok()) << "row count over cap";
+  std::string too_many_hashes = prefix(MessageKind::sync);
+  net::put_string(too_many_hashes, "");
+  net::put_string(too_many_hashes, "");
+  net::put_varint(too_many_hashes, kMaxDigestEntries + 1);
+  too_many_hashes.append(8 * (kMaxDigestEntries + 1), '\0');
+  net::put_varint(too_many_hashes, 0);
+  EXPECT_FALSE(decode_message(too_many_hashes).ok()) << "hash count over cap";
 
-  std::string too_many = magic;
-  net::put_u8(too_many, static_cast<std::uint8_t>(DigestKind::full));
-  net::put_string(too_many, "me");
-  net::put_u8(too_many, static_cast<std::uint8_t>(AckKind::resync));
-  net::put_varint(too_many, 1);  // epoch
-  net::put_varint(too_many, 0);  // from_seq
-  net::put_varint(too_many, 1);  // to_seq
-  net::put_varint(too_many, kMaxDigestEntries + 1);
-  EXPECT_FALSE(decode_binary_digest(too_many).ok()) << "row count over cap";
-
-  EXPECT_FALSE(decode_binary_digest(wire + "x").ok()) << "trailing bytes";
-  EXPECT_FALSE(decode_binary_digest(wire.substr(0, wire.size() - 1)).ok())
+  EXPECT_FALSE(decode_message(wire + "x").ok()) << "trailing bytes";
+  EXPECT_FALSE(decode_message(wire.substr(0, wire.size() - 1)).ok())
       << "truncated";
 }
 
-// ------------------------------------------------------------ merge rules
+// ------------------------------------------------------ precedence, merge
 
-std::vector<MemberEvent> merge_one(MemberTable& table, MemberEntry entry,
+MemberTable table_of(const std::string& id, std::uint64_t incarnation = 10) {
+  return MemberTable(row(id, incarnation));
+}
+
+std::vector<MemberEvent> merge_one(MemberTable& table, const MemberEntry& entry,
                                    TimeUs now) {
   std::vector<MemberEvent> events;
-  table.merge({std::move(entry)}, now, events);
+  table.merge(entry, now, events);
   return events;
 }
 
-MemberEntry peer(const std::string& id, std::uint64_t inc, std::uint64_t hb,
-                 MemberState state = MemberState::alive) {
-  MemberEntry entry;
-  entry.id = id;
-  entry.address = id + ":8654";
-  entry.incarnation = inc;
-  entry.heartbeat = hb;
-  entry.state = state;
-  return entry;
+MemberEvent::Kind only_event(const std::vector<MemberEvent>& events) {
+  EXPECT_EQ(events.size(), 1u);
+  return events.empty() ? MemberEvent::Kind::removed : events[0].kind;
 }
 
 TEST(MemberTable, FreshnessOrderAndEvents) {
-  MemberTable table("me", "me:8654", 0);
-  auto events = merge_one(table, peer("b", 0, 5), 10);
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].kind, MemberEvent::Kind::joined);
+  // Precedence, for their row against ours, one incarnation lower, equal,
+  // or higher: a lower incarnation never wins, a higher one always does,
+  // and at equal incarnations the graver verdict wins.
+  const MemberState states[] = {MemberState::alive, MemberState::suspect,
+                                MemberState::dead, MemberState::left};
+  const bool equal_beats[4][4] = {
+      // ours: ALIVE  SUSPECT DEAD   LEFT
+      {false, false, false, false},  // theirs ALIVE
+      {true, false, false, false},   // theirs SUSPECT
+      {true, true, false, false},    // theirs DEAD
+      {true, true, true, false},     // theirs LEFT
+  };
+  for (std::size_t t = 0; t < 4; ++t) {
+    for (std::size_t o = 0; o < 4; ++o) {
+      SCOPED_TRACE(std::string(member_state_name(states[t])) + " vs " +
+                   member_state_name(states[o]));
+      const MemberEntry ours = row("b", 5, states[o]);
+      EXPECT_FALSE(overrides(row("b", 4, states[t]), ours));
+      EXPECT_EQ(overrides(row("b", 5, states[t]), ours), equal_beats[t][o]);
+      EXPECT_TRUE(overrides(row("b", 6, states[t]), ours));
+    }
+  }
 
-  // Stale heartbeat: ignored, receipt time NOT refreshed.
-  events = merge_one(table, peer("b", 0, 3), 20);
-  EXPECT_TRUE(events.empty());
+  // The same order drives merge() and its events.
+  MemberTable table = table_of("me");
+  EXPECT_EQ(only_event(merge_one(table, row("b", 5), 10)),
+            MemberEvent::Kind::joined);
+  EXPECT_TRUE(merge_one(table, row("b", 4), 20).empty()) << "stale";
   EXPECT_EQ(table.find("b")->local_time_us, 10);
+  EXPECT_EQ(only_event(merge_one(table, row("b", 5, MemberState::suspect), 30)),
+            MemberEvent::Kind::suspected);
+  EXPECT_TRUE(merge_one(table, row("b", 5), 40).empty())
+      << "ALIVE at the suspected incarnation is no refutation";
+  EXPECT_EQ(only_event(merge_one(table, row("b", 6), 50)),
+            MemberEvent::Kind::recovered);
+  EXPECT_TRUE(merge_one(table, row("b", 7, MemberState::dead), 60).empty())
+      << "DEAD is a local verdict: no row convicts";
+  EXPECT_EQ(table.find("b")->state, MemberState::alive);
+  EXPECT_EQ(only_event(merge_one(table, row("b", 6, MemberState::left), 70)),
+            MemberEvent::Kind::left);
+  EXPECT_EQ(only_event(merge_one(table, row("b", 7), 80)),
+            MemberEvent::Kind::joined)
+      << "a fresh incarnation after a leave is a rejoin";
 
-  // Progress refreshes; higher incarnation beats higher heartbeat.
-  events = merge_one(table, peer("b", 0, 6), 30);
-  EXPECT_EQ(table.find("b")->local_time_us, 30);
-  events = merge_one(table, peer("b", 1, 1), 40);
-  EXPECT_TRUE(events.empty());
-  EXPECT_EQ(table.find("b")->incarnation, 1u);
-  EXPECT_EQ(table.find("b")->heartbeat, 1u);
+  // Only the living join: news of an unknown member's doubt or departure
+  // is stale.
+  for (const MemberState state : {MemberState::suspect, MemberState::left}) {
+    EXPECT_TRUE(merge_one(table, row("x", 1, state), 90).empty());
+  }
+  EXPECT_EQ(table.find("x"), nullptr);
+
+  // The digest is the XOR of every row's version: id, incarnation and
+  // verdict, where SUSPECT and DEAD are one verdict.
+  EXPECT_EQ(table.digest(), row_hash(table.self()) ^ row_hash(row("b", 7)));
+  merge_one(table, row("b", 7, MemberState::suspect), 100);
+  EXPECT_EQ(table.digest(), row_hash(table.self()) ^
+                                row_hash(row("b", 7, MemberState::dead)));
+  EXPECT_NE(row_hash(row("b", 7)), row_hash(row("b", 8)));
+  EXPECT_NE(row_hash(row("b", 7)), row_hash(row("c", 7)));
+  EXPECT_NE(row_hash(row("b", 7)), row_hash(row("b", 7, MemberState::left)));
 }
 
 TEST(MemberTable, SuspectRecoversOnHeartbeatProgress) {
-  MemberTable table("me", "me:8654", 0);
-  merge_one(table, peer("b", 0, 5), 0);
-  std::vector<MemberEvent> events;
-  table.advance(6 * kMicrosPerSecond, 5 * kMicrosPerSecond,
-                5 * kMicrosPerSecond, events);
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].kind, MemberEvent::Kind::suspected);
+  // No heartbeats: a suspect recovers only by refuting, with an
+  // incarnation above the one suspected.  A failed probe's verdict is a
+  // SUSPECT row at the probed incarnation, merged like a peer's.
+  MemberTable table = table_of("me");
+  merge_one(table, row("b", 5), 0);
+  const MemberEntry doubt = row("b", 5, MemberState::suspect);
+  EXPECT_TRUE(merge_one(table, row("b", 4, MemberState::suspect), kSec).empty())
+      << "a doubt about an older life";
+  EXPECT_EQ(only_event(merge_one(table, doubt, kSec)),
+            MemberEvent::Kind::suspected);
+  EXPECT_TRUE(merge_one(table, doubt, kSec).empty()) << "already SUSPECT";
 
-  events = merge_one(table, peer("b", 0, 6), 7 * kMicrosPerSecond);
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].kind, MemberEvent::Kind::recovered);
+  EXPECT_TRUE(merge_one(table, row("b", 5), 2 * kSec).empty());
+  EXPECT_EQ(table.find("b")->state, MemberState::suspect);
+  EXPECT_EQ(only_event(merge_one(table, row("b", 6), 3 * kSec)),
+            MemberEvent::Kind::recovered);
   EXPECT_EQ(table.find("b")->state, MemberState::alive);
 }
 
 TEST(MemberTable, AdvanceWalksTheStateMachine) {
-  const TimeUs kSec = kMicrosPerSecond;
-  MemberTable table("me", "me:8654", 0);
-  merge_one(table, peer("b", 0, 5), 0);
+  MemberTable table = table_of("me");
+  merge_one(table, row("b", 5), 0);
+  merge_one(table, row("c", 5), 0);
   std::vector<MemberEvent> events;
 
-  table.advance(4 * kSec, 5 * kSec, 5 * kSec, events);
-  EXPECT_EQ(table.find("b")->state, MemberState::alive);
-  table.advance(5 * kSec, 5 * kSec, 5 * kSec, events);
+  // ALIVE rows never time out: only a failed probe suspects.
+  table.advance(1000 * kSec, 5 * kSec, 5 * kSec, events);
+  EXPECT_TRUE(events.empty());
+
+  table.merge(row("b", 5, MemberState::suspect), 1000 * kSec, events);
+  table.advance(1009 * kSec, 5 * kSec, 5 * kSec, events);
   EXPECT_EQ(table.find("b")->state, MemberState::suspect);
-  table.advance(10 * kSec, 5 * kSec, 5 * kSec, events);
+  table.advance(1010 * kSec, 5 * kSec, 5 * kSec, events);
   EXPECT_EQ(table.find("b")->state, MemberState::dead);
-  // Post-mortem retention: one more t_cleanup, then dropped.
-  table.advance(14 * kSec, 5 * kSec, 5 * kSec, events);
+  // Post-mortem retention: t_cleanup more, then dropped.
+  table.advance(1014 * kSec, 5 * kSec, 5 * kSec, events);
   EXPECT_NE(table.find("b"), nullptr);
-  table.advance(15 * kSec, 5 * kSec, 5 * kSec, events);
+  table.advance(1015 * kSec, 5 * kSec, 5 * kSec, events);
   EXPECT_EQ(table.find("b"), nullptr);
   ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[0].kind, MemberEvent::Kind::suspected);
   EXPECT_EQ(events[1].kind, MemberEvent::Kind::died);
   EXPECT_EQ(events[2].kind, MemberEvent::Kind::removed);
+  EXPECT_EQ(table.digest(), row_hash(table.self()) ^ row_hash(*table.find("c")));
+  EXPECT_EQ(table.find("c")->state, MemberState::alive);
 }
 
 TEST(MemberTable, LeftTombstoneOverridesAliveAndExpires) {
-  const TimeUs kSec = kMicrosPerSecond;
-  MemberTable table("me", "me:8654", 0);
-  merge_one(table, peer("b", 2, 50), 0);
+  MemberTable table = table_of("me");
+  merge_one(table, row("b", 2), 0);
 
   // Equal incarnation suffices: leaving is a choice, not a failure.
-  auto events = merge_one(table, peer("b", 2, 51, MemberState::left), kSec);
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].kind, MemberEvent::Kind::left);
+  EXPECT_EQ(only_event(merge_one(table, row("b", 2, MemberState::left), kSec)),
+            MemberEvent::Kind::left);
 
-  // Echoes of the pre-leave life must not resurrect the row.
-  events = merge_one(table, peer("b", 2, 60), 2 * kSec);
-  EXPECT_TRUE(events.empty());
-  EXPECT_EQ(table.find("b")->state, MemberState::left);
+  // Echoes and doubts about the pre-leave life must not touch the row.
+  for (const MemberState state :
+       {MemberState::alive, MemberState::suspect, MemberState::dead}) {
+    EXPECT_TRUE(merge_one(table, row("b", 2, state), 2 * kSec).empty());
+    EXPECT_EQ(table.find("b")->state, MemberState::left);
+  }
 
   // A true rejoin carries a fresh incarnation.
-  events = merge_one(table, peer("b", 3, 1), 3 * kSec);
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].kind, MemberEvent::Kind::joined);
+  EXPECT_EQ(only_event(merge_one(table, row("b", 3), 3 * kSec)),
+            MemberEvent::Kind::joined);
   EXPECT_EQ(table.find("b")->state, MemberState::alive);
 
-  // And tombstones eventually expire.
-  merge_one(table, peer("b", 3, 2, MemberState::left), 4 * kSec);
+  // And tombstones expire t_cleanup after the leave.
+  merge_one(table, row("b", 3, MemberState::left), 4 * kSec);
   std::vector<MemberEvent> expiry;
-  table.advance(9 * kSec + 1, 5 * kSec, 5 * kSec, expiry);
+  table.advance(9 * kSec - 1, 5 * kSec, 5 * kSec, expiry);
+  EXPECT_NE(table.find("b"), nullptr);
+  table.advance(9 * kSec, 5 * kSec, 5 * kSec, expiry);
   EXPECT_EQ(table.find("b"), nullptr);
 }
 
 TEST(MemberTable, RefutesStaleNewsOfItself) {
-  MemberTable table("me", "me:8654", 0);
-  table.tick_self(1);  // heartbeat 2
+  MemberTable table = table_of("me", 10);
+  const auto merge_self = [&](MemberState state, std::uint64_t incarnation) {
+    const auto events = merge_one(table, row("me", incarnation, state), 0);
+    EXPECT_TRUE(events.empty()) << "we never report our own transitions";
+    return table.self().incarnation;
+  };
 
-  // A peer remembers our previous life at a version >= ours: bump past it.
-  auto events = merge_one(table, peer("me", 4, 100), 2);
-  EXPECT_TRUE(events.empty());
-  EXPECT_EQ(table.self().incarnation, 5u);
+  EXPECT_EQ(merge_self(MemberState::alive, 10), 10u) << "our row, echoed";
+  EXPECT_EQ(merge_self(MemberState::suspect, 10), 11u) << "refute the doubt";
+  EXPECT_EQ(merge_self(MemberState::dead, 11), 11u) << "DEAD never travels";
+  EXPECT_EQ(merge_self(MemberState::suspect, 11), 12u);
+  EXPECT_EQ(merge_self(MemberState::suspect, 5), 12u) << "an older doubt";
+  EXPECT_EQ(merge_self(MemberState::alive, 40), 41u)
+      << "a later life of ours is still circulating: outrank it";
+  EXPECT_EQ(merge_self(MemberState::left, 41), 42u);
   EXPECT_EQ(table.self().state, MemberState::alive);
 
-  // Older news about ourselves is simply ignored.
-  merge_one(table, peer("me", 1, 1), 3);
-  EXPECT_EQ(table.self().incarnation, 5u);
+  // A new address or metadata value outranks every copy of the old row.
+  table.set_self_meta("source", "me");
+  EXPECT_EQ(table.self().incarnation, 43u);
+  table.set_self_meta("source", "me");
+  EXPECT_EQ(table.self().incarnation, 43u) << "unchanged value";
+  table.set_self_address("me:9654");
+  EXPECT_EQ(table.self().incarnation, 44u);
+
+  // Having left, we stay gone.
+  table.leave_self(kSec);
+  EXPECT_EQ(merge_self(MemberState::suspect, 44), 44u);
+  EXPECT_EQ(table.self().state, MemberState::left);
+
+  // The top of the range: the highest doubt merged is refuted at the top,
+  // which then holds, so nothing wraps; no row there can be outranked, and
+  // none is a doubt.
+  MemberTable top = table_of("me", 10);
+  std::vector<MemberEvent> events;
+  EXPECT_FALSE(top.merge(row("me", kMaxIncarnation, MemberState::suspect), 0,
+                         events))
+      << "a doubt with no room is never merged";
+  EXPECT_EQ(top.self().incarnation, 10u);
+  top.merge(row("me", kMaxIncarnation - 1, MemberState::suspect), 0, events);
+  EXPECT_EQ(top.self().incarnation, kMaxIncarnation);
+  top.merge(row("me", kMaxIncarnation, MemberState::left), 0, events);
+  top.set_self_address("me:9654");
+  EXPECT_EQ(top.self().incarnation, kMaxIncarnation);
+  EXPECT_EQ(top.self().state, MemberState::alive);
+  EXPECT_TRUE(events.empty());
+}
+
+// -------------------------------------------------------- agent, serving
+
+TEST(GossipAgent, PingReqForAnUnknownTargetIsNackedWithoutADial) {
+  sim::SimClock clock;
+  net::InMemTransport fabric;
+  int dials = 0;
+  const auto count_dial = [&](std::string_view) -> Result<std::string> {
+    ++dials;
+    return std::string();
+  };
+  fabric.register_service("victim:1", count_dial);
+  fabric.register_service("b:8654", count_dial);
+  AgentOptions opts;
+  opts.id = "me";
+  opts.address = "me:8654";
+  Agent agent(std::move(opts), fabric, clock);
+
+  const auto send = [&](const Message& request) {
+    auto reply = agent.handle_digest_payload(encode_message(request));
+    EXPECT_TRUE(reply.ok()) << reply.error().to_string();
+    auto decoded = decode_message(*reply);
+    EXPECT_TRUE(decoded.ok()) << decoded.error().to_string();
+    return decoded->kind;
+  };
+  const auto ask = [&](const std::string& id, const std::string& address) {
+    Message request;
+    request.kind = MessageKind::ping_req;
+    request.sender = row("q", 1);
+    request.target_id = id;
+    request.target_address = address;
+    return send(request);
+  };
+
+  EXPECT_EQ(ask("victim", "victim:1"), MessageKind::nack) << "unknown member";
+  Message hello;
+  hello.sender = row("b", 1);
+  ASSERT_EQ(send(hello), MessageKind::ack);
+  EXPECT_EQ(ask("b", "victim:1"), MessageKind::nack)
+      << "a member we hold, but at another address";
+  EXPECT_EQ(dials, 0);
+  EXPECT_EQ(agent.stats().sends, 0u) << "nothing may be dialed";
+
+  // At the address we hold, the request is honoured (and b's junk answer
+  // is a failed probe).
+  EXPECT_EQ(ask("b", "b:8654"), MessageKind::nack);
+  EXPECT_EQ(dials, 1);
+}
+
+TEST(GossipAgent, RelaysOnePingReqAtATime) {
+  // A relay holds the serving thread for up to one exchange bound, so a
+  // ping-req arriving while another is relayed is nacked without a dial.
+  sim::SimClock clock;
+  net::InMemTransport fabric;
+  AgentOptions opts;
+  opts.id = "me";
+  opts.address = "me:8654";
+  Agent agent(std::move(opts), fabric, clock);
+  const auto send = [&](const Message& request) {
+    auto reply = agent.handle_digest_payload(encode_message(request));
+    EXPECT_TRUE(reply.ok()) << reply.error().to_string();
+    auto decoded = decode_message(*reply);
+    EXPECT_TRUE(decoded.ok()) << decoded.error().to_string();
+    return decoded->kind;
+  };
+  const auto ask = [&](const std::string& id) {
+    Message request;
+    request.kind = MessageKind::ping_req;
+    request.sender = row("q", 1);
+    request.target_id = id;
+    request.target_address = id + ":8654";
+    return send(request);
+  };
+  for (const std::string id : {"b", "c"}) {
+    Message hello;
+    hello.sender = row(id, 1);
+    ASSERT_EQ(send(hello), MessageKind::ack);
+  }
+
+  int c_dials = 0;
+  MessageKind meanwhile = MessageKind::ping;
+  fabric.register_service("b:8654", [&](std::string_view) {
+    meanwhile = ask("c");  // arrives while our relay to b is in flight
+    Message ack;
+    ack.kind = MessageKind::ack;
+    ack.sender = row("b", 1);
+    std::string framed;
+    put_digest_frames(framed, encode_message(ack), 64u << 10);
+    return Result<std::string>(framed);
+  });
+  fabric.register_service("c:8654", [&](std::string_view) {
+    ++c_dials;
+    return Result<std::string>(std::string());
+  });
+
+  EXPECT_EQ(ask("b"), MessageKind::ack) << "b answered the relayed ping";
+  EXPECT_EQ(meanwhile, MessageKind::nack);
+  EXPECT_EQ(c_dials, 0);
+  ask("c");
+  EXPECT_EQ(c_dials, 1) << "once the relay is done, the next is honoured";
 }
 
 // ------------------------------------------------------- group simulations
@@ -402,8 +636,8 @@ TEST(GossipSim, AccuracyRecoversUnderHeavyLoss) {
   for (int i = 0; i < 30; ++i) sim.run_round();
   sim.fabric.set_loss(0.0);
 
-  // Whatever false suspicions 30% loss produced, heartbeat progress clears
-  // them: no live member may stay convicted once the network settles.
+  // Whatever false suspicions 30% loss produced, refutation clears them:
+  // no live member may stay convicted once the network settles.
   EXPECT_GE(sim.run_until([&] { return sim.converged(); }, 30), 0)
       << "false suspicions must be refuted by later heartbeats";
 }
@@ -523,10 +757,9 @@ TEST(GossipSim, FastRestartRefutesItsOldLife) {
   ASSERT_GE(sim.run_until([&] { return sim.converged(); }, 20), 0);
 
   // Restart *before* anyone convicts the old life (t_fail is 5 rounds):
-  // peers still gossip the old row with its high heartbeat, so the fresh
-  // process hears a version at-or-beyond its own and must refute it by
-  // bumping its incarnation — otherwise its new heartbeats would look
-  // stale forever.
+  // peers still hold the old row, and the fresh process must outrank it —
+  // its incarnation starts at its start time, and it refutes any doubt
+  // about itself by bumping it.
   sim.crash(2);
   sim.run_round();
   sim.restart(2);
@@ -535,11 +768,82 @@ TEST(GossipSim, FastRestartRefutesItsOldLife) {
       << "refutation must have bumped the incarnation";
 }
 
-// ----------------------------------------------- digest-delta sessions
 
-// Every pair of live members must hold byte-identical tables once gossip
-// quiesces — the delta protocol's bar: cursors may delay news, never fork
-// a view.
+TEST(GossipSim, IndirectProbesKeepAReachableTargetAlive) {
+  GossipSimOptions options;
+  options.members = 6;
+  GossipSim sim(options);
+  ASSERT_GE(sim.run_until([&] { return sim.converged(); }, 20), 0);
+
+  const std::size_t target = 3;
+  bool suspected = false;
+  for (std::size_t i = 0; i < sim.size(); ++i) {
+    sim.agent(i).set_event_handler([&](const MemberEvent& event) {
+      if (event.entry.id == GossipSim::name_of(target) &&
+          event.kind == MemberEvent::Kind::suspected) {
+        suspected = true;
+      }
+    });
+  }
+  const auto failures = [&] {
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < sim.size(); ++i) {
+      total += sim.agent(i).stats().send_failures;
+    }
+    return total;
+  };
+  // Every round, the first connect to the target times out: whoever pings
+  // it first loses the direct ping, and its ping-reqs reach the target.
+  const std::uint64_t before = failures();
+  for (int round = 0; round < 20; ++round) {
+    sim.fabric.set_failure(GossipSim::address_of(target),
+                           {net::FailurePolicy::Kind::timeout, 0, 1});
+    sim.run_round();
+  }
+  EXPECT_GT(failures(), before) << "no direct ping to the target failed";
+  EXPECT_FALSE(suspected) << "indirect probes reached the target";
+  for (std::size_t i = 0; i < sim.size(); ++i) {
+    if (i != target) {
+      EXPECT_TRUE(sim.sees_alive(i, target)) << i;
+    }
+  }
+}
+
+TEST(GossipSim, FastRestartOnANewAddressReplacesTheOldRow) {
+  GossipSimOptions options;
+  options.members = 6;
+  GossipSim sim(options);
+  ASSERT_GE(sim.run_until([&] { return sim.converged(); }, 20), 0);
+
+  // Back on another port before anyone suspects the old life.  The new
+  // life's incarnation (its start time) outranks the old row everywhere;
+  // an incarnation restarting at its old count would leave peers on the
+  // old address until they convicted it.
+  sim.crash(2);
+  sim.run_round();
+  const std::string moved = "gm2:9654";
+  sim.restart(2, moved);
+  const auto everyone_moved = [&] {
+    for (std::size_t i = 0; i < sim.size(); ++i) {
+      if (i == 2) continue;
+      const auto entry = sim.agent(i).member(GossipSim::name_of(2));
+      if (!entry || entry->address != moved ||
+          entry->state != MemberState::alive) {
+        return false;
+      }
+    }
+    return true;
+  };
+  const int rounds = sim.run_until(everyone_moved, 20);
+  ASSERT_GE(rounds, 0) << "peers kept the old address";
+  EXPECT_LE(rounds, 5);
+  EXPECT_TRUE(sim.converged());
+}
+
+// ---------------------------------------------- dissemination, anti-entropy
+
+// Every pair of live members must hold identical tables once gossip
+// quiesces: news and syncs may delay a change, never fork a view.
 void expect_identical_views(const GossipSim& sim) {
   std::size_t first = sim.size();
   for (std::size_t i = 0; i < sim.size(); ++i) {
@@ -553,6 +857,27 @@ void expect_identical_views(const GossipSim& sim) {
   }
 }
 
+/// One message carrying member `i`'s whole table, metadata included.
+std::uint64_t full_table_bytes(GossipSim& sim, std::size_t i) {
+  Message table;
+  for (const MemberEntry& member : sim.agent(i).members()) {
+    if (member.id == GossipSim::name_of(i)) {
+      table.sender = member;
+    } else {
+      table.rows.push_back(member);
+    }
+  }
+  return encode_message(table).size();
+}
+
+std::uint64_t sum_of(GossipSim& sim, std::uint64_t AgentStats::*counter) {
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < sim.size(); ++i) {
+    sum += sim.agent(i).stats().*counter;
+  }
+  return sum;
+}
+
 TEST(GossipDeltaSim, ConvergesLikeTextModeAndSendsDeltas) {
   GossipSimOptions options;
   options.members = 12;
@@ -561,96 +886,59 @@ TEST(GossipDeltaSim, ConvergesLikeTextModeAndSendsDeltas) {
 
   const int rounds = sim.run_until([&] { return sim.converged(); }, 20);
   ASSERT_GE(rounds, 0) << "group never converged";
-  // Dissemination speed is a property of the exchange graph, not the wire
-  // format: join detection must stay within the full-table bound.
+  // Joins ride anti-entropy syncs: join detection must stay within the
+  // full-table bound.
   EXPECT_LE(rounds, 15);
 
-  // Let the sessions warm and the heartbeat traffic settle.
   for (int i = 0; i < 10; ++i) sim.run_round();
   expect_identical_views(sim);
-
-  std::uint64_t deltas = 0, rows = 0, rejects = 0;
-  for (std::size_t i = 0; i < sim.size(); ++i) {
-    const AgentStats stats = sim.agent(i).stats();
-    deltas += stats.digests_delta_sent;
-    rows += stats.digest_rows_sent;
-    rejects += stats.digest_rejects;
-  }
-  EXPECT_GT(deltas, 0u) << "no incremental digest was ever sent";
-  EXPECT_GT(rows, 0u);
-  EXPECT_EQ(rejects, 0u) << "a loss-free fabric must never force a reject";
+  EXPECT_GT(sum_of(sim, &AgentStats::digest_rows_sent), 0u)
+      << "joins must have pulled rows";
 
   // The full-table baseline: every exchange shipping all 12 members with
   // their metadata blocks, in both directions.
-  BinaryDigest table;
-  table.sender_id = GossipSim::name_of(0);
-  for (const MemberEntry& member : sim.agent(0).members()) {
-    DigestRow row;
-    row.flags = kRowDefine | kRowFields | kRowMeta;
-    row.name_id = static_cast<std::uint32_t>(table.rows.size());
-    row.id = member.id;
-    row.address = member.address;
-    row.meta = member.meta;
-    row.incarnation = member.incarnation;
-    row.heartbeat = member.heartbeat;
-    table.rows.push_back(std::move(row));
-  }
-  const std::uint64_t full_table_bytes = encode_binary_digest(table).size();
+  const std::uint64_t table_bytes = full_table_bytes(sim, 0);
 
-  // Steady state: a delta round carries ~1 changed row per exchange.
-  const auto sends = [&] {
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < sim.size(); ++i) {
-      total += sim.agent(i).stats().sends;
-    }
-    return total;
-  };
+  // Steady state: each message holds only its sender's own row.
   const std::uint64_t before = sim.total_bytes_out();
-  const std::uint64_t sends_before = sends();
+  const std::uint64_t sends_before = sum_of(sim, &AgentStats::sends);
   for (int i = 0; i < 10; ++i) sim.run_round();
-  const std::uint64_t delta_bytes = sim.total_bytes_out() - before;
+  const std::uint64_t steady_bytes = sim.total_bytes_out() - before;
   const std::uint64_t baseline_bytes =
-      (sends() - sends_before) * 2 * full_table_bytes;
-  EXPECT_LT(delta_bytes * 5, baseline_bytes)
-      << "steady-state delta traffic should be a small fraction of "
-         "full-table traffic (delta=" << delta_bytes
+      (sum_of(sim, &AgentStats::sends) - sends_before) * 2 * table_bytes;
+  EXPECT_LT(steady_bytes * 5, baseline_bytes)
+      << "steady-state traffic should be a small fraction of full-table "
+         "traffic (steady=" << steady_bytes
       << " full tables=" << baseline_bytes << ")";
 }
 
-TEST(GossipDeltaSim, EchoSuppressionDropsReflectedRows) {
-  // Push-pull reflects rows straight back: the responder merges the
-  // request, then its reply reports those same rows as "changed since the
-  // initiator's ack" — guaranteed-rejected echoes.  The heard-floor must
-  // suppress them, roughly halving steady-state row traffic, without
-  // touching convergence.
-  GossipSimOptions options;
-  options.members = 12;
-  options.realistic_meta = true;
-  GossipSim sim(options);
-  ASSERT_GE(sim.run_until([&] { return sim.converged(); }, 20), 0);
-  for (int i = 0; i < 10; ++i) sim.run_round();  // warm the cursors
-
-  std::uint64_t rows_before = 0, suppressed_before = 0;
-  for (std::size_t i = 0; i < sim.size(); ++i) {
-    rows_before += sim.agent(i).stats().digest_rows_sent;
-    suppressed_before += sim.agent(i).stats().digest_rows_suppressed;
-  }
-  for (int i = 0; i < 10; ++i) sim.run_round();
-  std::uint64_t rows = 0, suppressed = 0;
-  for (std::size_t i = 0; i < sim.size(); ++i) {
-    rows += sim.agent(i).stats().digest_rows_sent;
-    suppressed += sim.agent(i).stats().digest_rows_suppressed;
-  }
-  rows -= rows_before;
-  suppressed -= suppressed_before;
-
-  EXPECT_GT(suppressed, 0u) << "no echo was ever suppressed";
-  // Every suppressed row is one the wire did not carry; in steady state
-  // the reflected half of each exchange is comparable to the useful half.
-  EXPECT_GT(suppressed * 4, rows)
-      << "suppression should remove a substantial share of steady-state "
-         "rows (sent=" << rows << " suppressed=" << suppressed << ")";
-  expect_identical_views(sim);
+TEST(GossipDeltaSim, SteadyStateCostIsLinearInGroupSize) {
+  // A settled group moves no rows: every message holds only its sender's
+  // own row, so bytes per member per round do not grow with the group.
+  const auto steady_cost = [](std::size_t members) {
+    GossipSimOptions options;
+    options.members = members;
+    options.fanout = 3;
+    options.realistic_meta = true;
+    GossipSim sim(options);
+    EXPECT_GE(sim.run_until([&] { return sim.converged(); }, 60), 0)
+        << members << " members never converged";
+    for (int i = 0; i < 20; ++i) sim.run_round();  // news retires
+    // A whole number of seed-probe periods, so both sizes see as many.
+    const int kRounds = 3 * static_cast<int>(Agent::kSeedProbePeriod);
+    const std::uint64_t rows = sum_of(sim, &AgentStats::digest_rows_sent);
+    const std::uint64_t bytes = sim.total_bytes_out();
+    for (int i = 0; i < kRounds; ++i) sim.run_round();
+    EXPECT_EQ(sum_of(sim, &AgentStats::digest_rows_sent) - rows, 0u)
+        << members << " members: a steady round piggybacked rows";
+    return static_cast<double>(sim.total_bytes_out() - bytes) /
+           static_cast<double>(members * kRounds);
+  };
+  const double at64 = steady_cost(64);
+  const double at128 = steady_cost(128);
+  EXPECT_NEAR(at128, at64, 0.1 * at64)
+      << "bytes per member per round: " << at64 << " at 64 members, " << at128
+      << " at 128";
 }
 
 TEST(GossipDeltaSim, CompletenessHoldsUnderMessageLoss) {
@@ -686,9 +974,8 @@ TEST(GossipDeltaSim, CompletenessHoldsUnderMessageLoss) {
 
 TEST(GossipDeltaSim, PartitionConvictsHealsAndResyncs) {
   // Uncapped, then capped far below the table with a partition long
-  // enough for each side to drop the other: the first full after healing
-  // is cut, and the rows past the cut must not lean on members the peer
-  // held before the partition but has since dropped.
+  // enough for each side to drop the other: healing then pulls the lost
+  // members back through syncs paged at the cap.
   struct Case {
     std::size_t cap;
     int partition_rounds;
@@ -701,6 +988,7 @@ TEST(GossipDeltaSim, PartitionConvictsHealsAndResyncs) {
     options.max_digest_bytes = c.cap;
     GossipSim sim(options);
     ASSERT_GE(sim.run_until([&] { return sim.converged(); }, 20), 0);
+    const std::uint64_t joined = sum_of(sim, &AgentStats::full_resyncs);
 
     const std::vector<std::string> minority = {GossipSim::address_of(0),
                                                GossipSim::address_of(1),
@@ -733,19 +1021,13 @@ TEST(GossipDeltaSim, PartitionConvictsHealsAndResyncs) {
     for (int i = 0; i < 10; ++i) step();
     expect_identical_views(sim);
 
-    // Healing costs each session a resync or two (a dropped member taints
-    // every session that held it); then the sessions settle for good.
-    const auto resyncs = [&] {
-      std::uint64_t total = 0;
-      for (std::size_t i = 0; i < sim.size(); ++i) {
-        total += sim.agent(i).stats().full_resyncs;
-      }
-      return total;
-    };
-    const std::uint64_t healed = resyncs();
-    EXPECT_LE(healed, 2 * sim.size() * (sim.size() - 1));
+    // Healing costs some syncs; once the views agree the digests match,
+    // and syncs stop for good.
+    const std::uint64_t healed = sum_of(sim, &AgentStats::full_resyncs);
+    EXPECT_LE(healed - joined, 2 * sim.size() * (sim.size() - 1));
     for (int i = 0; i < 10; ++i) step();
-    EXPECT_EQ(resyncs(), healed) << "a session keeps resyncing";
+    EXPECT_EQ(sum_of(sim, &AgentStats::full_resyncs), healed)
+        << "syncs keep running after the views agree";
   }
 }
 
@@ -755,11 +1037,10 @@ TEST(GossipDeltaSim, RestartForcesResyncNotDivergence) {
   options.realistic_meta = true;
   GossipSim sim(options);
   ASSERT_GE(sim.run_until([&] { return sim.converged(); }, 20), 0);
-  for (int i = 0; i < 5; ++i) sim.run_round();  // warm every cursor
+  for (int i = 0; i < 5; ++i) sim.run_round();
 
-  // A restarted process holds no receiver sessions: peers' established
-  // cursors get a resync ack on their next delta and must rebuild a
-  // self-contained full — never leave the newcomer a partial table.
+  // A restarted process knows only its seed: it pulls the table back
+  // through syncs, and must never be left with a partial table.
   sim.crash(5);
   ASSERT_GE(sim.run_until(
                 [&] {
@@ -785,9 +1066,9 @@ TEST(GossipDeltaSim, RestartForcesResyncNotDivergence) {
 }
 
 TEST(GossipDeltaSim, OversizeFullTablesShipInChunks) {
-  // A cap far below the table: every full ships the prefix that fits and
-  // the rest follows as deltas.  The group must converge as if uncapped,
-  // with no dictionary gap, no reject and no resync along the way.
+  // A cap far below the table: every sync ships the page that fits and
+  // the next page follows on the next tick.  The group must converge as
+  // if uncapped.
   struct Case {
     std::size_t members;
     std::size_t cap;
@@ -798,222 +1079,16 @@ TEST(GossipDeltaSim, OversizeFullTablesShipInChunks) {
                  std::to_string(c.cap));
     GossipSimOptions options;
     options.members = c.members;
-    options.realistic_meta = true;  // ~90 bytes per row with its fields
+    options.realistic_meta = true;  // ~90 bytes per row
     options.max_digest_bytes = c.cap;
     GossipSim sim(options);
     ASSERT_GE(sim.run_until([&] { return sim.converged(); }, 15), 0)
-        << "chunked fulls must not hold up convergence";
+        << "paged syncs must not hold up convergence";
     for (int i = 0; i < 10; ++i) sim.run_round();
     expect_identical_views(sim);
-
-    std::uint64_t truncations = 0, rejects = 0, resyncs = 0;
-    for (std::size_t i = 0; i < sim.size(); ++i) {
-      const AgentStats stats = sim.agent(i).stats();
-      truncations += stats.digest_truncations;
-      rejects += stats.digest_rejects;
-      resyncs += stats.full_resyncs;
-    }
-    EXPECT_GT(truncations, 0u) << "the cap must have cut some digest";
-    EXPECT_EQ(rejects, 0u);
-    EXPECT_EQ(resyncs, 0u);
+    EXPECT_GT(full_table_bytes(sim, 0), c.cap)
+        << "the table must not fit one message";
   }
-}
-
-/// Two agents "a" and "b" that know each other, on a fabric with no
-/// services: only their carriers connect them.
-struct CarrierPair {
-  CarrierPair() {
-    const auto make = [&](const std::string& id) {
-      AgentOptions opts;
-      opts.id = id;
-      opts.address = id + ":8654";
-      opts.fanout = 1;
-      opts.t_fail_us = 5 * kMicrosPerSecond;
-      opts.t_cleanup_us = 5 * kMicrosPerSecond;
-      return std::make_unique<Agent>(std::move(opts), fabric, clock);
-    };
-    a = make("a");
-    b = make("b");
-    (void)unframe(a->handle_request(framed_full("b", {defining_row(0, "b")})));
-    (void)unframe(b->handle_request(framed_full("a", {defining_row(0, "a")})));
-  }
-
-  static std::string mode(const Agent& agent, const std::string& peer) {
-    for (const PeerSessionView& session : agent.peer_sessions()) {
-      if (session.peer == peer) return session.mode;
-    }
-    return "none";
-  }
-
-  sim::SimClock clock;
-  net::InMemTransport fabric;
-  std::unique_ptr<Agent> a;
-  std::unique_ptr<Agent> b;
-};
-
-BinaryDigest decoded(const std::string& payload) {
-  auto digest = decode_binary_digest(payload);
-  EXPECT_TRUE(digest.ok()) << digest.error().to_string();
-  return *digest;
-}
-
-TEST(GossipSession, CrossingFullsSettleOnTheirFirstExchange) {
-  // Both tick at once and their fulls cross: each takes the other's full
-  // while its own is still in flight.  Each answers with the full already
-  // in flight (same epoch), so whichever copy the peer acks establishes
-  // the cursor.  A fresh full would turn both acks stale, every round.
-  CarrierPair pair;
-  Agent& a = *pair.a;
-  Agent& b = *pair.b;
-  bool crossing = true;
-  std::string a_full, b_full, a_answer, b_answer;
-  a.set_carrier([&](const std::string&, const std::string& payload)
-                    -> std::optional<Result<std::string>> {
-    if (!crossing) return b.handle_digest_payload(payload);
-    a_full = payload;
-    b.tick();  // b's tick runs while a's full is in flight
-    return Result<std::string>(b_answer);
-  });
-  b.set_carrier([&](const std::string&, const std::string& payload)
-                    -> std::optional<Result<std::string>> {
-    if (!crossing) return a.handle_digest_payload(payload);
-    b_full = payload;
-    auto to_b = a.handle_digest_payload(b_full);  // a's full still in flight
-    auto to_a = b.handle_digest_payload(a_full);  // b's full still in flight
-    EXPECT_TRUE(to_b.ok() && to_a.ok());
-    b_answer = *to_a;
-    a_answer = *to_b;
-    return to_b;
-  });
-
-  pair.clock.advance_us(kMicrosPerSecond);
-  a.tick();
-  const BinaryDigest a_sent = decoded(a_full), b_sent = decoded(b_full);
-  ASSERT_EQ(a_sent.kind, DigestKind::full);
-  ASSERT_EQ(b_sent.kind, DigestKind::full);
-  for (const auto& [sent, answer] :
-       {std::pair{a_sent, decoded(a_answer)}, {b_sent, decoded(b_answer)}}) {
-    SCOPED_TRACE(sent.sender_id);
-    EXPECT_EQ(answer.kind, DigestKind::full);
-    EXPECT_EQ(answer.epoch, sent.epoch)
-        << "a fresh epoch turns the ack of the in-flight full stale";
-    EXPECT_EQ(answer.rows.size(), sent.rows.size());
-  }
-  EXPECT_EQ(CarrierPair::mode(a, "b"), "delta");
-  EXPECT_EQ(CarrierPair::mode(b, "a"), "delta");
-
-  // Settled: the next round is deltas both ways.
-  crossing = false;
-  const std::uint64_t fulls =
-      a.stats().digests_full_sent + b.stats().digests_full_sent;
-  pair.clock.advance_us(kMicrosPerSecond);
-  a.tick();
-  b.tick();
-  EXPECT_EQ(a.stats().digests_full_sent + b.stats().digests_full_sent, fulls);
-  EXPECT_EQ(a.stats().digest_rejects + b.stats().digest_rejects, 0u);
-}
-
-TEST(GossipSession, CrossedPullsCarryRowsWhileOurDialFails) {
-  // a cannot reach b while b reaches a, and every exchange b starts lands
-  // while a's own digest to b is in flight (their ticks coincide).  b's
-  // pulls must still bring a's rows back, or b convicts a live member.
-  CarrierPair pair;
-  Agent& a = *pair.a;
-  Agent& b = *pair.b;
-  a.set_carrier([&](const std::string&, const std::string&)
-                    -> std::optional<Result<std::string>> {
-    b.tick();
-    return Result<std::string>(Err(Errc::timeout, "link from a to b down"));
-  });
-  b.set_carrier([&](const std::string&, const std::string& payload)
-                    -> std::optional<Result<std::string>> {
-    return a.handle_digest_payload(payload);
-  });
-
-  for (int round = 0; round < 30; ++round) {
-    pair.clock.advance_us(kMicrosPerSecond);
-    a.tick();
-  }
-  EXPECT_GE(a.stats().send_failures, 30u) << "a's own dials must all fail";
-  ASSERT_TRUE(b.member("a").has_value());
-  EXPECT_EQ(b.member("a")->state, MemberState::alive)
-      << "b heard nothing from a through its own pulls";
-  EXPECT_EQ(a.member("b")->state, MemberState::alive);
-}
-
-TEST(GossipSession, RowsPastACutFullCarryFieldsOnceThePeerResyncs) {
-  // "p" told us about x0..x4 once.  A resync says p lost our session, and
-  // it may have dropped those members since.  The full we send next is
-  // cut at the cap, and every row defined after it must carry its fields:
-  // a bare row for a member p no longer holds is rejected, and the resync
-  // that forces would cut the same full again.
-  sim::SimClock clock;
-  net::InMemTransport fabric;
-  AgentOptions opts;
-  opts.id = "q";
-  opts.address = "q:8654";
-  opts.max_digest_bytes = 256;
-  Agent q(std::move(opts), fabric, clock);
-  const auto exchange = [&](BinaryDigest request) {
-    std::string framed;
-    put_digest_frames(framed, encode_binary_digest(request), 64u << 10);
-    return unframe(q.handle_request(framed));
-  };
-  const auto table = [](const std::string& sender, std::uint64_t heartbeat) {
-    BinaryDigest digest;
-    digest.sender_id = sender;
-    digest.epoch = 1;
-    for (std::uint32_t i = 0; i < 5; ++i) {
-      const std::string id = "x" + std::to_string(i);
-      DigestRow row = defining_row(i, id);
-      row.flags |= kRowMeta;
-      row.meta = {{"source", id}, {"xml", id + ":8651"}};
-      row.heartbeat = heartbeat;
-      digest.rows.push_back(std::move(row));
-    }
-    digest.to_seq = digest.rows.size();
-    return digest;
-  };
-  // p's idle stream, acking what q sent it last.
-  const auto acking = [](const BinaryDigest& last) {
-    BinaryDigest digest;
-    digest.kind = DigestKind::delta;
-    digest.sender_id = "p";
-    digest.epoch = 1;
-    digest.from_seq = 5;
-    digest.to_seq = 5;
-    std::uint64_t names = 0;
-    for (const DigestRow& row : last.rows) {
-      if ((row.flags & kRowDefine) != 0) {
-        names = std::max<std::uint64_t>(names, row.name_id + 1u);
-      }
-    }
-    digest.ack = {AckKind::cursor, last.epoch, last.to_seq, names};
-    return digest;
-  };
-
-  BinaryDigest last = exchange(table("p", 1));
-  (void)exchange(table("r", 2));  // fresher news: no longer echoes to p
-  last = exchange(acking(last));
-  ASSERT_EQ(last.kind, DigestKind::delta) << "the cursor to p is established";
-
-  BinaryDigest resync = acking(last);
-  resync.ack = DigestAck{};
-  last = exchange(resync);
-  ASSERT_EQ(last.kind, DigestKind::full);
-  ASSERT_EQ(q.stats().digest_truncations, 1u) << "the new full was not cut";
-  const std::size_t in_full = last.rows.size();
-  std::size_t defined = 0;
-  for (int i = 0; i < 10; ++i) {
-    last = exchange(acking(last));
-    ASSERT_EQ(last.kind, DigestKind::delta);
-    for (const DigestRow& row : last.rows) {
-      if ((row.flags & kRowDefine) == 0) continue;
-      ++defined;
-      EXPECT_NE(row.flags & kRowFields, 0) << row.id << " ships bare";
-    }
-  }
-  EXPECT_EQ(in_full + defined, 6u) << "q and x0..x4, each defined once";
 }
 
 TEST(GossipDeltaSim, PiggybackCarrierCarriesExchanges) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.hpp"
 #include "rrd/rrd.hpp"
@@ -40,6 +41,12 @@ TEST(Rrd, CreateValidatesDefinition) {
   RrdDef bad_hb = simple_def();
   bad_hb.ds[0].heartbeat_s = 0;
   EXPECT_FALSE(RoundRobinDb::create(bad_hb, 0).ok());
+
+  // step x pdp_per_row x rows must fit int64: every time computation
+  // multiplies them.
+  RrdDef huge_span = simple_def(168, 100);
+  huge_span.step_s = std::int64_t{1} << 56;
+  EXPECT_FALSE(RoundRobinDb::create(huge_span, 0).ok());
 
   EXPECT_TRUE(RoundRobinDb::create(simple_def(), 1000).ok());
 }
@@ -429,6 +436,25 @@ TEST(RrdCodec, RejectsCorruptImages) {
   EXPECT_FALSE(RrdCodec::deserialize(image.substr(0, image.size() / 2)).ok());
   std::string trailing = image + "x";
   EXPECT_FALSE(RrdCodec::deserialize(trailing).ok());
+}
+
+TEST(RrdCodec, RejectsImageTooShortForItsRings) {
+  auto db = RoundRobinDb::create(simple_def(), 0);
+  ASSERT_TRUE(db.ok());
+  std::string image = RrdCodec::serialize(*db);
+  // The archive's `rows` field: magic, step, ds count, the one ds (name,
+  // type, heartbeat, min, max), rra count, then cf, xff, pdp_per_row.
+  const std::size_t ds_bytes =
+      4 + simple_def().ds[0].name.size() + 1 + 8 + 8 + 8;
+  const std::size_t rows_at = 8 + 8 + 4 + ds_bytes + 4 + 1 + 8 + 4;
+  std::uint32_t rows = 0;
+  std::memcpy(&rows, image.data() + rows_at, sizeof rows);
+  ASSERT_EQ(rows, 100u);
+  // A corrupt row count claims ~32 GiB of ring the image does not hold; it
+  // must be refused before anything that size is allocated.
+  rows = 0xffffffffu;
+  std::memcpy(image.data() + rows_at, &rows, sizeof rows);
+  EXPECT_FALSE(RrdCodec::deserialize(image).ok());
 }
 
 TEST(RrdCodec, FileSaveLoad) {
