@@ -19,7 +19,9 @@
 //              and is labeled as such in the output.
 //
 // Every measured round also asserts the two roots render byte-identical
-// documents — the bench doubles as an end-to-end equivalence check.
+// documents — the bench doubles as an end-to-end equivalence check.  It
+// exits non-zero when the roots diverge or the steady-state reduction
+// falls below its floor.
 //
 // Writes machine-readable results to BENCH_federation.json.
 //
@@ -37,6 +39,9 @@
 using namespace ganglia;
 
 namespace {
+
+/// Steady-state bytes reduction, delta vs XML, below which the run fails.
+constexpr double kReductionFloor = 10.0;
 
 gmetad::TestbedSpec spec_for(std::size_t hosts, bool federation) {
   gmetad::TestbedSpec spec = gmetad::fig2_spec(hosts, gmetad::Mode::n_level);
@@ -165,9 +170,10 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nsteady state: xml %llu B/round, delta %llu B/round, %.1fx reduction "
-      "(floor 10x)\n",
+      "(floor %.0fx)\n",
       static_cast<unsigned long long>(xml_total / rounds),
-      static_cast<unsigned long long>(delta_total / rounds), reduction);
+      static_cast<unsigned long long>(delta_total / rounds), reduction,
+      kReductionFloor);
   std::printf(
       "modeled root staleness over %.0f kbit/s links (physics->ucsd->root): "
       "xml %.1f s, delta %.1f s\n",
@@ -242,6 +248,11 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", out_path);
   } else {
     std::fprintf(stderr, "cannot write %s\n", out_path);
+    return 1;
+  }
+  if (reduction < kReductionFloor) {
+    std::fprintf(stderr, "FAIL: %.1fx reduction is below the %.0fx floor\n",
+                 reduction, kReductionFloor);
     return 1;
   }
   return identical ? 0 : 1;

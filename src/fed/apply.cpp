@@ -26,13 +26,38 @@ bool valid_slope(std::uint8_t s) {
   return s <= static_cast<std::uint8_t>(Slope::unspecified);
 }
 
+bool get_u32(net::WireReader& r, std::uint32_t& out) {
+  std::uint64_t v = 0;
+  if (!r.get_varint(v) || v > std::numeric_limits<std::uint32_t>::max()) {
+    return false;
+  }
+  out = static_cast<std::uint32_t>(v);
+  return true;
+}
+
+bool get_string_into(net::WireReader& r, std::string& out) {
+  std::string_view s;
+  if (!r.get_string(s, kMaxStringBytes)) return false;
+  out.assign(s);
+  return true;
+}
+
+/// Add a zigzag-coded delta to `field`, refusing int64 overflow.
+bool add_delta(net::WireReader& r, std::int64_t& field) {
+  std::uint64_t z = 0;
+  return r.get_varint(z) &&
+         !__builtin_add_overflow(field, unzigzag(z), &field);
+}
+
 /// Cursor into the report being mutated.  Grids and clusters are held as
 /// indices (vectors reallocate on append); hosts live in a std::map whose
 /// nodes are stable, so a plain pointer is safe.
 class Applier {
  public:
   Applier(Report& doc, std::vector<std::string>& names)
-      : doc_(doc), names_(names) {}
+      : doc_(doc), names_(names) {
+    for (const std::string& name : names_) name_bytes_ += name.size();
+  }
 
   Status apply(std::string_view rows, std::size_t* applied) {
     net::WireReader r(rows);
@@ -119,8 +144,12 @@ class Applier {
         if (!r.get_varint(id) || !r.get_string(name, kMaxStringBytes)) {
           return false;
         }
-        if (id != names_.size() || names_.size() >= kMaxNameIds) return false;
+        if (id != names_.size() ||
+            !dict_admits(names_.size(), name_bytes_, name.size())) {
+          return false;
+        }
         names_.emplace_back(name);
+        name_bytes_ += name.size();
         return true;
       }
       case kRowReportAttrs: {
@@ -249,63 +278,54 @@ class Applier {
         return true;
       }
       case kRowHost: {
-        std::string_view name;
-        if (!r.get_string(name, kMaxStringBytes)) return false;
+        std::uint64_t id = 0;
+        const std::string* name = nullptr;
+        if (!r.get_varint(id) || !name_for(id, &name)) return false;
         Cluster* c = cur_cluster();
         if (c == nullptr) return false;
-        auto [it, inserted] = c->hosts.try_emplace(std::string(name));
-        if (inserted) it->second.name.assign(name);
+        auto [it, inserted] = c->hosts.try_emplace(*name);
+        if (inserted) it->second.name = *name;
         host_ = &it->second;
         return true;
       }
       case kRowHostAttrs: {
-        std::string_view ip;
-        std::string_view location;
-        std::uint64_t reported = 0;
-        std::uint64_t tn = 0;
-        std::uint64_t tmax = 0;
-        std::uint64_t dmax = 0;
-        std::uint64_t started = 0;
-        if (!r.get_string(ip, kMaxStringBytes) || !r.get_varint(reported) ||
-            !r.get_varint(tn) || !r.get_varint(tmax) || !r.get_varint(dmax) ||
-            !r.get_string(location, kMaxStringBytes) || !r.get_varint(started)) {
+        std::uint8_t mask = 0;
+        if (!r.get_u8(mask) || mask == 0 || (mask & ~kHostFields) != 0 ||
+            host_ == nullptr) {
           return false;
         }
-        if (host_ == nullptr) return false;
-        if (tn > std::numeric_limits<std::uint32_t>::max() ||
-            tmax > std::numeric_limits<std::uint32_t>::max() ||
-            dmax > std::numeric_limits<std::uint32_t>::max()) {
-          return false;
-        }
-        host_->ip.assign(ip);
-        host_->reported = static_cast<std::int64_t>(reported);
-        host_->tn = static_cast<std::uint32_t>(tn);
-        host_->tmax = static_cast<std::uint32_t>(tmax);
-        host_->dmax = static_cast<std::uint32_t>(dmax);
-        host_->location.assign(location);
-        host_->gmond_started = static_cast<std::int64_t>(started);
-        return true;
+        Host& h = *host_;
+        return ((mask & kHostIp) == 0 || get_string_into(r, h.ip)) &&
+               ((mask & kHostReported) == 0 || add_delta(r, h.reported)) &&
+               ((mask & kHostTn) == 0 || get_u32(r, h.tn)) &&
+               ((mask & kHostTmax) == 0 || get_u32(r, h.tmax)) &&
+               ((mask & kHostDmax) == 0 || get_u32(r, h.dmax)) &&
+               ((mask & kHostLocation) == 0 ||
+                get_string_into(r, h.location)) &&
+               ((mask & kHostStarted) == 0 || add_delta(r, h.gmond_started));
       }
       case kRowHostRemove: {
-        std::string_view name;
-        if (!r.get_string(name, kMaxStringBytes)) return false;
+        std::uint64_t id = 0;
+        const std::string* name = nullptr;
+        if (!r.get_varint(id) || !name_for(id, &name)) return false;
         Cluster* c = cur_cluster();
         if (c == nullptr) return false;
-        if (host_ != nullptr && host_->name == name) host_ = nullptr;
-        return c->hosts.erase(std::string(name)) != 0;
+        auto it = c->hosts.find(*name);
+        if (it == c->hosts.end()) return false;
+        if (host_ == &it->second) host_ = nullptr;
+        c->hosts.erase(it);
+        return true;
       }
       case kRowMetric: {
         std::uint64_t id = 0;
         std::uint8_t type = 0;
         std::uint8_t slope = 0;
-        std::string_view value;
         std::string_view units;
         std::string_view source;
         std::uint64_t tn = 0;
         std::uint64_t tmax = 0;
         std::uint64_t dmax = 0;
-        if (!r.get_varint(id) || !r.get_u8(type) ||
-            !r.get_string(value, kMaxStringBytes) ||
+        if (!r.get_varint(id) || !r.get_u8(type) || !get_value(r, value_) ||
             !r.get_string(units, kMaxStringBytes) || !r.get_varint(tn) ||
             !r.get_varint(tmax) || !r.get_varint(dmax) || !r.get_u8(slope) ||
             !r.get_string(source, kMaxStringBytes)) {
@@ -326,7 +346,7 @@ class Applier {
           m->name = *name;
         }
         m->type = static_cast<MetricType>(type);
-        m->value.assign(value);
+        m->value = value_;
         m->units.assign(units);
         m->tn = static_cast<std::uint32_t>(tn);
         m->tmax = static_cast<std::uint32_t>(tmax);
@@ -337,10 +357,8 @@ class Applier {
       }
       case kRowMetricValue: {
         std::uint64_t id = 0;
-        std::string_view value;
         std::uint64_t tn = 0;
-        if (!r.get_varint(id) || !r.get_string(value, kMaxStringBytes) ||
-            !r.get_varint(tn)) {
+        if (!r.get_varint(id) || !get_value(r, value_) || !r.get_varint(tn)) {
           return false;
         }
         const std::string* name = nullptr;
@@ -350,7 +368,7 @@ class Applier {
         }
         Metric* m = host_->find_metric(*name);
         if (m == nullptr) return false;
-        m->value.assign(value);
+        m->value = value_;
         m->tn = static_cast<std::uint32_t>(tn);
         return rederive_numeric(*m);
       }
@@ -438,6 +456,8 @@ class Applier {
 
   Report& doc_;
   std::vector<std::string>& names_;
+  std::size_t name_bytes_ = 0;  ///< sum of the lengths in names_
+  std::string value_;           ///< the VAL being decoded
   std::vector<std::size_t> grid_path_;
   std::ptrdiff_t cluster_idx_ = -1;
   Host* host_ = nullptr;

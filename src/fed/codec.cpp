@@ -2,6 +2,84 @@
 
 namespace ganglia::fed {
 
+namespace {
+
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+/// Parse `value` as a plain decimal of at most kMaxValDigits digits.
+bool plain_decimal(std::string_view value, bool& negative, std::size_t& scale,
+                   std::uint64_t& digits) {
+  std::size_t i = 0;
+  negative = !value.empty() && value[0] == '-';
+  if (negative) i = 1;
+  const std::size_t int_begin = i;
+  while (i < value.size() && is_digit(value[i])) ++i;
+  const std::size_t int_digits = i - int_begin;
+  if (int_digits == 0 || (int_digits > 1 && value[int_begin] == '0')) {
+    return false;
+  }
+  scale = 0;
+  if (i < value.size()) {
+    if (value[i] != '.') return false;
+    const std::size_t frac_begin = ++i;
+    while (i < value.size() && is_digit(value[i])) ++i;
+    scale = i - frac_begin;
+    if (scale == 0 || i != value.size()) return false;
+  }
+  if (int_digits + scale > kMaxValDigits) return false;
+  digits = 0;
+  for (const char c : value.substr(int_begin)) {
+    if (c != '.') digits = digits * 10 + static_cast<std::uint64_t>(c - '0');
+  }
+  return true;
+}
+
+}  // namespace
+
+void put_value(std::string& out, std::string_view value) {
+  bool negative = false;
+  std::size_t scale = 0;
+  std::uint64_t digits = 0;
+  if (!plain_decimal(value, negative, scale, digits)) {
+    net::put_u8(out, kValText);
+    net::put_string(out, value);
+    return;
+  }
+  net::put_u8(out, static_cast<std::uint8_t>(scale << 1 | (negative ? 1 : 0)));
+  net::put_varint(out, digits);
+}
+
+bool get_value(net::WireReader& r, std::string& value) {
+  std::uint8_t head = 0;
+  if (!r.get_u8(head)) return false;
+  if (head == kValText) {
+    std::string_view text;
+    if (!r.get_string(text, kMaxStringBytes)) return false;
+    value.assign(text);
+    return true;
+  }
+  // At least one integer digit, so at most kMaxValDigits - 1 after the point.
+  constexpr std::uint64_t kDigitsEnd = 10'000'000'000'000'000'000ull;  // 10^19
+  const std::size_t scale = head >> 1;
+  std::uint64_t digits = 0;
+  if (scale >= kMaxValDigits || !r.get_varint(digits) || digits >= kDigitsEnd) {
+    return false;
+  }
+  // Render right to left: at least scale + 1 digits, the point before the
+  // last `scale` of them.
+  char buf[kMaxValDigits + 2];
+  char* const end = buf + sizeof buf;
+  char* p = end;
+  for (std::size_t n = 0; digits != 0 || n <= scale; ++n) {
+    if (n == scale && scale != 0) *--p = '.';
+    *--p = static_cast<char>('0' + digits % 10);
+    digits /= 10;
+  }
+  if ((head & 1) != 0) *--p = '-';
+  value.assign(p, static_cast<std::size_t>(end - p));
+  return true;
+}
+
 std::string encode_poll(const PollRequest& req) {
   std::string payload;
   net::put_varint(payload, kMagic);

@@ -16,6 +16,9 @@
 // kRowGridPush / kRowCluster / kRowHost row selects (or creates) the
 // container that subsequent rows mutate, so per-metric rows carry a
 // dictionary-interned name id and nothing else about their position.
+// Host and metric names share the session's dictionary; a host attribute
+// row carries only the fields that changed, and a VAL that is a plain
+// decimal travels as packed digits.
 #pragma once
 
 #include <cstdint>
@@ -30,14 +33,19 @@ namespace ganglia::fed {
 
 /// Protocol magic carried in every poll request ("GFD1").
 inline constexpr std::uint32_t kMagic = 0x31444647u;
-inline constexpr std::uint32_t kCodecVersion = 1;
+inline constexpr std::uint32_t kCodecVersion = 2;
 
 // Size caps, mirroring the gossip codec's defensive posture: nothing a
 // peer sends may trigger an unbounded allocation.
 inline constexpr std::size_t kMaxFrameBytes = 4u << 20;
 inline constexpr std::size_t kMaxSessionIdBytes = 64;
 inline constexpr std::size_t kMaxStringBytes = 64u << 10;
-inline constexpr std::size_t kMaxNameIds = 65536;
+// One session's name dictionary: at most kMaxNameIds names totalling at
+// most kMaxNameBytes, room for 100,000 host names of up to 80 bytes plus
+// the metric names.  The differ answers a full rather than define past it;
+// the applier refuses such a define, which resyncs the session.
+inline constexpr std::size_t kMaxNameIds = 1u << 18;
+inline constexpr std::size_t kMaxNameBytes = 8u << 20;
 inline constexpr std::size_t kMaxResponseBytes = 64u << 20;
 inline constexpr std::size_t kMinFrameBytes = 4096;
 
@@ -65,17 +73,62 @@ inline constexpr std::uint8_t kRowCluster = 7;       // string name
 inline constexpr std::uint8_t kRowClusterAttrs = 8;  // localtime,owner,latlong,url
 inline constexpr std::uint8_t kRowClusterRemove = 9; // string name
 inline constexpr std::uint8_t kRowAdvance = 11;      // varint dt seconds
-inline constexpr std::uint8_t kRowHost = 12;         // string name
-inline constexpr std::uint8_t kRowHostAttrs = 13;    // ip,reported,tn,tmax,dmax,location,started
-inline constexpr std::uint8_t kRowHostRemove = 14;   // string name
+inline constexpr std::uint8_t kRowHost = 12;         // name_id
+inline constexpr std::uint8_t kRowHostAttrs = 13;    // u8 mask, masked fields
+inline constexpr std::uint8_t kRowHostRemove = 14;   // name_id
 inline constexpr std::uint8_t kRowMetric = 15;       // full metric upsert
-inline constexpr std::uint8_t kRowMetricValue = 16;  // name_id, value, tn
+inline constexpr std::uint8_t kRowMetricValue = 16;  // name_id, VAL, tn
 inline constexpr std::uint8_t kRowMetricTn = 17;     // name_id, tn
 inline constexpr std::uint8_t kRowMetricRemove = 18; // name_id
 inline constexpr std::uint8_t kRowSummaryHosts = 19; // varint up, down
 inline constexpr std::uint8_t kRowSummaryMetric = 20;// name_id,f64 sum,num,type,units
 inline constexpr std::uint8_t kRowSummaryMetricRemove = 21; // name_id
 inline constexpr std::uint8_t kRowSummaryClear = 22;
+
+// kRowHostAttrs mask bits, in the order their fields follow the mask.  The
+// fields are those that differ from the selected host (after any Advance;
+// a host the row's select created starts default-constructed).  REPORTED
+// and GMOND_STARTED travel as zigzag varint deltas against it, TN, TMAX
+// and DMAX as varints, IP and LOCATION as strings.
+inline constexpr std::uint8_t kHostIp = 1u << 0;
+inline constexpr std::uint8_t kHostReported = 1u << 1;
+inline constexpr std::uint8_t kHostTn = 1u << 2;
+inline constexpr std::uint8_t kHostTmax = 1u << 3;
+inline constexpr std::uint8_t kHostDmax = 1u << 4;
+inline constexpr std::uint8_t kHostLocation = 1u << 5;
+inline constexpr std::uint8_t kHostStarted = 1u << 6;
+inline constexpr std::uint8_t kHostFields = 0x7f;
+
+/// Whether a name dictionary holding `ids` names of `bytes` total may take
+/// one more name of `size` bytes.  Both halves of a session apply it.
+inline bool dict_admits(std::size_t ids, std::size_t bytes, std::size_t size) {
+  return ids < kMaxNameIds && size <= kMaxStringBytes &&
+         bytes + size <= kMaxNameBytes;
+}
+
+inline std::uint64_t zigzag(std::int64_t v) {
+  return (static_cast<std::uint64_t>(v) << 1) ^
+         static_cast<std::uint64_t>(v >> 63);
+}
+inline std::int64_t unzigzag(std::uint64_t v) {
+  return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1);
+}
+
+// -- VAL codec (kRowMetric, kRowMetricValue) ---------------------------------
+//
+// A plain decimal -?(0|[1-9][0-9]*)(\.[0-9]+)? of at most kMaxValDigits
+// digits is one byte, (fraction digits << 1) | negative, then a varint of
+// its digits with the point removed.  Any other text is kValText followed
+// by a length-prefixed string.  Either form rebuilds the exact text.
+
+inline constexpr std::size_t kMaxValDigits = 19;
+inline constexpr std::uint8_t kValText = 0xff;
+
+void put_value(std::string& out, std::string_view value);
+
+/// Decode one VAL into `value`.  Refuses a scale or digit count a plain
+/// decimal of kMaxValDigits digits cannot have, and an unknown first byte.
+bool get_value(net::WireReader& r, std::string& value);
 
 // -- poll request -----------------------------------------------------------
 

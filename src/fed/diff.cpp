@@ -50,11 +50,20 @@ class Differ {
   struct Mark {
     std::size_t bytes;
     std::size_t ends;
+    std::size_t names;
   };
-  Mark mark() const { return {out_.bytes.size(), out_.ends.size()}; }
+  Mark mark() const {
+    return {out_.bytes.size(), out_.ends.size(), dict_.size()};
+  }
+  /// Were the rows since `m` only `selects` select rows and the names
+  /// they defined?
+  bool only_selects(Mark m, std::size_t selects) const {
+    return out_.ends.size() - m.ends == selects + (dict_.size() - m.names);
+  }
   void rollback(Mark m) {
     out_.bytes.resize(m.bytes);
     out_.ends.resize(m.ends);
+    dict_.truncate(m.names);
   }
 
   void fail() { failed_ = true; }
@@ -64,14 +73,12 @@ class Differ {
 
   /// Dictionary-intern `name`, emitting a kRowDefineName row on first use.
   std::uint32_t intern(const std::string& name) {
-    auto it = dict_.ids.find(name);
-    if (it != dict_.ids.end()) return it->second;
-    if (dict_.ids.size() >= kMaxNameIds || name.size() > kMaxStringBytes) {
+    if (const auto known = dict_.find(name)) return *known;
+    std::uint32_t id = 0;
+    if (!dict_.add(name, id)) {
       fail();
       return 0;
     }
-    const auto id = static_cast<std::uint32_t>(dict_.ids.size());
-    dict_.ids.emplace(name, id);
     put_u8(out_.bytes, kRowDefineName);
     put_varint(out_.bytes, id);
     put_string(out_.bytes, name);
@@ -166,7 +173,7 @@ class Differ {
     put_u8(out_.bytes, kRowMetric);
     put_varint(out_.bytes, id);
     put_u8(out_.bytes, static_cast<std::uint8_t>(m.type));
-    put_string(out_.bytes, m.value);
+    put_value(out_.bytes, m.value);
     put_string(out_.bytes, m.units);
     put_varint(out_.bytes, m.tn);
     put_varint(out_.bytes, m.tmax);
@@ -189,7 +196,7 @@ class Differ {
       const std::uint32_t id = intern(n.name);
       put_u8(out_.bytes, kRowMetricValue);
       put_varint(out_.bytes, id);
-      put_string(out_.bytes, n.value);
+      put_value(out_.bytes, n.value);
       put_varint(out_.bytes, n.tn);
       out_.mark_row();
       return;
@@ -207,41 +214,59 @@ class Differ {
 
   // ---- hosts --------------------------------------------------------------
 
-  void emit_host_attrs(const Host& h) {
-    check_str(h.ip);
-    check_str(h.location);
+  /// Emit the fields of `n` that differ from `o` once its TN has aged by
+  /// `dt`, or nothing when none do.
+  void emit_host_attrs(const Host& o, const Host& n, std::uint32_t dt) {
+    std::int64_t reported = 0;
+    std::int64_t started = 0;
+    if (__builtin_sub_overflow(n.reported, o.reported, &reported) ||
+        __builtin_sub_overflow(n.gmond_started, o.gmond_started, &started)) {
+      fail();
+      return;
+    }
+    std::uint8_t mask = 0;
+    if (n.ip != o.ip) mask |= kHostIp;
+    if (reported != 0) mask |= kHostReported;
+    if (n.tn != sat_add_u32(o.tn, dt)) mask |= kHostTn;
+    if (n.tmax != o.tmax) mask |= kHostTmax;
+    if (n.dmax != o.dmax) mask |= kHostDmax;
+    if (n.location != o.location) mask |= kHostLocation;
+    if (started != 0) mask |= kHostStarted;
+    if (mask == 0) return;
+    check_str(n.ip);
+    check_str(n.location);
     put_u8(out_.bytes, kRowHostAttrs);
-    put_string(out_.bytes, h.ip);
-    put_varint(out_.bytes, static_cast<std::uint64_t>(h.reported));
-    put_varint(out_.bytes, h.tn);
-    put_varint(out_.bytes, h.tmax);
-    put_varint(out_.bytes, h.dmax);
-    put_string(out_.bytes, h.location);
-    put_varint(out_.bytes, static_cast<std::uint64_t>(h.gmond_started));
+    put_u8(out_.bytes, mask);
+    if ((mask & kHostIp) != 0) put_string(out_.bytes, n.ip);
+    if ((mask & kHostReported) != 0) put_varint(out_.bytes, zigzag(reported));
+    if ((mask & kHostTn) != 0) put_varint(out_.bytes, n.tn);
+    if ((mask & kHostTmax) != 0) put_varint(out_.bytes, n.tmax);
+    if ((mask & kHostDmax) != 0) put_varint(out_.bytes, n.dmax);
+    if ((mask & kHostLocation) != 0) put_string(out_.bytes, n.location);
+    if ((mask & kHostStarted) != 0) put_varint(out_.bytes, zigzag(started));
     out_.mark_row();
   }
 
   void emit_host_select(const std::string& name) {
-    check_str(name);
+    const std::uint32_t id = intern(name);
     put_u8(out_.bytes, kRowHost);
-    put_string(out_.bytes, name);
+    put_varint(out_.bytes, id);
     out_.mark_row();
   }
 
+  /// A new host is diffed against the default-constructed host the
+  /// applier's select appends.
   void emit_full_host(const Host& h) {
+    static const Host kAppended;
     emit_host_select(h.name);
-    emit_host_attrs(h);
+    emit_host_attrs(kAppended, h, 0);
     for (const Metric& m : h.metrics) emit_full_metric(m);
   }
 
   void diff_host(const Host& o, const Host& n, std::uint32_t dt) {
     const Mark m = mark();
     emit_host_select(n.name);
-    const bool attrs_same =
-        o.ip == n.ip && o.reported == n.reported &&
-        n.tn == sat_add_u32(o.tn, dt) && o.tmax == n.tmax && o.dmax == n.dmax &&
-        o.location == n.location && o.gmond_started == n.gmond_started;
-    if (!attrs_same) emit_host_attrs(n);
+    emit_host_attrs(o, n, dt);
     std::map<std::string_view, std::size_t> old_idx;
     if (!order_ok(o.metrics, n.metrics, old_idx)) {
       fail();
@@ -262,7 +287,7 @@ class Differ {
         diff_metric(o.metrics[it->second], nm, dt);
       }
     }
-    if (out_.ends.size() == m.ends + 1) rollback(m);  // select row only
+    if (only_selects(m, 1)) rollback(m);
   }
 
   // ---- clusters -----------------------------------------------------------
@@ -347,9 +372,9 @@ class Differ {
       }
       for (const auto& [name, oh] : o.hosts) {
         if (n.hosts.find(name) != n.hosts.end()) continue;
-        check_str(name);
+        const std::uint32_t id = intern(name);
         put_u8(out_.bytes, kRowHostRemove);
-        put_string(out_.bytes, name);
+        put_varint(out_.bytes, id);
         out_.mark_row();
       }
       for (const auto& [name, nh] : n.hosts) {
@@ -361,7 +386,7 @@ class Differ {
         }
       }
     }
-    if (out_.ends.size() == m.ends + 1) rollback(m);  // select row only
+    if (only_selects(m, 1)) rollback(m);
   }
 
   void diff_clusters(const std::vector<Cluster>& oldv,
@@ -445,7 +470,7 @@ class Differ {
     }
     emit_grid_pop();
     if (failed_) return;
-    if (out_.ends.size() == m.ends + 2) rollback(m);  // push + pop only
+    if (only_selects(m, 2)) rollback(m);  // push + pop
   }
 
   void diff_grids(const std::vector<Grid>& oldv, const std::vector<Grid>& newv) {
@@ -482,6 +507,28 @@ class Differ {
 };
 
 }  // namespace
+
+std::optional<std::uint32_t> NameDict::find(std::string_view name) const {
+  const auto it = ids_.find(name);
+  if (it == ids_.end()) return std::nullopt;
+  return it->second;
+}
+
+bool NameDict::add(std::string_view name, std::uint32_t& id) {
+  if (!dict_admits(by_id_.size(), bytes_, name.size())) return false;
+  id = static_cast<std::uint32_t>(by_id_.size());
+  by_id_.push_back(ids_.emplace(std::string(name), id).first);
+  bytes_ += name.size();
+  return true;
+}
+
+void NameDict::truncate(std::size_t size) {
+  while (by_id_.size() > size) {
+    bytes_ -= by_id_.back()->first.size();
+    ids_.erase(by_id_.back());
+    by_id_.pop_back();
+  }
+}
 
 bool diff_report(const Report& oldr, const Report& newr, NameDict& dict,
                  RowBuffer& out) {

@@ -16,24 +16,40 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "fed/codec.hpp"
 #include "xml/ganglia.hpp"
 
 namespace ganglia::fed {
 
-/// Per-session metric-name dictionary.  Ids are assigned densely in
-/// emission order; kRowDefineName rows teach the peer new entries.  The
-/// publisher snapshots the dictionary per serve and commits it only when
-/// the delta is actually sent.
-struct NameDict {
-  std::map<std::string, std::uint32_t, std::less<>> ids;
+/// Per-session name dictionary of host and metric names.  Ids are dense
+/// and append-only in emission order; kRowDefineName rows teach the peer
+/// new entries.  The publisher notes size() before diffing and truncates
+/// back to it when the delta is not sent.
+class NameDict {
+ public:
+  std::optional<std::uint32_t> find(std::string_view name) const;
+  /// Give `name` the next id; false past the id cap or the byte budget.
+  bool add(std::string_view name, std::uint32_t& id);
+  /// Forget every id at or above `size`.
+  void truncate(std::size_t size);
+  void clear() { truncate(0); }
+  std::size_t size() const noexcept { return by_id_.size(); }
+
+ private:
+  using Ids = std::map<std::string, std::uint32_t, std::less<>>;
+  Ids ids_;
+  std::vector<Ids::iterator> by_id_;
+  std::size_t bytes_ = 0;  ///< sum of the name lengths
 };
 
 /// Diff `oldr` -> `newr` into `out` (appending; callers normally pass it
-/// empty).  Returns false when no faithful delta exists; `out` and `dict`
-/// are then in an unspecified state and must be discarded.
+/// empty).  Returns false when no faithful delta exists; `out` must then be
+/// discarded and `dict` truncated back to its size before the call.
 bool diff_report(const Report& oldr, const Report& newr, NameDict& dict,
                  RowBuffer& out);
 

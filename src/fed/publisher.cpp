@@ -80,8 +80,13 @@ void Publisher::respond_full(std::string& out, const Doc& doc,
   if (sess != nullptr) {
     sess->version = doc.version;
     sess->base = doc.report;
-    sess->dict.ids.clear();
+    sess->dict.clear();
   }
+}
+
+void Publisher::drop_stale_xml(std::uint64_t version) {
+  std::lock_guard<std::mutex> lock(xml_mutex_);
+  if (xml_version_ != version) xml_cache_.reset();
 }
 
 std::string Publisher::serve_digest(std::string_view request) {
@@ -190,9 +195,9 @@ std::string Publisher::serve(std::string_view request) {
     return out;
   }
 
-  NameDict dict = sess->dict;  // committed only if the delta is sent
+  const std::size_t dict_size = sess->dict.size();
   RowBuffer rows;
-  bool usable = diff_report(*sess->base, *doc.report, dict, rows);
+  bool usable = diff_report(*sess->base, *doc.report, sess->dict, rows);
   if (usable) {
     // A delta bigger than the report itself is a loss; so is a single row
     // that cannot fit the negotiated frame size.
@@ -209,6 +214,7 @@ std::string Publisher::serve(std::string_view request) {
     }
   }
   if (!usable) {
+    sess->dict.truncate(dict_size);
     respond_full(out, doc, max_payload, sess.get());
     bytes_out_.fetch_add(out.size(), std::memory_order_relaxed);
     return out;
@@ -241,9 +247,9 @@ std::string Publisher::serve(std::string_view request) {
 
   sess->version = doc.version;
   sess->base = doc.report;
-  sess->dict = std::move(dict);
   deltas_.fetch_add(1, std::memory_order_relaxed);
   bytes_out_.fetch_add(out.size(), std::memory_order_relaxed);
+  drop_stale_xml(doc.version);
   return out;
 }
 

@@ -90,6 +90,9 @@ class Publisher {
   std::shared_ptr<Session> session_for(const std::string& id);
   std::string serve_digest(std::string_view request);
   std::shared_ptr<const std::string> xml_for(const Doc& doc);
+  /// A delta served at `version` means the cached full of any other
+  /// version has no reader left: drop its XML, keep its size.
+  void drop_stale_xml(std::uint64_t version);
   void respond_full(std::string& out, const Doc& doc, std::size_t max_payload,
                     Session* sess);
   static void respond_error(std::string& out, std::string_view message);

@@ -2,7 +2,7 @@
 //
 // A Session owns the polling-side state for one upstream publisher: the
 // opaque session id, the last acknowledged report version, the base report
-// deltas are applied to, and the client half of the metric-name dictionary.
+// deltas are applied to, and the client half of the name dictionary.
 // Each poll() sends one framed request and interprets the response:
 //
 //   FullBegin/FullChunk*  -> parse full XML, replace the base (resync)

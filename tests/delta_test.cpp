@@ -8,11 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "fed/apply.hpp"
 #include "fed/codec.hpp"
 #include "fed/diff.hpp"
@@ -158,6 +161,65 @@ TEST(PollRequestCodec, RejectsBadMagicMismatchedVersionAndGarbage) {
   PollRequest huge = req;
   huge.session_id.assign(kMaxSessionIdBytes + 1, 'x');
   EXPECT_FALSE(reparse(encode_poll(huge)).ok());
+}
+
+// ---------------------------------------------------------- VAL codec
+
+std::string val_round_trip(const std::string& text) {
+  std::string wire;
+  put_value(wire, text);
+  net::WireReader reader(wire);
+  std::string back;
+  EXPECT_TRUE(get_value(reader, back)) << "'" << text << "'";
+  EXPECT_TRUE(reader.done()) << "'" << text << "'";
+  return back;
+}
+
+TEST(ValCodec, PlainDecimalsPackAndEverythingElseTravelsAsText) {
+  const std::vector<std::string> text = {
+      "007", "1e5", "+3", ".5", "1.", " 1", "nan", "", "-", "-.5", "1.5.",
+      "12345678901234567890",  // 20 digits
+      std::string(25, '7')};
+  for (const std::string& v : text) {
+    std::string wire;
+    put_value(wire, v);
+    EXPECT_EQ(static_cast<std::uint8_t>(wire[0]), kValText) << "'" << v << "'";
+    EXPECT_EQ(val_round_trip(v), v);
+  }
+  const std::vector<std::string> packed = {
+      "0", "-0", "-0.00", "1.50", "0.05", "12.34", "-273.15",
+      "9999999999999999999",     // 19 digits
+      "-0.000000000000000001"};  // 19 digits, scale 18
+  for (const std::string& v : packed) {
+    std::string wire;
+    put_value(wire, v);
+    EXPECT_NE(static_cast<std::uint8_t>(wire[0]), kValText) << v;
+    EXPECT_LE(wire.size(), 1 + 10u) << v;
+    EXPECT_EQ(val_round_trip(v), v);
+  }
+  std::string wire;
+  put_value(wire, "12.34");
+  EXPECT_EQ(wire.size(), 3u) << "sign/scale byte plus a two-byte varint";
+}
+
+TEST(ValCodec, DecoderRefusesWhatNoPlainDecimalEncodes) {
+  struct Case {
+    std::uint8_t head;
+    std::uint64_t digits;
+  };
+  const Case refused[] = {
+      {19 << 1, 5},                                     // scale 19
+      {0xfe, 0},                                        // scale 127
+      {0, 10'000'000'000'000'000'000ull},               // 20 digits
+      {1, std::numeric_limits<std::uint64_t>::max()}};  // 20 digits
+  for (const Case& c : refused) {
+    std::string wire;
+    net::put_u8(wire, c.head);
+    net::put_varint(wire, c.digits);
+    net::WireReader reader(wire);
+    std::string value;
+    EXPECT_FALSE(get_value(reader, value)) << int{c.head} << " " << c.digits;
+  }
 }
 
 // ------------------------------------------------------------- diff/apply
@@ -328,6 +390,60 @@ TEST(DiffApply, SummaryFormRoundTrips) {
   expect_faithful_delta(oldr, newr, true);
 }
 
+// VALs the codec must carry as raw text, then plain decimals it must pack.
+const std::vector<std::string>& edge_vals() {
+  static const std::vector<std::string> vals = {
+      "007", "1e5", "+3", ".5", "1.", " 1", "nan",
+      std::string(25, '9'),  // 25-digit integer
+      "-0", "-0.00", "1.50", "0.05"};
+  return vals;
+}
+
+/// Give `m` the VAL `text`.  A numeric metric keeps its type only when the
+/// text parses as a number, as the XML parser requires.
+void set_val(Metric& m, const std::string& text) {
+  m.value = text;
+  if (const auto num = parse_double(text)) {
+    m.numeric = *num;
+  } else {
+    m.type = MetricType::string_t;
+    m.numeric = 0.0;
+  }
+}
+
+constexpr std::uint32_t kEditKinds = 13;
+
+/// One random edit of kind `kind` to `host`.  Kinds 6-12 each change one
+/// host field alone.
+void edit_host(Host& host, std::uint32_t kind, Rng& rng,
+               const std::string& tag) {
+  Metric& metric = host.metrics[rng.next_below(
+      static_cast<std::uint32_t>(host.metrics.size()))];
+  const auto any_i64 = [&rng] {
+    return static_cast<std::int64_t>(rng.next_u64() >> 2) - (1LL << 61);
+  };
+  switch (kind) {
+    case 0: metric.set_double(rng.next_range(0.0, 1e6)); break;
+    case 1: metric.tn += 1 + rng.next_below(100); break;
+    case 2: host.tn += rng.next_below(50); break;
+    case 3: host.metrics.push_back(make_metric("new_" + tag, 1.0)); break;
+    case 4:
+      if (host.metrics.size() > 1) host.metrics.pop_back();
+      break;
+    case 5:
+      set_val(metric, edge_vals()[rng.next_below(
+                          static_cast<std::uint32_t>(edge_vals().size()))]);
+      break;
+    case 6: host.ip = "10.1.0." + std::to_string(rng.next_below(256)); break;
+    case 7: host.reported = any_i64(); break;
+    case 8: host.tn = rng.next_below(1u << 31); break;
+    case 9: host.tmax = rng.next_below(1000); break;
+    case 10: host.dmax = rng.next_below(1u << 31); break;
+    case 11: host.location = tag + "," + std::to_string(kind) + ",0"; break;
+    case 12: host.gmond_started = any_i64(); break;
+  }
+}
+
 TEST(DiffApply, RandomizedMutationsNeverDiverge) {
   Rng rng(20260808);
   for (int iter = 0; iter < 40; ++iter) {
@@ -341,47 +457,90 @@ TEST(DiffApply, RandomizedMutationsNeverDiverge) {
       auto host_it = c.hosts.begin();
       std::advance(host_it, rng.next_below(
           static_cast<std::uint32_t>(c.hosts.size())));
-      Host& host = host_it->second;
-      switch (rng.next_below(5)) {
-        case 0:
-          host.metrics[rng.next_below(static_cast<std::uint32_t>(
-                           host.metrics.size()))]
-              .set_double(rng.next_range(0.0, 1e6));
-          break;
-        case 1:
-          host.metrics[rng.next_below(static_cast<std::uint32_t>(
-                           host.metrics.size()))]
-              .tn += 1 + rng.next_below(100);
-          break;
-        case 2:
-          host.tn += rng.next_below(50);
-          break;
-        case 3:
-          host.metrics.push_back(make_metric(
-              "new_" + std::to_string(iter) + "_" + std::to_string(e),
-              1.0));
-          break;
-        case 4:
-          if (host.metrics.size() > 1) host.metrics.pop_back();
-          break;
-      }
+      edit_host(host_it->second, rng.next_below(kEditKinds), rng,
+                std::to_string(iter) + "_" + std::to_string(e));
     }
     expect_faithful_delta(oldr, newr, false);
   }
+
+  // Every edit kind alone, every edge VAL alone, and the extreme REPORTED
+  // and GMOND_STARTED jumps that still fit an int64 delta.
+  const Report base = make_report(3, 4);
+  for (std::uint32_t kind = 0; kind < kEditKinds; ++kind) {
+    Report newr = base;
+    edit_host(newr.clusters[0].hosts.at("node1"), kind, rng, "alone");
+    expect_faithful_delta(base, newr, true);
+  }
+  for (const std::string& text : edge_vals()) {
+    Report newr = base;
+    set_val(newr.clusters[0].hosts.at("node0").metrics[1], text);
+    expect_faithful_delta(base, newr, true);
+  }
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  Report extremes = base;
+  extremes.clusters[0].hosts.at("node2").reported = kMax;
+  extremes.clusters[0].hosts.at("node2").gmond_started = -kMax;
+  expect_faithful_delta(base, extremes, true);
+  expect_faithful_delta(extremes, base, true);
+
+  // A jump no int64 delta holds falls back to a full.
+  Report wrapped = extremes;
+  wrapped.clusters[0].hosts.at("node2").reported = -kMax;
+  NameDict dict;
+  RowBuffer rows;
+  EXPECT_FALSE(diff_report(extremes, wrapped, dict, rows));
 }
 
 TEST(DiffApply, ApplierRejectsUnknownDictionaryIds) {
   Report doc = make_report(2, 2);
-  std::string rows;
-  net::put_u8(rows, kRowCluster);
-  net::put_string(rows, "alpha");
-  net::put_u8(rows, kRowHost);
-  net::put_string(rows, "node0");
-  net::put_u8(rows, kRowMetricTn);
-  net::put_varint(rows, 9999);  // never defined
-  net::put_varint(rows, 1);
+  std::string select;
+  net::put_u8(select, kRowCluster);
+  net::put_string(select, "alpha");
+  net::put_u8(select, kRowDefineName);
+  net::put_varint(select, 0);
+  net::put_string(select, "node0");
+  net::put_u8(select, kRowHost);
+  net::put_varint(select, 0);
+  {
+    Report copy = doc;
+    std::vector<std::string> names;
+    ASSERT_TRUE(apply_rows(copy, select, names, nullptr).ok());
+  }
+  std::string metric = select;
+  net::put_u8(metric, kRowMetricTn);
+  net::put_varint(metric, 9999);  // never defined
+  net::put_varint(metric, 1);
   std::vector<std::string> names;
-  EXPECT_FALSE(apply_rows(doc, rows, names, nullptr).ok());
+  EXPECT_FALSE(apply_rows(doc, metric, names, nullptr).ok());
+
+  for (const std::uint8_t tag : {kRowHost, kRowHostRemove}) {
+    std::string host = select;
+    net::put_u8(host, tag);
+    net::put_varint(host, 1);  // one past the dictionary
+    Report copy = make_report(2, 2);
+    std::vector<std::string> fresh;
+    EXPECT_FALSE(apply_rows(copy, host, fresh, nullptr).ok()) << int{tag};
+  }
+}
+
+TEST(NameDict, DenseIdsTruncateAndABudgetForAHundredThousandHosts) {
+  NameDict dict;
+  std::uint32_t id = 0;
+  for (const char* name : {"a", "b", "c", "d"}) ASSERT_TRUE(dict.add(name, id));
+  EXPECT_EQ(id, 3u);
+  dict.truncate(2);
+  EXPECT_EQ(dict.size(), 2u);
+  EXPECT_FALSE(dict.find("c").has_value());
+  EXPECT_EQ(dict.find("b").value_or(0), 1u);
+  ASSERT_TRUE(dict.add("d", id));
+  EXPECT_EQ(id, 2u) << "ids stay dense after a truncate";
+
+  // A child naming 100,000 hosts of 80 bytes, plus its metric names, fits
+  // both the id cap and the byte budget.
+  EXPECT_TRUE(dict_admits(100'000 + 255, 100'000 * 80 + 255 * 64, 80));
+  EXPECT_FALSE(dict_admits(kMaxNameIds, 0, 1));
+  EXPECT_FALSE(dict_admits(0, kMaxNameBytes, 1));
+  EXPECT_FALSE(dict_admits(0, 0, kMaxStringBytes + 1));
 }
 
 // -------------------------------------------------- publisher <-> session
@@ -472,6 +631,148 @@ TEST(PublisherSession, DictionaryAmortizesAcrossDeltas) {
   }
   EXPECT_LT(delta_bytes[1], delta_bytes[0])
       << "second delta must not re-send dictionary definitions";
+}
+
+/// Sum of the kFrameRows payloads in one framed response.
+std::size_t row_bytes(std::string_view response) {
+  std::size_t total = 0;
+  net::Frame frame;
+  std::size_t consumed = 0;
+  while (net::parse_frame(response, kMaxFrameBytes, frame, consumed) ==
+         net::FrameParse::ok) {
+    if (frame.type == kFrameRows) total += frame.payload.size();
+    response.remove_prefix(consumed);
+  }
+  return total;
+}
+
+TEST(PublisherSession, SteadyHostAndValueRowsArePacked) {
+  // The steady churn of a soft-state gmond: a heartbeat moves a host's
+  // REPORTED, TN and GMOND_STARTED, and a rebroadcast moves one
+  // plain-decimal VAL.  Once the dictionary knows the names, the host
+  // costs at most 8 bytes of rows (select plus attributes), the VAL at
+  // most 6.
+  PubRig rig(make_report(6, 8));
+  std::string response;
+  rig.transport.register_service(
+      "spy:1", [&](std::string_view request) -> Result<std::string> {
+        response = rig.publisher->serve(request);
+        return response;
+      });
+  SessionOptions opts = session_options();
+  opts.address = "spy:1";
+  Session session(opts);
+  ASSERT_TRUE(session.poll(rig.transport, kTimeout).ok());
+
+  const auto heartbeat = [](Report& r) {
+    Host& h = r.clusters[0].hosts.at("node3");
+    h.reported += 10;
+    h.tn += 1;
+    h.gmond_started += 15;
+  };
+  double val = 12.5;
+  const auto heartbeat_and_val = [&](Report& r) {
+    heartbeat(r);
+    val += 0.25;  // "12.75", "13.25": four digits, scale 2
+    r.clusters[0].hosts.at("node3").metrics[2].set_double(val);
+  };
+  const auto delta_rows = [&](const std::function<void(Report&)>& edit) {
+    Report next = *rig.current;
+    edit(next);
+    rig.update(std::move(next));
+    auto outcome = session.poll(rig.transport, kTimeout);
+    EXPECT_TRUE(outcome.ok() && outcome->delta);
+    if (outcome.ok()) {
+      EXPECT_EQ(write_report(outcome->report), write_report(*rig.current));
+    }
+    return row_bytes(response);
+  };
+
+  delta_rows(heartbeat_and_val);  // defines the host and metric names
+  const std::size_t host_only = delta_rows(heartbeat);
+  const std::size_t host_and_val = delta_rows(heartbeat_and_val);
+  std::string cluster_select;
+  net::put_u8(cluster_select, kRowCluster);
+  net::put_string(cluster_select, "alpha");
+  EXPECT_LE(host_only - cluster_select.size(), 8u);
+  EXPECT_LE(host_and_val - host_only, 6u);
+}
+
+TEST(PublisherSession, DefinesPastTheByteBudgetForceResync) {
+  // A hostile publisher answers one poll with a delta that only defines
+  // names, one past the dictionary's byte budget.  The session must refuse
+  // it, drop its base, and resync from the next full without divergence.
+  PubRig rig(make_report(3, 3));
+  bool hostile = false;
+  std::uint64_t from = 0;
+  rig.transport.register_service(
+      "evil:1", [&](std::string_view request) -> Result<std::string> {
+        if (!hostile) return rig.publisher->serve(request);
+        const std::string name(kMaxStringBytes - 8, 'n');
+        const std::size_t count = kMaxNameBytes / name.size() + 1;
+        std::string out;
+        std::string begin;
+        net::put_varint(begin, from);
+        net::put_varint(begin, from + 1);
+        net::put_frame(out, kFrameDeltaBegin, begin);
+        for (std::size_t id = 0; id < count; ++id) {
+          std::string row;
+          net::put_u8(row, kRowDefineName);
+          net::put_varint(row, id);
+          net::put_string(row, name);
+          net::put_frame(out, kFrameRows, row);
+        }
+        std::string end;
+        net::put_varint(end, count);
+        net::put_frame(out, kFrameEnd, end);
+        return out;
+      });
+  SessionOptions opts = session_options();
+  opts.address = "evil:1";
+  Session session(opts);
+  ASSERT_TRUE(session.poll(rig.transport, kTimeout).ok());
+
+  from = session.last_version();
+  hostile = true;
+  Report next = *rig.current;
+  next.clusters[0].localtime += 15;
+  rig.update(std::move(next));
+  const auto refused = session.poll(rig.transport, kTimeout);
+  EXPECT_FALSE(refused.ok()) << "defines past the byte budget were applied";
+  EXPECT_FALSE(session.has_base());
+
+  hostile = false;
+  const auto resynced = session.poll(rig.transport, kTimeout);
+  ASSERT_TRUE(resynced.ok()) << resynced.error().to_string();
+  EXPECT_FALSE(resynced->delta);
+  EXPECT_EQ(write_report(resynced->report), write_report(*rig.current));
+}
+
+TEST(PublisherSession, DictionaryAtItsByteBudgetAnswersFull) {
+  // Host names that together pass the byte budget: a delta touching every
+  // host would have to define them all, so the publisher answers a full.
+  Report report = make_report(0, 0);
+  const std::size_t name_bytes = 60'000;
+  for (std::size_t i = 0; i <= kMaxNameBytes / name_bytes; ++i) {
+    Host h = make_host(std::to_string(i) + std::string(name_bytes, 'h'), 1,
+                       1.0);
+    report.clusters[0].hosts.emplace(h.name, std::move(h));
+  }
+  PubRig rig(std::move(report));
+  Session session(session_options());
+  ASSERT_TRUE(session.poll(rig.transport, kTimeout).ok());
+
+  Report next = *rig.current;
+  for (auto& [name, host] : next.clusters[0].hosts) {
+    (void)name;
+    host.metrics[0].set_double(2.0);
+  }
+  rig.update(std::move(next));
+  const auto outcome = session.poll(rig.transport, kTimeout);
+  ASSERT_TRUE(outcome.ok()) << outcome.error().to_string();
+  EXPECT_FALSE(outcome->delta) << "the delta would define past the budget";
+  EXPECT_EQ(write_report(outcome->report), write_report(*rig.current));
+  EXPECT_EQ(rig.publisher->stats().fulls, 2u);
 }
 
 TEST(PublisherSession, EvictedSessionResyncsCleanly) {

@@ -6,6 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <string_view>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "fed/apply.hpp"
 #include "fed/codec.hpp"
@@ -250,10 +257,14 @@ TEST_P(FuzzSeeds, DeltaRequestDecoderNeverCrashes) {
   }
 }
 
-/// A small report and a valid row stream transforming it, for mutation.
+/// A small report and a valid row stream transforming it, for mutation,
+/// plus `prefix`, valid rows selecting host h0, and `hostile` streams that
+/// extend it with rows every applier must refuse.
 struct DeltaCorpus {
   Report base;
   std::string rows;
+  std::string prefix;
+  std::vector<std::string> hostile;
 
   DeltaCorpus() {
     Cluster c;
@@ -278,24 +289,110 @@ struct DeltaCorpus {
     next.clusters[0].localtime = 115;
     next.clusters[0].hosts.at("h1").metrics[2].set_double(99.0);
     next.clusters[0].hosts.at("h2").tn = 30;
+    // Every host attribute mask bit at once, VALs packed and as text, and
+    // a joining host diffed against the default host.
+    Host& h0 = next.clusters[0].hosts.at("h0");
+    h0.ip = "10.0.0.2";
+    h0.reported = 1'062'000'115;
+    h0.tn = 3;
+    h0.tmax = 30;
+    h0.dmax = 600;
+    h0.location = "0,1,2";
+    h0.gmond_started = 1'061'913'715;
+    h0.metrics[0].set_double(-0.05);
+    h0.metrics[1].value = "1e5";
+    h0.metrics[2].set_string("x86_64");
+    Host joiner = h0;
+    joiner.name = "h3";
+    next.clusters[0].hosts.emplace(joiner.name, std::move(joiner));
     fed::NameDict dict;
     fed::RowBuffer buffer;
     EXPECT_TRUE(fed::diff_report(base, next, dict, buffer));
     rows = buffer.bytes;
+
+    net::put_u8(prefix, fed::kRowCluster);
+    net::put_string(prefix, "fuzz");
+    define(prefix, 0, "h0");
+    net::put_u8(prefix, fed::kRowHost);
+    net::put_varint(prefix, 0);
+    define(prefix, 1, "m0");
+
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    for (const std::uint8_t mask : {std::uint8_t{0}, std::uint8_t{0x80},
+                                    std::uint8_t{0xff}}) {
+      std::string bits = prefix;  // empty or unknown mask bits
+      net::put_u8(bits, fed::kRowHostAttrs);
+      net::put_u8(bits, mask);
+      net::put_string(bits, "10.0.0.3");
+      for (int field = 0; field < 4; ++field) net::put_varint(bits, 1);
+      net::put_string(bits, "0,0,0");
+      net::put_varint(bits, 1);
+      hostile.push_back(std::move(bits));
+    }
+    for (const auto& [bit, first, second] :
+         {std::tuple{fed::kHostReported, kMax, std::int64_t{1}},
+          std::tuple{fed::kHostStarted, -kMax - 1, std::int64_t{-1}}}) {
+      std::string overflow = prefix;  // int64 overflow on the second row
+      for (const std::int64_t delta : {first, second}) {
+        net::put_u8(overflow, fed::kRowHostAttrs);
+        net::put_u8(overflow, bit);
+        net::put_varint(overflow, fed::zigzag(delta));
+      }
+      hostile.push_back(std::move(overflow));
+    }
+    for (const auto& [head, digits] :
+         {std::pair<std::uint8_t, std::uint64_t>{19 << 1, 5},     // scale
+          std::pair<std::uint8_t, std::uint64_t>{0x80, 5},        // scale
+          std::pair<std::uint8_t, std::uint64_t>{0, ~0ull},       // digits
+          std::pair<std::uint8_t, std::uint64_t>{
+              1, 10'000'000'000'000'000'000ull}}) {               // digits
+      std::string value = prefix;
+      net::put_u8(value, fed::kRowMetricValue);
+      net::put_varint(value, 1);
+      net::put_u8(value, head);
+      net::put_varint(value, digits);
+      net::put_varint(value, 0);
+      hostile.push_back(std::move(value));
+    }
+    for (const std::uint8_t tag : {fed::kRowHost, fed::kRowHostRemove}) {
+      std::string past = prefix;  // host id past the dictionary
+      net::put_u8(past, tag);
+      net::put_varint(past, 2);
+      hostile.push_back(std::move(past));
+    }
+  }
+
+  static void define(std::string& out, std::uint64_t id,
+                     std::string_view name) {
+    net::put_u8(out, fed::kRowDefineName);
+    net::put_varint(out, id);
+    net::put_string(out, name);
   }
 };
 
 TEST_P(FuzzSeeds, DeltaApplierNeverCrashes) {
   const DeltaCorpus corpus;
+  {
+    Report doc = corpus.base;
+    std::vector<std::string> names;
+    ASSERT_TRUE(fed::apply_rows(doc, corpus.rows, names, nullptr).ok());
+    Report again = corpus.base;
+    names.clear();
+    ASSERT_TRUE(fed::apply_rows(again, corpus.prefix, names, nullptr).ok());
+  }
+  for (const std::string& stream : corpus.hostile) {
+    Report doc = corpus.base;
+    std::vector<std::string> names;
+    EXPECT_FALSE(fed::apply_rows(doc, stream, names, nullptr).ok());
+  }
   for (int i = 0; i < 200; ++i) {
     Report doc = corpus.base;
     std::vector<std::string> names;
     (void)fed::apply_rows(doc, random_bytes(rng_, 300), names, nullptr);
   }
-  // Mutated valid row streams: accepted or parse_error, never a crash —
-  // and truncations at every boundary.
-  for (int i = 0; i < 300; ++i) {
-    std::string mutated = corpus.rows;
+  // Mutated valid and hostile row streams: accepted or parse_error, never
+  // a crash — and truncations at every boundary.
+  const auto mutate_and_apply = [this, &corpus](std::string mutated) {
     const auto pos =
         rng_.next_below(static_cast<std::uint32_t>(mutated.size()));
     switch (rng_.next_below(3)) {
@@ -307,6 +404,10 @@ TEST_P(FuzzSeeds, DeltaApplierNeverCrashes) {
     Report doc = corpus.base;
     std::vector<std::string> names;
     (void)fed::apply_rows(doc, mutated, names, nullptr);
+  };
+  for (int i = 0; i < 300; ++i) mutate_and_apply(corpus.rows);
+  for (const std::string& stream : corpus.hostile) {
+    for (int i = 0; i < 20; ++i) mutate_and_apply(stream);
   }
 }
 

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "fed/codec.hpp"
 #include "gmetad/gmetad.hpp"
 #include "gmon/pseudo_gmond.hpp"
+#include "net/framing.hpp"
 #include "net/inmem.hpp"
 #include "sim/sim_clock.hpp"
 
@@ -254,6 +256,46 @@ TEST(PollRobustness, DeltaEndpointRefusedFallsBackToXmlThenRecovers) {
   rig.expect_converged("after recovery");
   EXPECT_GT(rig.source().delta_polls(), deltas_before);
   EXPECT_EQ(rig.source().session_mode(rig.clock.now_seconds()), "delta");
+}
+
+TEST(PollRobustness, CodecV1ClientFallsBackToXml) {
+  // A client of the previous codec version: its polls are rewritten to
+  // codec version 1 on the way to the publisher.  Every poll gets the
+  // version-mismatch error frame and is carried by the legacy XML dump, so
+  // the store stays byte-identical and no delta is ever applied.
+  FedRig rig;
+  auto publisher = rig.emulator->federation_service();
+  std::string response;
+  rig.transport.unregister_service("victim:fed");
+  rig.transport.register_service(
+      "victim:fed",
+      [publisher, &response](std::string_view request) -> Result<std::string> {
+        net::Frame frame;
+        std::size_t consumed = 0;
+        if (net::parse_frame(request, fed::kMaxFrameBytes, frame, consumed) !=
+            net::FrameParse::ok) {
+          return Err(Errc::parse_error, "unframed request");
+        }
+        auto poll = fed::decode_request(frame.type, frame.payload);
+        if (!poll.ok()) return poll.error();
+        poll->codec_version = 1;
+        auto answer = publisher(fed::encode_poll(*poll));
+        if (answer.ok()) response = *answer;
+        return answer;
+      });
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_TRUE(rig.round().ok);
+    rig.expect_converged("with a codec-v1 client");
+  }
+  EXPECT_EQ(rig.source().delta_polls(), 0u);
+  EXPECT_GE(rig.source().delta_resyncs(), 4u) << "each poll fell back";
+  EXPECT_EQ(rig.source().session_mode(rig.clock.now_seconds()), "sync");
+  net::Frame frame;
+  std::size_t consumed = 0;
+  ASSERT_EQ(net::parse_frame(response, fed::kMaxFrameBytes, frame, consumed),
+            net::FrameParse::ok);
+  EXPECT_EQ(frame.type, fed::kFrameError);
+  EXPECT_EQ(frame.payload, "codec version mismatch");
 }
 
 TEST(PollRobustness, SessionKilledMidDeltaResyncsWithoutDivergence) {
