@@ -18,10 +18,13 @@
 //              model on top of measured bytes (the fabric has no latency),
 //              and is labeled as such in the output.
 //
-// Every measured round also asserts the two roots render byte-identical
-// documents — the bench doubles as an end-to-end equivalence check.  It
-// exits non-zero when the roots diverge or the steady-state reduction
-// falls below its floor.
+// Every measured round also asserts that every node of the two trees
+// renders a byte-identical document — the bench doubles as an end-to-end
+// equivalence check.  It exits non-zero when any node diverges, when the
+// steady-state reduction falls below its floor, or when either chain edge
+// carries more than its ceiling per delta poll: an N-level parent asks a
+// child gmetad for its grid summary only, so those edges carry the
+// summary's churn however large the clusters below them grow.
 //
 // Writes machine-readable results to BENCH_federation.json.
 //
@@ -42,6 +45,8 @@ namespace {
 
 /// Steady-state bytes reduction, delta vs XML, below which the run fails.
 constexpr double kReductionFloor = 10.0;
+/// Steady-state delta bytes per poll on a chain edge above which it fails.
+constexpr double kEdgeCeiling = 1024.0;
 
 gmetad::TestbedSpec spec_for(std::size_t hosts, bool federation) {
   gmetad::TestbedSpec spec = gmetad::fig2_spec(hosts, gmetad::Mode::n_level);
@@ -126,9 +131,13 @@ int main(int argc, char** argv) {
   for (std::size_t r = 0; r < rounds; ++r) {
     delta_bed.run_round();
     xml_bed.run_round();
-    if (delta_bed.node("root").dump_xml() != xml_bed.node("root").dump_xml()) {
-      identical = false;
-      std::fprintf(stderr, "FAIL: root documents diverged at round %zu\n", r);
+    for (const gmetad::TestbedNodeSpec& node : delta_bed.spec().nodes) {
+      if (delta_bed.node(node.name).dump_xml() !=
+          xml_bed.node(node.name).dump_xml()) {
+        identical = false;
+        std::fprintf(stderr, "FAIL: %s documents diverged at round %zu\n",
+                     node.name.c_str(), r);
+      }
     }
     const std::uint64_t delta_now = tree_bytes(delta_bed);
     const std::uint64_t xml_now = tree_bytes(xml_bed);
@@ -174,11 +183,20 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(xml_total / rounds),
       static_cast<unsigned long long>(delta_total / rounds), reduction,
       kReductionFloor);
+  bool edges_ok = true;
+  std::printf("chain edges, bytes per poll (ceiling %.0f B per delta):\n",
+              kEdgeCeiling);
+  for (std::size_t i = 0; i < delta_edges.size(); ++i) {
+    const EdgeBytes& e = delta_edges[i];
+    std::printf("  %s<-%-10s xml %10.1f  delta %8.1f\n", e.parent.c_str(),
+                e.child.c_str(), xml_edges[i].per_poll, e.per_poll);
+    if (e.per_poll > kEdgeCeiling) edges_ok = false;
+  }
   std::printf(
       "modeled root staleness over %.0f kbit/s links (physics->ucsd->root): "
       "xml %.1f s, delta %.1f s\n",
       link_kbps, xml_staleness, delta_staleness);
-  std::printf("root documents byte-identical across modes: %s\n",
+  std::printf("every node's document byte-identical across modes: %s\n",
               identical ? "yes" : "NO");
 
   char date[32];
@@ -235,7 +253,7 @@ int main(int argc, char** argv) {
   w.key("modeled");
   w.value(true);
   w.end_object();
-  w.key("roots_identical");
+  w.key("nodes_identical");
   w.value(identical);
   w.end_object();
   w.end_object();
@@ -253,6 +271,11 @@ int main(int argc, char** argv) {
   if (reduction < kReductionFloor) {
     std::fprintf(stderr, "FAIL: %.1fx reduction is below the %.0fx floor\n",
                  reduction, kReductionFloor);
+    return 1;
+  }
+  if (!edges_ok) {
+    std::fprintf(stderr, "FAIL: a chain edge carries more than %.0f B per "
+                 "delta poll\n", kEdgeCeiling);
     return 1;
   }
   return identical ? 0 : 1;

@@ -434,6 +434,19 @@ class Applier {
         ms.units.assign(units);
         return true;
       }
+      case kRowSummarySum: {
+        std::uint64_t id = 0;
+        double sum = 0.0;
+        if (!r.get_varint(id) || !r.get_f64(sum)) return false;
+        const std::string* name = nullptr;
+        if (!name_for(id, &name)) return false;
+        SummaryInfo* s = summary_target();
+        if (s == nullptr) return false;
+        const auto it = s->metrics.find(*name);
+        if (it == s->metrics.end()) return false;
+        it->second.sum = sum;
+        return true;
+      }
       case kRowSummaryMetricRemove: {
         std::uint64_t id = 0;
         if (!r.get_varint(id)) return false;

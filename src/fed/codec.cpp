@@ -87,6 +87,7 @@ std::string encode_poll(const PollRequest& req) {
   net::put_string(payload, req.session_id);
   net::put_varint(payload, req.last_version);
   net::put_varint(payload, req.max_frame);
+  net::put_varint(payload, static_cast<std::uint8_t>(req.view));
   std::string out;
   net::put_frame(out, req.op == kOpPing ? kFramePing : kFramePoll, payload);
   return out;
@@ -100,20 +101,27 @@ Result<PollRequest> decode_request(std::uint8_t frame_type,
   net::WireReader r(payload);
   std::uint64_t magic = 0;
   std::uint64_t codec = 0;
-  std::string_view sid;
-  PollRequest req;
-  req.op = frame_type == kFramePing ? kOpPing : kOpPoll;
-  if (!r.get_varint(magic) || !r.get_varint(codec) ||
-      !r.get_string(sid, kMaxSessionIdBytes) || !r.get_varint(req.last_version) ||
-      !r.get_varint(req.max_frame) || !r.done()) {
+  if (!r.get_varint(magic) || !r.get_varint(codec)) {
     return Err(Errc::parse_error, "malformed poll request");
   }
   if (magic != kMagic) return Err(Errc::parse_error, "bad magic");
+  // Another version may lay out the rest differently: refuse it by number.
   if (codec != kCodecVersion) {
     return Err(Errc::unsupported, "codec version mismatch");
   }
+  std::string_view sid;
+  std::uint64_t view = 0;
+  PollRequest req;
+  req.op = frame_type == kFramePing ? kOpPing : kOpPoll;
+  if (!r.get_string(sid, kMaxSessionIdBytes) ||
+      !r.get_varint(req.last_version) || !r.get_varint(req.max_frame) ||
+      !r.get_varint(view) || !r.done()) {
+    return Err(Errc::parse_error, "malformed poll request");
+  }
+  if (view >= kViews) return Err(Errc::parse_error, "unknown view");
   req.codec_version = static_cast<std::uint32_t>(codec);
   req.session_id.assign(sid);
+  req.view = static_cast<View>(view);
   return req;
 }
 

@@ -3,12 +3,13 @@
 // (client) halves of the protocol.
 //
 // The protocol is pull-driven: each poll the client sends one kFramePoll
-// request carrying its session id and the last report version it holds;
-// the server answers either with a delta (kFrameDeltaBegin, kFrameRows*,
-// kFrameEnd) against the exact base report it remembers for that session,
-// or with a full XML report (kFrameFullBegin, kFrameFullChunk*) when it
-// has no usable base — new session, evicted session, version gap, codec
-// mismatch, or a delta that would not actually be smaller.  Any decode
+// request carrying its session id, the last report version it holds and
+// the view it keeps (View below); the server answers either with a delta
+// (kFrameDeltaBegin, kFrameRows*, kFrameEnd) against the exact base report
+// it remembers for that session, or with a full XML report
+// (kFrameFullBegin, kFrameFullChunk*) when it has no usable base — new
+// session, evicted session, version gap, a base of another view, or a
+// delta that would not actually be smaller.  Any decode
 // error on either side degrades to a full resync, never a crash; the
 // legacy dump port stays available as the final fallback.
 //
@@ -33,7 +34,7 @@ namespace ganglia::fed {
 
 /// Protocol magic carried in every poll request ("GFD1").
 inline constexpr std::uint32_t kMagic = 0x31444647u;
-inline constexpr std::uint32_t kCodecVersion = 2;
+inline constexpr std::uint32_t kCodecVersion = 3;
 
 // Size caps, mirroring the gossip codec's defensive posture: nothing a
 // peer sends may trigger an unbounded allocation.
@@ -84,6 +85,7 @@ inline constexpr std::uint8_t kRowSummaryHosts = 19; // varint up, down
 inline constexpr std::uint8_t kRowSummaryMetric = 20;// name_id,f64 sum,num,type,units
 inline constexpr std::uint8_t kRowSummaryMetricRemove = 21; // name_id
 inline constexpr std::uint8_t kRowSummaryClear = 22;
+inline constexpr std::uint8_t kRowSummarySum = 23;   // name_id, f64 sum
 
 // kRowHostAttrs mask bits, in the order their fields follow the mask.  The
 // fields are those that differ from the selected host (after any Advance;
@@ -135,19 +137,28 @@ bool get_value(net::WireReader& r, std::string& value);
 inline constexpr std::uint8_t kOpPoll = 1;
 inline constexpr std::uint8_t kOpPing = 2;
 
+/// The document a poller keeps.  An N-level parent keeps a child gmetad's
+/// grid only in summary form (paper section 2.2), so it asks for `summary`:
+/// one GRID carrying the child's HOSTS and METRICS reduction and nothing
+/// below it.  Everyone else asks for the whole tree.
+enum class View : std::uint8_t { tree = 0, summary = 1 };
+inline constexpr std::size_t kViews = 2;
+
 struct PollRequest {
   std::uint8_t op = kOpPoll;
   std::string session_id;
   std::uint32_t codec_version = kCodecVersion;
   std::uint64_t last_version = 0;  // 0 = no base, want full
   std::uint64_t max_frame = kMaxFrameBytes;
+  View view = View::tree;
 };
 
 /// Encode a poll/ping request as one complete frame.
 std::string encode_poll(const PollRequest& req);
 
-/// Decode a kFramePoll/kFramePing payload.  Rejects bad magic, oversized
-/// session ids, and trailing garbage.
+/// Decode a kFramePoll/kFramePing payload.  Rejects bad magic, another
+/// codec version (before reading past it), oversized session ids, an
+/// unknown view, and trailing garbage.
 Result<PollRequest> decode_request(std::uint8_t frame_type,
                                    std::string_view payload);
 

@@ -154,12 +154,17 @@ class Differ {
     }
     for (const auto& [name, nm] : n.metrics) {
       auto it = o.metrics.find(name);
-      if (it != o.metrics.end() && bits_equal(it->second.sum, nm.sum) &&
-          it->second.num == nm.num && it->second.type == nm.type &&
-          it->second.units == nm.units) {
-        continue;
+      if (it == o.metrics.end() || it->second.num != nm.num ||
+          it->second.type != nm.type || it->second.units != nm.units) {
+        emit_summary_metric(name, nm);
+      } else if (!bits_equal(it->second.sum, nm.sum)) {
+        // The steady state of a summary: only the sum moved.
+        const std::uint32_t id = intern(name);
+        put_u8(out_.bytes, kRowSummarySum);
+        put_varint(out_.bytes, id);
+        put_f64(out_.bytes, nm.sum);
+        out_.mark_row();
       }
-      emit_summary_metric(name, nm);
     }
   }
 
@@ -263,28 +268,64 @@ class Differ {
     for (const Metric& m : h.metrics) emit_full_metric(m);
   }
 
+  /// Do `o` and `n` name the same metrics in the same order?  Then the
+  /// metric at each index of `n` pairs with the one at that index of `o`.
+  static bool same_order(const Host& o, const Host& n) {
+    return std::equal(
+        o.metrics.begin(), o.metrics.end(), n.metrics.begin(), n.metrics.end(),
+        [](const Metric& a, const Metric& b) { return a.name == b.name; });
+  }
+
+  /// Rows address a metric by name, so a host naming one twice has no
+  /// faithful delta.  Hosts of one cluster mostly share a metric list, so
+  /// a list equal to the last one proven unique needs no sort.
+  bool unique_names(const Host& h) {
+    if (unique_host_ != nullptr && same_order(*unique_host_, h)) return true;
+    sorted_names_.clear();
+    for (const Metric& m : h.metrics) sorted_names_.push_back(m.name);
+    std::sort(sorted_names_.begin(), sorted_names_.end());
+    if (std::adjacent_find(sorted_names_.begin(), sorted_names_.end()) !=
+        sorted_names_.end()) {
+      return false;
+    }
+    unique_host_ = &h;
+    return true;
+  }
+
   void diff_host(const Host& o, const Host& n, std::uint32_t dt) {
     const Mark m = mark();
     emit_host_select(n.name);
     emit_host_attrs(o, n, dt);
-    std::map<std::string_view, std::size_t> old_idx;
-    if (!order_ok(o.metrics, n.metrics, old_idx)) {
-      fail();
-      return;
-    }
-    for (const Metric& om : o.metrics) {
-      if (n.find_metric(om.name) != nullptr) continue;
-      const std::uint32_t id = intern(om.name);
-      put_u8(out_.bytes, kRowMetricRemove);
-      put_varint(out_.bytes, id);
-      out_.mark_row();
-    }
-    for (const Metric& nm : n.metrics) {
-      auto it = old_idx.find(nm.name);
-      if (it == old_idx.end()) {
-        emit_full_metric(nm);
-      } else {
-        diff_metric(o.metrics[it->second], nm, dt);
+    if (same_order(o, n)) {
+      // The steady state: no metric removed, added or moved, so pair by
+      // index — the rows the general path below would emit.
+      if (!unique_names(n)) {
+        fail();
+        return;
+      }
+      for (std::size_t i = 0; i < n.metrics.size(); ++i) {
+        diff_metric(o.metrics[i], n.metrics[i], dt);
+      }
+    } else {
+      std::map<std::string_view, std::size_t> old_idx;
+      if (!order_ok(o.metrics, n.metrics, old_idx)) {
+        fail();
+        return;
+      }
+      for (const Metric& om : o.metrics) {
+        if (n.find_metric(om.name) != nullptr) continue;
+        const std::uint32_t id = intern(om.name);
+        put_u8(out_.bytes, kRowMetricRemove);
+        put_varint(out_.bytes, id);
+        out_.mark_row();
+      }
+      for (const Metric& nm : n.metrics) {
+        auto it = old_idx.find(nm.name);
+        if (it == old_idx.end()) {
+          emit_full_metric(nm);
+        } else {
+          diff_metric(o.metrics[it->second], nm, dt);
+        }
       }
     }
     if (only_selects(m, 1)) rollback(m);
@@ -340,11 +381,18 @@ class Differ {
     for (const auto& [name, nh] : n.hosts) {
       auto it = o.hosts.find(name);
       if (it == o.hosts.end()) continue;
-      tally(it->second.tn, nh.tn);
-      for (const Metric& nm : nh.metrics) {
-        if (const Metric* om = it->second.find_metric(nm.name)) {
-          tally(om->tn, nm.tn);
+      const Host& oh = it->second;
+      tally(oh.tn, nh.tn);
+      // Pairing by index matches the name lookup whenever the names are
+      // unique; where they are not, diff_host fails the whole delta.
+      if (same_order(oh, nh)) {
+        for (std::size_t i = 0; i < nh.metrics.size(); ++i) {
+          tally(oh.metrics[i].tn, nh.metrics[i].tn);
         }
+        continue;
+      }
+      for (const Metric& nm : nh.metrics) {
+        if (const Metric* om = oh.find_metric(nm.name)) tally(om->tn, nm.tn);
       }
     }
     return advanced > unchanged ? dt : 0;
@@ -503,6 +551,8 @@ class Differ {
 
   NameDict& dict_;
   RowBuffer& out_;
+  std::vector<std::string_view> sorted_names_;  ///< unique_names sort buffer
+  const Host* unique_host_ = nullptr;  ///< a host of newr with unique names
   bool failed_ = false;
 };
 

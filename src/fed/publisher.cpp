@@ -51,20 +51,27 @@ std::shared_ptr<Publisher::Session> Publisher::session_for(
   return it->second;
 }
 
-std::shared_ptr<const std::string> Publisher::xml_for(const Doc& doc) {
+std::shared_ptr<const std::string> Publisher::xml_for(View view,
+                                                     const Doc& doc) {
   std::lock_guard<std::mutex> lock(xml_mutex_);
-  if (xml_cache_ == nullptr || xml_version_ != doc.version) {
-    xml_cache_ = std::make_shared<const std::string>(
+  Full& full = fulls_by_view_[static_cast<std::size_t>(view)];
+  if (full.xml == nullptr || full.version != doc.version) {
+    full.xml = std::make_shared<const std::string>(
         doc.report != nullptr ? write_report(*doc.report) : std::string());
-    xml_version_ = doc.version;
-    last_full_size_.store(xml_cache_->size(), std::memory_order_relaxed);
+    full.version = doc.version;
+    full.size = full.xml->size();
   }
-  return xml_cache_;
+  return full.xml;
 }
 
-void Publisher::respond_full(std::string& out, const Doc& doc,
+std::uint64_t Publisher::last_full_size(View view) {
+  std::lock_guard<std::mutex> lock(xml_mutex_);
+  return fulls_by_view_[static_cast<std::size_t>(view)].size;
+}
+
+void Publisher::respond_full(std::string& out, View view, const Doc& doc,
                              std::size_t max_payload, Session* sess) {
-  auto xml = xml_for(doc);
+  auto xml = xml_for(view, doc);
   if (xml->size() > kMaxResponseBytes) {
     respond_error(out, "report too large");
     errors_.fetch_add(1, std::memory_order_relaxed);
@@ -79,14 +86,16 @@ void Publisher::respond_full(std::string& out, const Doc& doc,
   fulls_.fetch_add(1, std::memory_order_relaxed);
   if (sess != nullptr) {
     sess->version = doc.version;
+    sess->view = view;
     sess->base = doc.report;
     sess->dict.clear();
   }
 }
 
-void Publisher::drop_stale_xml(std::uint64_t version) {
+void Publisher::drop_stale_xml(View view, std::uint64_t version) {
   std::lock_guard<std::mutex> lock(xml_mutex_);
-  if (xml_version_ != version) xml_cache_.reset();
+  Full& full = fulls_by_view_[static_cast<std::size_t>(view)];
+  if (full.version != version) full.xml.reset();
 }
 
 std::string Publisher::serve_digest(std::string_view request) {
@@ -155,7 +164,8 @@ std::string Publisher::serve(std::string_view request) {
   const std::size_t max_payload =
       effective_frame > kFrameOverhead ? effective_frame - kFrameOverhead : 1;
 
-  const Doc doc = provider_();
+  const View view = req->view;
+  const Doc doc = provider_(view);
   if (doc.report == nullptr) {
     respond_error(out, "no document");
     errors_.fetch_add(1, std::memory_order_relaxed);
@@ -164,7 +174,7 @@ std::string Publisher::serve(std::string_view request) {
   }
 
   if (req->session_id.empty()) {
-    respond_full(out, doc, max_payload, nullptr);
+    respond_full(out, view, doc, max_payload, nullptr);
     bytes_out_.fetch_add(out.size(), std::memory_order_relaxed);
     return out;
   }
@@ -174,9 +184,9 @@ std::string Publisher::serve(std::string_view request) {
 
   const bool base_ok = req->last_version != 0 &&
                        req->last_version == sess->version &&
-                       sess->base != nullptr;
+                       sess->view == view && sess->base != nullptr;
   if (!base_ok) {
-    respond_full(out, doc, max_payload, sess.get());
+    respond_full(out, view, doc, max_payload, sess.get());
     bytes_out_.fetch_add(out.size(), std::memory_order_relaxed);
     return out;
   }
@@ -199,10 +209,10 @@ std::string Publisher::serve(std::string_view request) {
   RowBuffer rows;
   bool usable = diff_report(*sess->base, *doc.report, sess->dict, rows);
   if (usable) {
-    // A delta bigger than the report itself is a loss; so is a single row
-    // that cannot fit the negotiated frame size.
-    const std::uint64_t full_size =
-        last_full_size_.load(std::memory_order_relaxed);
+    // A delta bigger than the report itself (the last full of this view)
+    // is a loss; so is a single row that cannot fit the negotiated frame
+    // size.
+    const std::uint64_t full_size = last_full_size(view);
     if (full_size != 0 && rows.bytes.size() >= full_size) usable = false;
     std::uint32_t prev = 0;
     for (std::uint32_t end : rows.ends) {
@@ -215,7 +225,7 @@ std::string Publisher::serve(std::string_view request) {
   }
   if (!usable) {
     sess->dict.truncate(dict_size);
-    respond_full(out, doc, max_payload, sess.get());
+    respond_full(out, view, doc, max_payload, sess.get());
     bytes_out_.fetch_add(out.size(), std::memory_order_relaxed);
     return out;
   }
@@ -249,7 +259,7 @@ std::string Publisher::serve(std::string_view request) {
   sess->base = doc.report;
   deltas_.fetch_add(1, std::memory_order_relaxed);
   bytes_out_.fetch_add(out.size(), std::memory_order_relaxed);
-  drop_stale_xml(doc.version);
+  drop_stale_xml(view, doc.version);
   return out;
 }
 

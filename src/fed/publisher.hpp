@@ -1,16 +1,18 @@
 // Server half of the delta federation protocol.
 //
 // A Publisher answers framed poll requests against whatever document the
-// DocProvider returns, remembering per-session the exact report each peer
-// last acknowledged so the next poll can be answered with a row delta
-// against it.  Sessions are soft state: they are keyed by the client's
-// opaque session id (not the connection — one-shot request/response
-// transports work fine), LRU-evicted past max_sessions, and an evicted or
-// unknown session simply gets a full-XML resync.  Every response is a
+// DocProvider returns for the view the request names, remembering
+// per-session the exact report each peer last acknowledged so the next
+// poll can be answered with a row delta against it.  Sessions are soft
+// state: they are keyed by the client's opaque session id (not the
+// connection — one-shot request/response transports work fine),
+// LRU-evicted past max_sessions, and an evicted or unknown session simply
+// gets a full-XML resync.  Every response is a
 // complete byte string, so the same code serves the in-memory fabric's
 // one-exchange service streams and a persistent TCP accept loop.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -28,13 +30,15 @@
 namespace ganglia::fed {
 
 /// One published document: an immutable report plus its version.  Equal
-/// versions MUST mean byte-identical reports.
+/// versions of one view MUST mean byte-identical reports.
 struct Doc {
   std::shared_ptr<const Report> report;
   std::uint64_t version = 0;
 };
 
-using DocProvider = std::function<Doc()>;
+/// The current document in the requested view.  A provider with only one
+/// document (a gmond's cluster has no grid to summarise) may ignore it.
+using DocProvider = std::function<Doc(View)>;
 
 struct PublisherOptions {
   std::size_t max_sessions = 64;
@@ -82,19 +86,28 @@ class Publisher {
   struct Session {
     std::mutex mutex;
     std::uint64_t version = 0;
+    View view = View::tree;  ///< the view `base` was served in
     std::shared_ptr<const Report> base;
     NameDict dict;
     std::uint64_t last_used = 0;
   };
 
+  /// The last full document served in one view.
+  struct Full {
+    std::uint64_t version = 0;
+    std::shared_ptr<const std::string> xml;  ///< dropped once stale
+    std::uint64_t size = 0;                  ///< kept: the delta size cap
+  };
+
   std::shared_ptr<Session> session_for(const std::string& id);
   std::string serve_digest(std::string_view request);
-  std::shared_ptr<const std::string> xml_for(const Doc& doc);
+  std::shared_ptr<const std::string> xml_for(View view, const Doc& doc);
+  std::uint64_t last_full_size(View view);
   /// A delta served at `version` means the cached full of any other
-  /// version has no reader left: drop its XML, keep its size.
-  void drop_stale_xml(std::uint64_t version);
-  void respond_full(std::string& out, const Doc& doc, std::size_t max_payload,
-                    Session* sess);
+  /// version of that view has no reader left: drop its XML, keep its size.
+  void drop_stale_xml(View view, std::uint64_t version);
+  void respond_full(std::string& out, View view, const Doc& doc,
+                    std::size_t max_payload, Session* sess);
   static void respond_error(std::string& out, std::string_view message);
 
   DocProvider provider_;
@@ -105,8 +118,7 @@ class Publisher {
   std::uint64_t use_tick_ = 0;
 
   std::mutex xml_mutex_;
-  std::uint64_t xml_version_ = 0;
-  std::shared_ptr<const std::string> xml_cache_;
+  std::array<Full, kViews> fulls_by_view_;
 
   std::mutex digest_mutex_;
   DigestHandler digest_handler_;
@@ -119,7 +131,6 @@ class Publisher {
   std::atomic<std::uint64_t> errors_{0};
   std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::uint64_t> bytes_out_{0};
-  std::atomic<std::uint64_t> last_full_size_{0};
 };
 
 }  // namespace ganglia::fed

@@ -71,12 +71,13 @@ Result<net::Stream*> Session::exchange(net::Transport& transport,
 }
 
 Result<Outcome> Session::poll(net::Transport& transport, TimeUs timeout,
-                              CpuMeter* meter) {
+                              CpuMeter* meter, View view) {
   PollRequest req;
   req.op = kOpPoll;
   req.session_id = session_id_;
   req.last_version = base_.has_value() ? last_version_ : 0;
   req.max_frame = opts_.max_frame;
+  req.view = view;
   const std::string request = encode_poll(req);
 
   auto stream = exchange(transport, timeout, request);

@@ -51,11 +51,12 @@ class Session {
  public:
   explicit Session(SessionOptions opts);
 
-  /// One poll round-trip.  On any error the base is invalidated, so the
-  /// next poll requests a full resync.  `meter`, when set, is charged for
-  /// decode/apply/parse CPU (never for I/O waits).
+  /// One poll round-trip for the document in `view`.  On any error the
+  /// base is invalidated, so the next poll requests a full resync; a base
+  /// held in another view is answered with a full too.  `meter`, when set,
+  /// is charged for decode/apply/parse CPU (never for I/O waits).
   Result<Outcome> poll(net::Transport& transport, TimeUs timeout,
-                       CpuMeter* meter = nullptr);
+                       CpuMeter* meter = nullptr, View view = View::tree);
 
   /// Heartbeat: one ping/pong round-trip on the persistent stream, keeping
   /// NATs and idle-timeout middleboxes from reaping it between polls.

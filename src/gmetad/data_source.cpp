@@ -24,6 +24,7 @@ void DataSource::set_federation_address(const std::string& address) {
 Result<DataSource::Fetched> DataSource::fetch_delta(net::Transport& transport,
                                                     TimeUs timeout,
                                                     std::int64_t now_s,
+                                                    fed::View view,
                                                     CpuMeter* meter) {
   std::lock_guard lock(session_mutex_);
   if (session_ == nullptr ||
@@ -33,7 +34,7 @@ Result<DataSource::Fetched> DataSource::fetch_delta(net::Transport& transport,
     opts.max_frame = config_.federation_max_frame;
     session_ = std::make_unique<fed::Session>(std::move(opts));
   }
-  auto out = session_->poll(transport, timeout, meter);
+  auto out = session_->poll(transport, timeout, meter, view);
   if (!out.ok()) {
     session_live_.store(false, std::memory_order_relaxed);
     return out.error();
@@ -63,6 +64,7 @@ Result<DataSource::Fetched> DataSource::fetch_delta(net::Transport& transport,
   {
     std::lock_guard err_lock(last_error_mutex_);
     last_error_.clear();
+    delta_error_.clear();
   }
   return f;
 }
@@ -99,13 +101,14 @@ std::optional<Result<std::string>> DataSource::piggyback_digest(
 Result<DataSource::Fetched> DataSource::fetch(net::Transport& transport,
                                               TimeUs timeout,
                                               std::int64_t now_s,
+                                              fed::View view,
                                               CpuMeter* meter) {
   Error last = Err(Errc::exhausted, "no addresses configured");
   bool have_last = false;
 
   if (!config_.federation_address.empty() &&
       delta_retry_after_.load(std::memory_order_relaxed) <= now_s) {
-    auto delta = fetch_delta(transport, timeout, now_s, meter);
+    auto delta = fetch_delta(transport, timeout, now_s, view, meter);
     if (delta.ok()) return delta;
     // Delta path down: count it as a resync, back off, and let the legacy
     // XML path below carry this poll.
@@ -114,6 +117,10 @@ Result<DataSource::Fetched> DataSource::fetch(net::Transport& transport,
                              std::memory_order_relaxed);
     last = delta.error();
     have_last = true;
+    {
+      std::lock_guard lock(last_error_mutex_);
+      delta_error_ = last.to_string();
+    }
     GLOG(debug, "gmetad") << "source " << config_.name << ": delta poll via "
                           << config_.federation_address
                           << " failed: " << last.to_string();

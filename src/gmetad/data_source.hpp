@@ -9,21 +9,23 @@
 // fetch() is a two-tier pipeline.  When the source has a federation
 // address (configured `fed=host:port` or discovered via gossip metadata),
 // the poll first runs over the binary delta protocol: a persistent
-// fed::Session that transfers only changed rows and resyncs from full XML
-// automatically on loss, restart, or corruption.  Any delta-path failure
-// falls straight through to the legacy path — the preferred XML dump
-// address first, rotating through the remaining candidates on failure —
-// and starts a resync backoff so a dead delta port is not re-dialed on
-// every poll.  A legacy success promotes the serving address to preferred;
-// total failure leaves the source marked unreachable and the next poll
-// round retries from the top — failures never cause permanent fissures in
-// the tree.
+// fed::Session that transfers only changed rows of the view the poller
+// keeps (an N-level parent asks a child gmetad for its grid summary only)
+// and resyncs from full XML automatically on loss, restart, or
+// corruption.  Any delta-path failure falls straight through to the
+// legacy path — the preferred XML dump address first, rotating through
+// the remaining candidates on failure — and starts a resync backoff so a
+// dead delta port is not re-dialed on every poll; delta_error() keeps the
+// reason until the delta path succeeds again.  A legacy success promotes
+// the serving address to preferred; total failure leaves the source marked
+// unreachable and the next poll round retries from the top — failures
+// never cause permanent fissures in the tree.
 //
 // Concurrency: the poll pool runs at most one fetch() per source at a time
 // (the scheduler never dispatches a source that is still in flight), but
 // the health accessors are read from other threads — daemon status pages,
 // tests, examples — while a fetch is running, so the scalar health fields
-// are atomics and the last-error string sits behind its own mutex.  The
+// are atomics and the error strings sit behind their own mutex.  The
 // delta session is additionally shared with the heartbeat tick (scheduler
 // thread), so it hides behind session_mutex_; heartbeats try-lock and
 // simply skip a source whose session is busy polling.
@@ -61,12 +63,16 @@ class DataSource {
   };
 
   /// Download one report, delta session first, failing over across the
-  /// candidate XML addresses otherwise.  On exhaustion returns
-  /// Errc::exhausted carrying the last error detail.  Not reentrant: one
-  /// fetch per source at a time (the poll scheduler guarantees this).
-  /// `meter`, when set, is charged for parse/apply CPU, never I/O waits.
+  /// candidate XML addresses otherwise.  The delta session asks for
+  /// `view`; the XML dump always carries the whole tree.  On exhaustion
+  /// returns Errc::exhausted carrying the last error detail.  Not
+  /// reentrant: one fetch per source at a time (the poll scheduler
+  /// guarantees this).  `meter`, when set, is charged for parse/apply CPU,
+  /// never I/O waits.
   Result<Fetched> fetch(net::Transport& transport, TimeUs timeout,
-                        std::int64_t now_s, CpuMeter* meter = nullptr);
+                        std::int64_t now_s,
+                        fed::View view = fed::View::tree,
+                        CpuMeter* meter = nullptr);
 
   /// Keep-alive tick for the delta session: pings the publisher when the
   /// session is live and idle.  Skips silently when a poll is in flight.
@@ -114,6 +120,12 @@ class DataSource {
     std::lock_guard lock(last_error_mutex_);
     return last_error_;
   }
+  /// Why the delta path last failed, kept while the XML dump carries the
+  /// polls; cleared by the next delta success.
+  std::string delta_error() const {
+    std::lock_guard lock(last_error_mutex_);
+    return delta_error_;
+  }
 
   // -- delta federation introspection --------------------------------------
   std::uint64_t delta_polls() const noexcept {
@@ -146,7 +158,8 @@ class DataSource {
 
  private:
   Result<Fetched> fetch_delta(net::Transport& transport, TimeUs timeout,
-                              std::int64_t now_s, CpuMeter* meter);
+                              std::int64_t now_s, fed::View view,
+                              CpuMeter* meter);
 
   DataSourceConfig config_;
   std::atomic<std::size_t> preferred_{0};
@@ -156,6 +169,7 @@ class DataSource {
   std::atomic<std::int64_t> last_success_s_{0};
   mutable std::mutex last_error_mutex_;
   std::string last_error_;
+  std::string delta_error_;
 
   mutable std::mutex session_mutex_;
   std::unique_ptr<fed::Session> session_;

@@ -19,6 +19,34 @@ std::size_t resolve_poll_threads(const GmetadConfig& config) {
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
   return std::min(std::max<std::size_t>(config.sources.size(), 1), hw);
 }
+
+/// The summary view: the node's grid in summary form, folded straight from
+/// the store with no render walk.  Grid::summarize() of the whole-tree
+/// document merges its clusters, then its grids, and that document lists
+/// every source's clusters before any source's grids.  Folding the store in
+/// that order hands the parent the bits it would have computed from the
+/// tree.
+Report summary_doc(const std::vector<Store::Versioned>& sources,
+                   const QueryContext& ctx) {
+  SummaryInfo total;
+  for (const Store::Versioned& v : sources) {
+    for (const Cluster& cluster : v.snapshot->clusters()) {
+      total.merge(v.snapshot->cluster_summary(cluster));
+    }
+  }
+  for (const Store::Versioned& v : sources) {
+    for (const Grid& grid : v.snapshot->grids()) total.merge(grid.summarize());
+  }
+  Report report;
+  report.version = ctx.version;
+  Grid self;
+  self.name = ctx.grid_name;
+  self.authority = ctx.authority;
+  self.localtime = ctx.now;
+  self.summary = std::move(total);
+  report.grids.push_back(std::move(self));
+  return report;
+}
 }  // namespace
 
 Gmetad::Gmetad(GmetadConfig config, net::Transport& transport, Clock& clock)
@@ -42,7 +70,7 @@ Gmetad::Gmetad(GmetadConfig config, net::Transport& transport, Clock& clock)
   fed_opts.max_frame = config_.federation_max_frame;
   fed_opts.max_digest_bytes = config_.gossip_max_digest;
   publisher_ = std::make_unique<fed::Publisher>(
-      [this] { return current_doc(); }, fed_opts);
+      [this](fed::View view) { return current_doc(view); }, fed_opts);
 
   if (!config_.gossip_bind.empty()) {
     gossip::AgentOptions opts;
@@ -160,9 +188,13 @@ Gmetad::PollResult Gmetad::poll_source(DataSource& source, std::int64_t now) {
   // (Over the in-memory fabric the child produces its dump inside our
   // read() and charges its *own* meter for it.)  The delta session passes
   // our meter down so decode/apply CPU is charged without the I/O waits.
+  // An N-level node keeps child grids in summary form only (below), so its
+  // delta sessions ask for nothing more.
+  const fed::View view = config_.mode == Mode::n_level ? fed::View::summary
+                                                       : fed::View::tree;
   auto fetched = source.fetch(transport_,
                               config_.connect_timeout_s * kMicrosPerSecond,
-                              now, &cpu_meter_);
+                              now, view, &cpu_meter_);
   ScopedCpuMeter meter(cpu_meter_);
   if (!fetched.ok()) {
     result.error = fetched.error().to_string();
@@ -442,7 +474,7 @@ net::ServiceFn Gmetad::interactive_service() {
 
 // --------------------------------------------- delta federation (serving)
 
-fed::Doc Gmetad::current_doc() {
+fed::Doc Gmetad::current_doc(fed::View view) {
   // Version fold: the exact store state a document renders from is pinned
   // by (structure version, every per-source publish version) — and by the
   // clock second, because LOCALTIME/TN attributes derive from now.  Equal
@@ -450,6 +482,7 @@ fed::Doc Gmetad::current_doc() {
   // contract; a fold miss merely rebuilds.
   std::uint64_t structure = 0;
   const auto versioned = store_.all_versioned(&structure);
+  const QueryContext ctx = context();
   std::uint64_t fold = 0xcbf29ce484222325ULL;
   const auto mix = [&fold](std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -459,21 +492,24 @@ fed::Doc Gmetad::current_doc() {
   };
   mix(structure);
   for (const Store::Versioned& v : versioned) mix(v.version);
-  mix(static_cast<std::uint64_t>(clock_.now_seconds()));
+  mix(static_cast<std::uint64_t>(ctx.now));
+  mix(static_cast<std::uint64_t>(view));
   fold |= 1;  // 0 is the "no document yet" sentinel on the wire
 
   std::lock_guard lock(doc_mutex_);
-  if (doc_cache_.report != nullptr && doc_cache_.version == fold) {
-    return doc_cache_;
+  fed::Doc& doc = doc_cache_[static_cast<std::size_t>(view)];
+  if (doc.report != nullptr && doc.version == fold) return doc;
+  if (view == fed::View::summary) {
+    doc.report = std::make_shared<const Report>(summary_doc(versioned, ctx));
+  } else {
+    render::ReportBuilder builder;
+    std::size_t matches = 0;
+    std::string redirect;
+    (void)engine_.render_with(ParsedQuery{}, ctx, builder, matches, redirect);
+    doc.report = std::make_shared<const Report>(builder.take());
   }
-  render::ReportBuilder builder;
-  std::size_t matches = 0;
-  std::string redirect;
-  (void)engine_.render_with(ParsedQuery{}, context(), builder, matches,
-                            redirect);
-  doc_cache_.report = std::make_shared<const Report>(builder.take());
-  doc_cache_.version = fold;
-  return doc_cache_;
+  doc.version = fold;
+  return doc;
 }
 
 net::ServiceFn Gmetad::federation_service() {

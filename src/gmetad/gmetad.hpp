@@ -32,6 +32,7 @@
 // its own meter for producing the dump.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -122,7 +123,8 @@ class Gmetad {
   // -- delta federation (serving side) --------------------------------------
 
   /// Service adapter answering framed delta-federation polls against this
-  /// node's current document (the dump-port tree in typed form).  Each
+  /// node's current document in the view the poll names: the dump-port
+  /// tree in typed form, or this node's grid in summary form.  Each
   /// request is one complete framed poll/ping; each response is a complete
   /// framed byte string — the same adapter serves the persistent
   /// federation port bound at config.federation_bind.
@@ -208,9 +210,11 @@ class Gmetad {
   /// Apply per-source knobs derived from the global config (federation
   /// client settings) before a DataSourceConfig becomes a DataSource.
   DataSourceConfig finish_source_config(DataSourceConfig ds) const;
-  /// The document the delta publisher diffs: the dump-port tree in typed
-  /// form, cached until a store version (or the clock second) moves.
-  fed::Doc current_doc();
+  /// The document the delta publisher diffs, cached per view until a
+  /// store version (or the clock second) moves: the dump-port tree in
+  /// typed form, or this node's grid in summary form for the pollers that
+  /// keep nothing more.
+  fed::Doc current_doc(fed::View view);
   /// gossip::Agent::Carrier: route an outbound membership digest over the
   /// live federation poll session to that peer, when one exists.
   std::optional<Result<std::string>> piggyback_digest(
@@ -264,11 +268,11 @@ class Gmetad {
   // Delta federation serving.  publisher_ always exists (cheap when idle)
   // so the in-memory service adapter and the stats route work without a
   // bound listener.  The document cache makes the provider idempotent per
-  // (store versions, clock second) — repeated polls within one second and
-  // polls from several parents share one built report.
+  // (view, store versions, clock second) — repeated polls within one
+  // second and polls from several parents share one built report.
   std::unique_ptr<fed::Publisher> publisher_;
   std::mutex doc_mutex_;
-  fed::Doc doc_cache_;
+  std::array<fed::Doc, fed::kViews> doc_cache_;
   std::int64_t next_heartbeat_due_s_ = 0;  ///< scheduler thread only
 
   // Daemon mode.

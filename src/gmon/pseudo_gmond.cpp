@@ -201,8 +201,9 @@ fed::Doc PseudoGmond::federation_doc() {
 
 net::ServiceFn PseudoGmond::federation_service() {
   if (fed_publisher_ == nullptr) {
+    // A gmond's cluster has no grid to summarise: every view gets it.
     fed_publisher_ = std::make_unique<fed::Publisher>(
-        [this] { return federation_doc(); });
+        [this](fed::View) { return federation_doc(); });
   }
   fed::Publisher* publisher = fed_publisher_.get();
   return [publisher](std::string_view request) -> Result<std::string> {

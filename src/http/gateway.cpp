@@ -338,6 +338,8 @@ Gateway::Content Gateway::render_federation_stats() {
       w.value(source->bytes_full());
       w.key("BYTES_SAVED");
       w.value(source->bytes_saved());
+      w.key("DELTA_ERROR");
+      w.value(source->delta_error());
       w.end_object();
     }
     w.end_array();

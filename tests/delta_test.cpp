@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -123,12 +125,61 @@ TEST(PollRequestCodec, RoundTrip) {
   EXPECT_EQ(back->last_version, 42u);
   EXPECT_EQ(back->max_frame, 1u << 16);
 
+  EXPECT_EQ(back->view, View::tree);
+
+  PollRequest summary = req;
+  summary.view = View::summary;
+  const auto kept = reparse(encode_poll(summary));
+  ASSERT_TRUE(kept.ok()) << kept.error().to_string();
+  EXPECT_EQ(kept->view, View::summary);
+  EXPECT_EQ(kept->last_version, 42u);
+
   PollRequest ping;
   ping.op = kOpPing;
   ping.session_id = "abc";
   const auto pong = reparse(encode_poll(ping));
   ASSERT_TRUE(pong.ok());
   EXPECT_EQ(pong->op, kOpPing);
+}
+
+TEST(PollRequestCodec, PreviousVersionAndUnknownViewsAreRefused) {
+  // A version-2 request, laid out as that codec wrote it: no view field.
+  std::string v2;
+  net::put_varint(v2, kMagic);
+  net::put_varint(v2, 2);
+  net::put_string(v2, "0123456789abcdef");
+  net::put_varint(v2, 42);
+  net::put_varint(v2, kMaxFrameBytes);
+  const auto old = decode_request(kFramePoll, v2);
+  ASSERT_FALSE(old.ok());
+  EXPECT_EQ(old.error().code, Errc::unsupported);
+  EXPECT_EQ(old.error().message, "codec version mismatch");
+
+  // The publisher answers it with the error frame that sends the poller
+  // to the XML dump.
+  Publisher publisher(
+      [](View) { return Doc{std::make_shared<const Report>(), 1}; });
+  std::string request;
+  net::put_frame(request, kFramePoll, v2);
+  const std::string answer = publisher.serve(request);
+  net::Frame frame;
+  std::size_t consumed = 0;
+  ASSERT_EQ(net::parse_frame(answer, kMaxFrameBytes, frame, consumed),
+            net::FrameParse::ok);
+  EXPECT_EQ(frame.type, kFrameError);
+  EXPECT_EQ(frame.payload, "codec version mismatch");
+
+  // A view this codec does not define.
+  PollRequest req;
+  req.session_id = "s";
+  std::string encoded = encode_poll(req);
+  ASSERT_EQ(net::parse_frame(encoded, kMaxFrameBytes, frame, consumed),
+            net::FrameParse::ok);
+  std::string payload(frame.payload);
+  ASSERT_EQ(static_cast<std::uint8_t>(payload.back()),
+            static_cast<std::uint8_t>(View::tree));
+  payload.back() = static_cast<char>(kViews);
+  EXPECT_FALSE(decode_request(kFramePoll, payload).ok());
 }
 
 TEST(PollRequestCodec, RejectsBadMagicMismatchedVersionAndGarbage) {
@@ -444,6 +495,37 @@ void edit_host(Host& host, std::uint32_t kind, Rng& rng,
   }
 }
 
+TEST(DiffApply, SameOrderAndReorderedHostsEachReproduceTheNewReport) {
+  const Report oldr = make_report(3, 6);
+  Report newr = oldr;
+  newr.clusters[0].localtime += 15;
+  // node0 keeps its metric list: values and TNs move, names stay put.
+  auto& same = newr.clusters[0].hosts.at("node0").metrics;
+  same[1].set_double(-4.5);
+  same[4].tn = 0;
+  // node1 loses a metric from the middle and gains one at the end.
+  auto& moved = newr.clusters[0].hosts.at("node1").metrics;
+  moved.erase(moved.begin() + 2);
+  moved.push_back(make_metric("late", 7.0));
+  moved[0].set_double(99.0);
+  expect_faithful_delta(oldr, newr, true);
+
+  // Rows name a metric, so a host listing one twice has no delta on
+  // either path: unchanged order, or a metric appended.
+  Report dup_old = oldr;
+  dup_old.clusters[0].hosts.at("node2").metrics[3].name = "metric_0";
+  for (const bool append : {false, true}) {
+    Report dup_new = dup_old;
+    auto& metrics = dup_new.clusters[0].hosts.at("node2").metrics;
+    metrics[5].set_double(1.25);
+    if (append) metrics.push_back(make_metric("late", 7.0));
+    NameDict dict;
+    RowBuffer rows;
+    EXPECT_FALSE(diff_report(dup_old, dup_new, dict, rows))
+        << (append ? "reordered" : "same-order") << " host with a duplicate";
+  }
+}
+
 TEST(DiffApply, RandomizedMutationsNeverDiverge) {
   Rng rng(20260808);
   for (int iter = 0; iter < 40; ++iter) {
@@ -554,7 +636,7 @@ struct PubRig {
   explicit PubRig(Report initial, PublisherOptions opts = {}) {
     current = std::make_shared<const Report>(std::move(initial));
     publisher = std::make_unique<Publisher>(
-        [this] { return Doc{current, version}; }, opts);
+        [this](View) { return Doc{current, version}; }, opts);
     transport.register_service("pub:1", publisher->service());
   }
 
@@ -947,6 +1029,165 @@ TEST(DeltaFederation, TestbedMatchesFullFetchByteForByte) {
       EXPECT_GT(stats.deltas, 0u) << "child publisher served no deltas";
     }
   }
+}
+
+/// Every node's dump and every summary archive since `since` of a
+/// delta-federated tree against the same tree on XML dumps, byte for byte.
+/// Adds the number of archived series compared to `series`.
+void expect_every_node_equal(gmetad::Testbed& fed, gmetad::Testbed& ref,
+                             std::int64_t since, const std::string& when,
+                             std::size_t& series) {
+  const std::int64_t now = fed.clock().now_seconds();
+  for (const gmetad::TestbedNodeSpec& spec : fed.spec().nodes) {
+    gmetad::Gmetad& a = fed.node(spec.name);
+    gmetad::Gmetad& b = ref.node(spec.name);
+    ASSERT_EQ(a.dump_xml(), b.dump_xml()) << spec.name << " " << when;
+    // Summary archives: the node's own grid, each source, each cluster.
+    std::vector<std::string> scopes = {spec.name};
+    std::set<std::string> metrics;
+    for (const auto& snapshot : b.store().all()) {
+      scopes.push_back(snapshot->name());
+      for (const Cluster& c : snapshot->clusters()) {
+        scopes.push_back(snapshot->name() + "/" + c.name);
+      }
+      for (const auto& [name, m] : snapshot->summary().metrics) {
+        metrics.insert(name);
+      }
+    }
+    for (const std::string& scope : scopes) {
+      for (const std::string& metric : metrics) {
+        for (const std::size_t ds : {0u, 1u}) {
+          const auto x =
+              a.archiver().fetch_summary_metric(scope, metric, since, now, ds);
+          const auto y =
+              b.archiver().fetch_summary_metric(scope, metric, since, now, ds);
+          ASSERT_EQ(x.ok(), y.ok()) << spec.name << " " << scope << "/"
+                                    << metric << " " << when;
+          if (!x.ok()) continue;
+          ++series;
+          ASSERT_EQ(x->start, y->start);
+          ASSERT_EQ(x->values.size(), y->values.size());
+          ASSERT_EQ(std::memcmp(x->values.data(), y->values.data(),
+                                x->values.size() * sizeof(double)),
+                    0)
+              << spec.name << " " << scope << "/" << metric << " ds " << ds
+              << " " << when;
+        }
+      }
+    }
+  }
+}
+
+gmetad::TestbedSpec fig2_tree(std::size_t hosts, gmetad::Mode mode,
+                              bool federation) {
+  gmetad::TestbedSpec spec = gmetad::fig2_spec(hosts, mode);
+  spec.soft_state = true;
+  spec.federation = federation;
+  return spec;
+}
+
+/// Both fig-2 trees through twelve rounds: a leaf gmond's services leave
+/// the fabric for two of them, and another cluster loses three hosts.
+void run_faulted_fig2(std::size_t hosts, gmetad::Mode mode) {
+  gmetad::Testbed fed(fig2_tree(hosts, mode, true));
+  gmetad::Testbed ref(fig2_tree(hosts, mode, false));
+  const std::string gone = "physics-alpha";
+  const std::int64_t since = fed.clock().now_seconds();
+  std::size_t series = 0;
+  for (int round = 0; round < 12; ++round) {
+    if (round == 4) {
+      for (gmetad::Testbed* bed : {&fed, &ref}) {
+        bed->transport().unregister_service(
+            gmetad::Testbed::gmond_address(gone));
+        bed->transport().unregister_service(
+            gmetad::Testbed::gmond_federation_address(gone));
+      }
+    }
+    if (round == 6) {
+      for (gmetad::Testbed* bed : {&fed, &ref}) {
+        bed->transport().register_service(gmetad::Testbed::gmond_address(gone),
+                                          bed->cluster(gone).service());
+      }
+      fed.transport().register_service(
+          gmetad::Testbed::gmond_federation_address(gone),
+          fed.cluster(gone).federation_service());
+    }
+    if (round == 8) {
+      fed.cluster("attic-beta").set_down_hosts(3);
+      ref.cluster("attic-beta").set_down_hosts(3);
+    }
+    fed.run_round();
+    ref.run_round();
+    expect_every_node_equal(fed, ref, since,
+                            "at round " + std::to_string(round) + ", " +
+                                std::to_string(hosts) + " hosts/cluster",
+                            series);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  if (mode == gmetad::Mode::n_level) {
+    EXPECT_GT(series, 0u) << "an N-level tree archives summaries to compare";
+  }
+  // Every gmetad edge ended the run incremental.
+  for (const char* parent : {"root", "ucsd", "sdsc"}) {
+    for (const gmetad::DataSource* source : fed.node(parent).sources()) {
+      EXPECT_EQ(source->session_mode(fed.clock().now_seconds()), "delta")
+          << parent << "<-" << source->name();
+    }
+  }
+}
+
+/// Steady-state bytes per poll on root<-ucsd, averaged over four deltas.
+double grid_edge_bytes_per_poll(std::size_t hosts) {
+  gmetad::TestbedSpec spec = fig2_tree(hosts, gmetad::Mode::n_level, true);
+  spec.archive_enabled = false;
+  gmetad::Testbed bed(spec);
+  bed.run_rounds(3);
+  const gmetad::DataSource* ucsd = nullptr;
+  for (const gmetad::DataSource* source : bed.node("root").sources()) {
+    if (source->name() == "ucsd") ucsd = source;
+  }
+  EXPECT_NE(ucsd, nullptr);
+  if (ucsd == nullptr) return 0;
+  const std::uint64_t before = ucsd->bytes_delta();
+  const std::uint64_t deltas = ucsd->delta_polls();
+  bed.run_rounds(4);
+  EXPECT_EQ(ucsd->delta_polls(), deltas + 4) << "every poll a delta";
+  return static_cast<double>(ucsd->bytes_delta() - before) / 4;
+}
+
+TEST(DeltaFederation, NLevelTreeMatchesXmlAtEveryNodeAndArchiveUnderFaults) {
+  for (const std::size_t hosts : {8u, 50u}) {
+    SCOPED_TRACE(std::to_string(hosts) + " hosts/cluster");
+    run_faulted_fig2(hosts, gmetad::Mode::n_level);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(DeltaFederation, OneLevelTreeStillCarriesHostDetail) {
+  run_faulted_fig2(6, gmetad::Mode::one_level);
+  if (HasFatalFailure()) return;
+  // A 1-level parent asks for the whole tree: the root holds host rows of
+  // a cluster two gmetads down.
+  gmetad::Testbed fed(fig2_tree(6, gmetad::Mode::one_level, true));
+  fed.run_rounds(3);
+  const std::string dump = fed.node("root").dump_xml();
+  const auto cluster = dump.find("<CLUSTER NAME=\"physics-beta\"");
+  ASSERT_NE(cluster, std::string::npos);
+  EXPECT_NE(dump.find("<HOST NAME=", cluster), std::string::npos);
+  for (const gmetad::DataSource* source : fed.node("root").sources()) {
+    EXPECT_GT(source->delta_polls(), 0u) << source->name();
+  }
+}
+
+TEST(DeltaFederation, GridEdgeBytesDoNotGrowWithClusterSize) {
+  // An N-level parent keeps a child's grid as one summary, so what the
+  // edge carries per poll is the summary's churn, not the child's hosts.
+  const double small = grid_edge_bytes_per_poll(4);
+  const double large = grid_edge_bytes_per_poll(40);
+  EXPECT_GT(small, 0.0);
+  EXPECT_LT(large, small * 1.15)
+      << "root<-ucsd: " << small << " B/poll at 4 hosts/cluster, " << large
+      << " B/poll at 40";
 }
 
 TEST(DeltaFederation, GossipDiscoveredEndpointsGoIncremental) {

@@ -239,21 +239,25 @@ TEST_P(FuzzSeeds, DeltaRequestDecoderNeverCrashes) {
     (void)fed::decode_request(fed::kFramePoll, random_bytes(rng_, 200));
     (void)fed::decode_request(fed::kFramePing, random_bytes(rng_, 200));
   }
-  // Mutated valid poll requests.
-  fed::PollRequest req;
-  req.session_id = "fuzzed-session-0123456789abcdef";
-  req.last_version = 1234;
-  const std::string encoded = fed::encode_poll(req);
-  net::Frame frame;
-  std::size_t consumed = 0;
-  ASSERT_EQ(net::parse_frame(encoded, fed::kMaxFrameBytes, frame, consumed),
-            net::FrameParse::ok);
-  const std::string payload(frame.payload);
-  for (int i = 0; i < 300; ++i) {
-    std::string mutated = payload;
-    mutated[rng_.next_below(static_cast<std::uint32_t>(mutated.size()))] =
-        static_cast<char>(rng_.next_below(256));
-    (void)fed::decode_request(fed::kFramePoll, mutated);
+  // Mutated valid poll requests, one per view.
+  for (const fed::View view : {fed::View::tree, fed::View::summary}) {
+    fed::PollRequest req;
+    req.session_id = "fuzzed-session-0123456789abcdef";
+    req.last_version = 1234;
+    req.view = view;
+    const std::string encoded = fed::encode_poll(req);
+    net::Frame frame;
+    std::size_t consumed = 0;
+    ASSERT_EQ(net::parse_frame(encoded, fed::kMaxFrameBytes, frame, consumed),
+              net::FrameParse::ok);
+    const std::string payload(frame.payload);
+    ASSERT_TRUE(fed::decode_request(fed::kFramePoll, payload).ok());
+    for (int i = 0; i < 300; ++i) {
+      std::string mutated = payload;
+      mutated[rng_.next_below(static_cast<std::uint32_t>(mutated.size()))] =
+          static_cast<char>(rng_.next_below(256));
+      (void)fed::decode_request(fed::kFramePoll, mutated);
+    }
   }
 }
 
@@ -360,6 +364,11 @@ struct DeltaCorpus {
       net::put_varint(past, 2);
       hostile.push_back(std::move(past));
     }
+    std::string sum = prefix;  // a sum for a metric the summary lacks
+    net::put_u8(sum, fed::kRowSummarySum);
+    net::put_varint(sum, 1);
+    net::put_f64(sum, 2.5);
+    hostile.push_back(std::move(sum));
   }
 
   static void define(std::string& out, std::uint64_t id,
@@ -414,20 +423,23 @@ TEST_P(FuzzSeeds, DeltaApplierNeverCrashes) {
 TEST_P(FuzzSeeds, PublisherServeNeverCrashes) {
   const DeltaCorpus corpus;
   auto doc = std::make_shared<const Report>(corpus.base);
-  fed::Publisher publisher([&doc] { return fed::Doc{doc, 1}; });
+  fed::Publisher publisher([&doc](fed::View) { return fed::Doc{doc, 1}; });
   for (int i = 0; i < 200; ++i) {
     const std::string response = publisher.serve(random_bytes(rng_, 200));
     EXPECT_FALSE(response.empty()) << "garbage in, error frame out";
   }
-  // Mutated valid requests.
-  fed::PollRequest req;
-  req.session_id = "fuzz";
-  const std::string valid = fed::encode_poll(req);
-  for (int i = 0; i < 200; ++i) {
-    std::string mutated = valid;
-    mutated[rng_.next_below(static_cast<std::uint32_t>(mutated.size()))] =
-        static_cast<char>(rng_.next_below(256));
-    (void)publisher.serve(mutated);
+  // Mutated valid requests in both views.
+  for (const fed::View view : {fed::View::tree, fed::View::summary}) {
+    fed::PollRequest req;
+    req.session_id = "fuzz";
+    req.view = view;
+    const std::string valid = fed::encode_poll(req);
+    for (int i = 0; i < 200; ++i) {
+      std::string mutated = valid;
+      mutated[rng_.next_below(static_cast<std::uint32_t>(mutated.size()))] =
+          static_cast<char>(rng_.next_below(256));
+      (void)publisher.serve(mutated);
+    }
   }
 }
 
@@ -440,7 +452,7 @@ TEST_P(FuzzSeeds, CorruptedDeltaStreamResyncsCleanly) {
   auto current = std::make_shared<const Report>(DeltaCorpus().base);
   std::uint64_t version = 1;
   fed::Publisher publisher(
-      [&] { return fed::Doc{current, version}; });
+      [&](fed::View) { return fed::Doc{current, version}; });
 
   bool corrupt = false;
   transport.register_service(

@@ -125,6 +125,8 @@ TEST_F(GatewayTest, FederationStatsRouteIsLiveAndUncached) {
   EXPECT_NE(response.body.find("\"MODE\""), std::string::npos);
   // No federation endpoints in this testbed: every source polls legacy XML.
   EXPECT_NE(response.body.find("\"xml\""), std::string::npos);
+  EXPECT_NE(response.body.find("\"DELTA_ERROR\":\"\""), std::string::npos)
+      << "a source that never tried the delta path has no delta error";
   EXPECT_EQ(header(response, "X-Cache"), "bypass");
   EXPECT_EQ(header(response, "Cache-Control"), "no-store");
 
@@ -150,6 +152,8 @@ TEST(GatewayFederation, ReportsDeltaSessionsWhenFederated) {
   EXPECT_EQ(response.body.find("\"DELTA_POLLS\":0,"), std::string::npos)
       << "every source should have polled incrementally: " << response.body;
   EXPECT_NE(response.body.find("\"BYTES_SAVED\""), std::string::npos);
+  EXPECT_NE(response.body.find("\"DELTA_ERROR\":\"\""), std::string::npos)
+      << "live delta sessions carry no delta error: " << response.body;
 }
 
 TEST_F(GatewayTest, UiMetaView) {

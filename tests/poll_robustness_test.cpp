@@ -238,6 +238,9 @@ TEST(PollRobustness, DeltaEndpointRefusedFallsBackToXmlThenRecovers) {
   rig.expect_converged("after a refused delta poll");
   EXPECT_GT(rig.source().delta_resyncs(), resyncs_before);
   EXPECT_EQ(rig.source().session_mode(rig.clock.now_seconds()), "backoff");
+  EXPECT_EQ(rig.source().last_error(), "") << "the XML dump carried the poll";
+  EXPECT_NE(rig.source().delta_error(), "")
+      << "why the delta path failed outlives the XML fallback";
 
   // Inside the backoff window the delta port is not re-dialed: connects to
   // it stay flat while polls keep flowing over XML.
@@ -256,6 +259,7 @@ TEST(PollRobustness, DeltaEndpointRefusedFallsBackToXmlThenRecovers) {
   rig.expect_converged("after recovery");
   EXPECT_GT(rig.source().delta_polls(), deltas_before);
   EXPECT_EQ(rig.source().session_mode(rig.clock.now_seconds()), "delta");
+  EXPECT_EQ(rig.source().delta_error(), "") << "a delta success clears it";
 }
 
 TEST(PollRobustness, CodecV1ClientFallsBackToXml) {
@@ -296,6 +300,10 @@ TEST(PollRobustness, CodecV1ClientFallsBackToXml) {
             net::FrameParse::ok);
   EXPECT_EQ(frame.type, fed::kFrameError);
   EXPECT_EQ(frame.payload, "codec version mismatch");
+  EXPECT_NE(rig.source().delta_error().find("codec version mismatch"),
+            std::string::npos)
+      << "the reason survives the XML fallback polls: "
+      << rig.source().delta_error();
 }
 
 TEST(PollRobustness, SessionKilledMidDeltaResyncsWithoutDivergence) {
