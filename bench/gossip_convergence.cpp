@@ -20,14 +20,29 @@
 //     starting from nothing but one seed address;
 //   * steady-state bandwidth — gossip payload bytes per member per round
 //     once the group has converged (a steady round is one ping and one ack
-//     per member, each holding only its sender's own row);
+//     per member, each naming its sender by reference and carrying no
+//     row);
 //   * failure detection — rounds from a silent crash until every live
 //     member holds the dead one SUSPECT or worse, i.e. the completeness
 //     latency of probing plus dissemination.
 //
+// It exits 1 when any size fails to converge or to detect its crash, or
+// when steady bytes per member per round exceed the ceiling it prints.
 // Writes machine-readable results to BENCH_gossip.json.
 //
+// Loss sweep: `--loss-sweep FIRST LAST` runs the scenario of
+// GossipDeltaSim.CompletenessHoldsUnderMessageLoss (tests/gossip_test.cpp)
+// once per loss seed s in [FIRST, LAST] — 10 members under 10% message
+// loss converge, members a = 1 + s mod 9 and b = 1 + (7s + 3) mod 9 crash
+// (b = 1 + a mod 9 when the two coincide), every live member must convict
+// both within 14 rounds, the group must reconverge, and once loss stops
+// every live member must hold an identical table within 10 rounds.  It
+// prints each run that breaks one of those, then the totals, and exits 1
+// when any run detects late (or never) or fails to (re)converge; unequal
+// views are counted, not failed.
+//
 // Usage: gossip_convergence [size...]        (default: 64 256 1024)
+//        gossip_convergence --loss-sweep FIRST LAST
 
 #include <cstdio>
 #include <cstdlib>
@@ -42,13 +57,18 @@ using namespace ganglia;
 
 namespace {
 
+/// Steady-state payload bytes per member per round above which a run
+/// fails: a settled message names its sender by reference and carries no
+/// row.
+constexpr double kSteadyCeiling = 120.0;
+
 struct ModeResult {
   const char* mode = "direct";
   std::size_t members = 0;
   int join_rounds = -1;
   double join_bytes_per_member_round = 0;
   double steady_bytes_per_member_round = 0;
-  double steady_rows_per_member_round = 0;  ///< rows beyond the senders' own
+  double steady_rows_per_member_round = 0;  ///< rows piggybacked
   int detect_rounds = -1;
   std::uint64_t syncs = 0;
   std::uint64_t piggyback_exchanges = 0;
@@ -91,8 +111,8 @@ ModeResult run_mode(std::size_t members, const char* mode) {
          static_cast<double>(members));
   }
 
-  // Steady state: converged table; no row changes, so nothing but the
-  // senders' own rows moves.
+  // Steady state: converged table; no row changes, so every message names
+  // its sender by reference and carries no row.
   constexpr int kSteadyRounds = 10;
   const std::uint64_t bytes_before = sim.total_bytes_out();
   const std::uint64_t rows_before =
@@ -128,9 +148,115 @@ ModeResult run_mode(std::size_t members, const char* mode) {
   return result;
 }
 
+/// What one loss-sweep run found.
+struct SweepRun {
+  bool converged = false;    ///< before the crash, within 40 rounds
+  int detect_rounds = -1;    ///< -1: not within 30 rounds
+  bool reconverged = false;  ///< after the crash, within 30 rounds
+  bool same_views = false;   ///< 10 loss-free rounds later
+};
+
+SweepRun run_loss_seed(std::uint64_t seed, std::size_t a, std::size_t b) {
+  gossip::GossipSimOptions options;
+  options.members = 10;
+  options.fanout = 3;
+  options.realistic_meta = true;
+  gossip::GossipSim sim(options);
+  sim.fabric.set_loss(0.10, seed);
+  SweepRun run;
+  run.converged = sim.run_until([&] { return sim.converged(); }, 40) >= 0;
+  if (!run.converged) return run;
+  sim.crash(a);
+  sim.crash(b);
+  run.detect_rounds = sim.run_until(
+      [&] {
+        for (std::size_t i = 0; i < sim.size(); ++i) {
+          if (sim.is_alive(i) &&
+              (!sim.sees_failed(i, a) || !sim.sees_failed(i, b))) {
+            return false;
+          }
+        }
+        return true;
+      },
+      30);
+  if (run.detect_rounds < 0) return run;
+  run.reconverged = sim.run_until([&] { return sim.converged(); }, 30) >= 0;
+  sim.fabric.set_loss(0.0);
+  for (int i = 0; i < 10; ++i) sim.run_round();
+  run.same_views = true;
+  std::size_t first = sim.size();
+  for (std::size_t i = 0; i < sim.size(); ++i) {
+    if (!sim.is_alive(i)) continue;
+    if (first == sim.size()) {
+      first = i;
+    } else if (!sim.same_view(first, i)) {
+      run.same_views = false;
+    }
+  }
+  return run;
+}
+
+int loss_sweep(std::uint64_t first, std::uint64_t last) {
+  constexpr int kDetectBound = 14;
+  std::printf(
+      "gossip loss sweep: 10 members, 10%% loss, two crashes, seeds "
+      "%llu-%llu\n",
+      static_cast<unsigned long long>(first),
+      static_cast<unsigned long long>(last));
+  std::uint64_t unequal = 0, late = 0, unconverged = 0;
+  for (std::uint64_t seed = first; seed <= last; ++seed) {
+    const std::size_t a = 1 + seed % 9;
+    std::size_t b = 1 + (7 * seed + 3) % 9;
+    if (b == a) b = 1 + a % 9;
+    const SweepRun run = run_loss_seed(seed, a, b);
+    const char* what = nullptr;
+    if (!run.converged) {
+      what = "never converged before the crashes";
+      ++unconverged;
+    } else if (run.detect_rounds < 0 || run.detect_rounds > kDetectBound) {
+      what = run.detect_rounds < 0 ? "crash undetected" : "late detection";
+      ++late;
+    } else if (!run.reconverged) {
+      what = "never reconverged";
+      ++unconverged;
+    } else if (!run.same_views) {
+      what = "unequal views";
+      ++unequal;
+    }
+    if (what != nullptr) {
+      std::printf("  seed %llu (crash gm%zu, gm%zu): %s, detect %d rounds\n",
+                  static_cast<unsigned long long>(seed), a, b, what,
+                  run.detect_rounds);
+    }
+  }
+  std::printf(
+      "%llu runs: %llu unequal views, %llu detections over %d rounds, %llu "
+      "failures to (re)converge\n",
+      static_cast<unsigned long long>(last - first + 1),
+      static_cast<unsigned long long>(unequal),
+      static_cast<unsigned long long>(late), kDetectBound,
+      static_cast<unsigned long long>(unconverged));
+  return late == 0 && unconverged == 0 ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (argc >= 2 && std::string(argv[1]) == "--loss-sweep") {
+    const auto seed_arg = [](const char* text, std::uint64_t& seed) {
+      char* end = nullptr;
+      seed = std::strtoull(text, &end, 10);
+      return *text != '\0' && *end == '\0' && seed > 0;
+    };
+    std::uint64_t first = 0;
+    std::uint64_t last = 0;
+    if (argc != 4 || !seed_arg(argv[2], first) || !seed_arg(argv[3], last) ||
+        last < first) {
+      std::fprintf(stderr, "usage: %s --loss-sweep FIRST LAST\n", argv[0]);
+      return 2;
+    }
+    return loss_sweep(first, last);
+  }
   std::vector<std::size_t> sizes;
   for (int i = 1; i < argc; ++i) {
     const long n = std::strtol(argv[i], nullptr, 10);
@@ -146,10 +272,11 @@ int main(int argc, char** argv) {
 
   std::printf(
       "gossip membership: convergence + bandwidth vs group size and mode\n"
-      "(interval 1 s, fanout 3, t_fail 5 s, t_cleanup 5 s, realistic meta)\n\n"
+      "(interval 1 s, fanout 3, t_fail 5 s, t_cleanup 5 s, realistic meta;\n"
+      " steady ceiling %.0f B per member per round)\n\n"
       "%8s %10s %10s %14s %16s %12s %10s\n",
-      "members", "mode", "join(rds)", "join(B/m/rd)", "steady(B/m/rd)",
-      "detect(rds)", "syncs");
+      kSteadyCeiling, "members", "mode", "join(rds)", "join(B/m/rd)",
+      "steady(B/m/rd)", "detect(rds)", "syncs");
 
   std::vector<ModeResult> results;
   for (const std::size_t members : sizes) {
@@ -233,6 +360,16 @@ int main(int argc, char** argv) {
   } else {
     std::fprintf(stderr, "cannot write %s\n", out_path);
     return 1;
+  }
+  for (const ModeResult& r : results) {
+    if (r.steady_bytes_per_member_round > kSteadyCeiling) {
+      std::fprintf(stderr,
+                   "FAIL: %zu members (%s) steady %.1f B per member per round "
+                   "is above the %.0f B ceiling\n",
+                   r.members, r.mode, r.steady_bytes_per_member_round,
+                   kSteadyCeiling);
+      return 1;
+    }
   }
   return 0;
 }

@@ -20,14 +20,14 @@ std::size_t resolve_poll_threads(const GmetadConfig& config) {
   return std::min(std::max<std::size_t>(config.sources.size(), 1), hw);
 }
 
-/// The summary view: the node's grid in summary form, folded straight from
-/// the store with no render walk.  Grid::summarize() of the whole-tree
-/// document merges its clusters, then its grids, and that document lists
-/// every source's clusters before any source's grids.  Folding the store in
-/// that order hands the parent the bits it would have computed from the
-/// tree.
-Report summary_doc(const std::vector<Store::Versioned>& sources,
-                   const QueryContext& ctx) {
+/// The node's own grid, folded straight from the store with no render
+/// walk: every source's clusters, then every source's grids.
+/// Grid::summarize() of the whole-tree document merges its clusters, then
+/// its grids, and that document lists every source's clusters before any
+/// source's grids.  Folding in that order gives this node's own-grid
+/// archive, the summary view and a parent that folds the tree the same
+/// bits.
+SummaryInfo fold_grid(const std::vector<Store::Versioned>& sources) {
   SummaryInfo total;
   for (const Store::Versioned& v : sources) {
     for (const Cluster& cluster : v.snapshot->clusters()) {
@@ -37,13 +37,19 @@ Report summary_doc(const std::vector<Store::Versioned>& sources,
   for (const Store::Versioned& v : sources) {
     for (const Grid& grid : v.snapshot->grids()) total.merge(grid.summarize());
   }
+  return total;
+}
+
+/// The summary view: the node's grid in summary form.
+Report summary_doc(const std::vector<Store::Versioned>& sources,
+                   const QueryContext& ctx) {
   Report report;
   report.version = ctx.version;
   Grid self;
   self.name = ctx.grid_name;
   self.authority = ctx.authority;
   self.localtime = ctx.now;
-  self.summary = std::move(total);
+  self.summary = fold_grid(sources);
   report.grids.push_back(std::move(self));
   return report;
 }
@@ -290,9 +296,8 @@ void Gmetad::finish_round(std::int64_t now) {
   // the N-level design's summarisation work; 2.5.1 had no equivalent.
   if (config_.archive_enabled && config_.mode == Mode::n_level) {
     ScopedCpuMeter meter(cpu_meter_);
-    SummaryInfo total;
-    for (const auto& snapshot : store_.all()) total.merge(snapshot->summary());
-    archiver_.record_summary(config_.grid_name, total, now);
+    archiver_.record_summary(config_.grid_name,
+                             fold_grid(store_.all_versioned()), now);
   }
   if (post_poll_hook_) post_poll_hook_(now);
 }

@@ -8,7 +8,10 @@
 namespace ganglia::gmon {
 
 PseudoGmond::PseudoGmond(PseudoGmondConfig config, Clock& clock)
-    : config_(std::move(config)), clock_(clock), rng_(config_.seed) {
+    : config_(std::move(config)),
+      clock_(clock),
+      rng_(config_.seed),
+      gmond_started_(clock_.now_seconds() - 86'400) {
   hosts_.reserve(config_.host_count);
   for (std::size_t i = 0; i < config_.host_count; ++i) {
     hosts_.push_back(make_host(i));
@@ -125,7 +128,7 @@ void PseudoGmond::fill_cluster(Cluster& out, std::int64_t now) {
       host.tn = static_cast<std::uint32_t>(draw.next_below(15));
       host.reported = now - host.tn;
     }
-    host.gmond_started = now - 86'400;
+    host.gmond_started = gmond_started_;
     host.metrics.reserve(catalogue.size());
     for (std::size_t m = 0; m < catalogue.size(); ++m) {
       const MetricDef& def = catalogue[m];

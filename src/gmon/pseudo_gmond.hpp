@@ -92,6 +92,9 @@ class PseudoGmond {
   PseudoGmondConfig config_;
   Clock& clock_;
   Rng rng_;
+  /// Every emulated gmond started a day before the emulator did, once:
+  /// a GMOND_STARTED that moved would report a restart on every poll.
+  std::int64_t gmond_started_;
   std::vector<SimHost> hosts_;
   std::uint64_t reports_served_ = 0;
 

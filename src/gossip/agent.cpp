@@ -134,12 +134,33 @@ void Agent::tick() {
 
 // -------------------------------------------------------------- messages
 
-Message Agent::message_locked(MessageKind kind, const std::string& receiver_id,
-                              const PeerRef& target) {
+Message Agent::stamp_locked(MessageKind kind) {
+  const MemberEntry& self = table_.self();
   Message message;
   message.kind = kind;
   message.digest = table_.digest();
-  message.sender = table_.self();
+  message.sender.id = self.id;
+  message.sender.address = self.address;
+  message.sender.incarnation = self.incarnation;
+  message.sender.state = self.state;
+  // Every change to our row changes its version; the row then leads our
+  // next retransmit_limit messages, and after that only the reference
+  // goes out.
+  const std::uint64_t version = row_hash(self);
+  if (version != self_version_) {
+    self_version_ = version;
+    self_sent_ = 0;
+  }
+  if (self_sent_ < retransmit_limit(table_.size())) {
+    ++self_sent_;
+    message.rows.push_back(self);
+  }
+  return message;
+}
+
+Message Agent::message_locked(MessageKind kind, const std::string& receiver_id,
+                              const PeerRef& target) {
+  Message message = stamp_locked(kind);
   message.target_id = target.id;
   message.target_address = target.address;
 
@@ -190,10 +211,7 @@ Message Agent::message_locked(MessageKind kind, const std::string& receiver_id,
 }
 
 Message Agent::sync_request_locked(const std::string& from) {
-  Message request;
-  request.kind = MessageKind::sync;
-  request.digest = table_.digest();
-  request.sender = table_.self();
+  Message request = stamp_locked(MessageKind::sync);
   request.page_from = from;
   // Hash the rows after `from` while they fit; each may also end the page,
   // so reserve room to name it.
@@ -212,14 +230,13 @@ Message Agent::sync_request_locked(const std::string& from) {
   if (it != rows.end() && !request.have.empty()) {
     request.page_to = std::prev(it)->first;
   }
+  stats_.digest_rows_sent += request.rows.size();
   return request;
 }
 
 Message Agent::sync_reply_locked(const Message& request) {
-  Message reply;
-  reply.kind = MessageKind::sync;
-  reply.digest = table_.digest();
-  reply.sender = table_.self();
+  Message reply = stamp_locked(MessageKind::sync);
+  const bool self_carried = !reply.rows.empty();  // our row, while news
   reply.page_from = request.page_from;
   std::size_t size = encode_message(reply).size() + 3 +
                      request.page_to.size() + 2;
@@ -236,7 +253,8 @@ Message Agent::sync_reply_locked(const Message& request) {
     mine.insert(hash);
     if (cut) continue;
     const MemberEntry& row = it->second;
-    if (have.count(hash) == 0 && row.id != request.sender.id) {
+    if (have.count(hash) == 0 && row.id != request.sender.id &&
+        (row.id != options_.id || !self_carried)) {
       scratch.clear();
       encode_row(scratch, row);
       if (reply.rows.size() >= kMaxDigestEntries ||
@@ -267,7 +285,6 @@ void Agent::merge_locked(const MemberEntry& row, TimeUs now) {
 
 void Agent::absorb_locked(const Message& message, bool compare_digest) {
   const TimeUs now = clock_.now_us();
-  merge_locked(message.sender, now);
   for (const MemberEntry& row : message.rows) merge_locked(row, now);
   if (compare_digest && message.digest != table_.digest()) {
     schedule_sync_locked(message.sender);

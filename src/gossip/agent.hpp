@@ -27,17 +27,25 @@
 // news: each member reaches it on its own timer, and a DEAD row travels as
 // the SUSPECT row behind it, so no message can convict anyone.  A message
 // to a member we hold SUSPECT or DEAD leads with that member's own row, as
-// SUSPECT, so it can refute.  In a steady group no row changes, and each
-// message holds only its sender's own row: O(1) bytes per member per
-// round.
+// SUSPECT, so it can refute.  Our own row is news after each change to it
+// (our start, a refutation, a new address or metadata, our leave): it
+// leads the rows of our next 3·⌈log10(n+1)⌉ messages of any kind, sync
+// included.  Otherwise a message names its sender only by reference
+// (state, id, address, incarnation), which no receiver merges.  In a
+// steady group no row changes, and a message carries no row at all: O(1)
+// bytes per member per round.
 //
 // Anti-entropy.  Joins are not news.  Every message carries its sender's
 // digest, over every row's id, incarnation and verdict; one that differs
-// from ours schedules a sync with its sender on our next tick.  A sync
-// request names one page of our id order and the hashes of the rows we
-// hold there; the reply carries the rows in that page whose versions we
-// lack, so it brings both the members we never heard of and any news we
-// missed.  We keep paging until a reply reaches the end of the order.
+// from ours schedules a sync with its sender, at the address its reference
+// names, on our next tick.  So a reference we hold no matching row for —
+// an unknown member, a newer incarnation — is repaired by a sync, and a
+// member we dropped (a healed partition, a restarted failover primary) is
+// found again through the address it gives.  A sync request names one page
+// of our id order and the hashes of the rows we hold there; the reply
+// carries the rows in that page whose versions we lack, so it brings both
+// the members we never heard of and any news we missed.  We keep paging
+// until a reply reaches the end of the order.
 // The responder answers from the request alone (so syncs served
 // concurrently cannot mix pages) and schedules a pull back when the
 // request shows versions it lacks.  A member with no ALIVE or SUSPECT
@@ -111,7 +119,8 @@ struct AgentStats {
   std::uint64_t digests_received = 0;
   std::uint64_t bytes_out = 0;       ///< message bytes written (both roles)
   std::uint64_t bytes_in = 0;        ///< message bytes read (both roles)
-  /// Rows sent beyond each sender's own: piggybacked news and sync pages.
+  /// Rows sent: piggybacked news (our own row while it is news) and sync
+  /// pages.
   std::uint64_t digest_rows_sent = 0;
   std::uint64_t full_resyncs = 0;    ///< anti-entropy syncs started
   std::uint64_t piggyback_exchanges = 0; ///< exchanges via the carrier
@@ -187,6 +196,9 @@ class Agent {
   /// Up to `count` distinct random members of `peers`.
   std::vector<PeerRef> sample_locked(std::vector<PeerRef> peers,
                                      std::size_t count);
+  /// A `kind` message from us: our digest and reference, and our own row
+  /// while it is news.
+  Message stamp_locked(MessageKind kind);
   /// A message from us to `receiver_id`, with news piggybacked.
   Message message_locked(MessageKind kind, const std::string& receiver_id,
                          const PeerRef& target = {});
@@ -194,9 +206,10 @@ class Agent {
   Message sync_reply_locked(const Message& request);
   /// Merge one row; a change to a known member becomes news.
   void merge_locked(const MemberEntry& row, TimeUs now);
-  /// Merge a message's rows, and schedule a sync with its sender when
-  /// `compare_digest` and the digests differ.
+  /// Merge a message's rows (never its sender's reference), and schedule
+  /// a sync with its sender when `compare_digest` and the digests differ.
   void absorb_locked(const Message& message, bool compare_digest);
+  /// Sync with `peer` (a sender's reference) at the address it names.
   void schedule_sync_locked(const MemberEntry& peer);
 
   /// Ping `target`, then ping-req through `fanout` members; SUSPECT when
@@ -224,6 +237,10 @@ class Agent {
   AgentStats stats_;
   Rng rng_;
   std::map<std::string, unsigned> news_;  ///< member id -> times sent
+  /// Our own row's version (row_hash) when it last changed, and how many
+  /// messages have carried it since.
+  std::uint64_t self_version_ = 0;
+  unsigned self_sent_ = 0;
   std::optional<Sync> sync_;
   bool relaying_ = false;  ///< a ping-req relay is in flight
   std::vector<MemberEvent> pending_;  ///< made, not yet handed out

@@ -28,18 +28,30 @@ bool get_text(net::WireReader& reader, std::string& out, std::size_t max,
   return true;
 }
 
-bool decode_row(net::WireReader& reader, MemberEntry& row) {
+/// A reference: the row's state, id, address and incarnation.
+void encode_reference(std::string& out, const MemberEntry& row) {
+  net::put_u8(out, static_cast<std::uint8_t>(row.state));
+  net::put_string(out, row.id);
+  net::put_string(out, row.address);
+  net::put_varint(out, row.incarnation);
+}
+
+bool decode_reference(net::WireReader& reader, MemberEntry& row) {
   std::uint8_t state = 0;
   if (!reader.get_u8(state) ||
       state > static_cast<std::uint8_t>(MemberState::left)) {
     return false;
   }
   row.state = static_cast<MemberState>(state);
+  return get_text(reader, row.id, kMaxIdBytes, false) &&
+         get_text(reader, row.address, kMaxAddressBytes, false) &&
+         reader.get_varint(row.incarnation) &&
+         wire_row_ok(row.state, row.incarnation);
+}
+
+bool decode_row(net::WireReader& reader, MemberEntry& row) {
   std::uint64_t pairs = 0;
-  if (!get_text(reader, row.id, kMaxIdBytes, false) ||
-      !get_text(reader, row.address, kMaxAddressBytes, false) ||
-      !reader.get_varint(row.incarnation) ||
-      !wire_row_ok(row.state, row.incarnation) || !reader.get_varint(pairs) ||
+  if (!decode_reference(reader, row) || !reader.get_varint(pairs) ||
       pairs > kMaxMetaPairs) {
     return false;
   }
@@ -58,10 +70,7 @@ bool decode_row(net::WireReader& reader, MemberEntry& row) {
 }  // namespace
 
 void encode_row(std::string& out, const MemberEntry& row) {
-  net::put_u8(out, static_cast<std::uint8_t>(row.state));
-  net::put_string(out, row.id);
-  net::put_string(out, row.address);
-  net::put_varint(out, row.incarnation);
+  encode_reference(out, row);
   net::put_varint(out, row.meta.size());
   for (const auto& [key, value] : row.meta) {
     net::put_string(out, key);
@@ -74,7 +83,7 @@ std::string encode_message(const Message& message) {
   net::put_varint(out, kMessageMagic);
   net::put_u8(out, static_cast<std::uint8_t>(message.kind));
   put_u64(out, message.digest);
-  encode_row(out, message.sender);
+  encode_reference(out, message.sender);
   if (message.kind == MessageKind::ping_req) {
     net::put_string(out, message.target_id);
     net::put_string(out, message.target_address);
@@ -105,7 +114,7 @@ Result<Message> decode_message(std::string_view payload) {
   Message message;
   message.kind = static_cast<MessageKind>(kind);
   if (!get_u64(reader, message.digest) ||
-      !decode_row(reader, message.sender)) {
+      !decode_reference(reader, message.sender)) {
     return fail();
   }
   // Only the member itself speaks for its row, and it never doubts itself.

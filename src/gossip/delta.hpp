@@ -6,41 +6,48 @@
 //   ping_req  "ping `target` for me"         answered by ack or nack
 //   sync      one anti-entropy page          answered by sync
 //
-// Every message carries its sender's own row and the sender's digest
-// (gossip/member_table.hpp), so a steady probe costs one row each way and
-// a differing digest is how two members notice that their views differ.
-// Pings, acks, ping-reqs and nacks also piggyback membership news: rows
-// that changed recently.  A sync request names one page of the
-// requester's id order — the ids after `page_from` up to `page_to`, ""
-// meaning the end — and the 8-byte hashes (row_hash) of the rows it holds
-// there; the reply carries the responder's rows in that page whose hashes
-// the request lacks, and its `page_to` says how far it got.
+// Every message names its sender by reference — its state, id, address
+// and incarnation, without the metadata — and carries the sender's digest
+// (gossip/member_table.hpp), so a differing digest is how two members
+// notice that their views differ.  A receiver never merges a reference: a
+// member's row travels only as a row, and its own row rides in `rows` only
+// while it is news (the first 3·⌈log10(n+1)⌉ messages of any kind after it
+// last changed), so a settled probe carries no row at all.  Pings, acks,
+// ping-reqs and nacks also piggyback other membership news: rows that
+// changed recently.  A sync request names one page of the requester's id
+// order — the ids after `page_from` up to `page_to`, "" meaning the end —
+// and the 8-byte hashes (row_hash) of the rows it holds there; the reply
+// carries the responder's rows in that page whose hashes the request
+// lacks, and its `page_to` says how far it got.
 //
 // One message payload (before framing):
 //
-//   varint  magic "GGS1"
+//   varint  magic "GGS2"
 //   u8      kind
 //   u64     digest              sender's digest, little-endian
-//   row     sender              the sender's own row
+//   ref     sender              the sender's reference
 //   [ping_req: string target_id, string target_address]
 //   [sync:     string page_from, string page_to,
 //              varint n, n * u64 row hash]
 //   varint  row_count
 //   row*    row_count
 //
-// A row is:
+// A reference is:
 //
 //   u8      state               ALIVE | SUSPECT | DEAD | LEFT
 //   string  id
 //   string  address
 //   varint  incarnation
-//   varint  n, n * (string key, string value)   metadata
+//
+// and a row is a reference followed by its metadata:
+//
+//   varint  n, n * (string key, string value)
 //
 // The decoder is structural and bounded: every string, row count, hash
 // count and metadata block has a hard cap, a sender may only describe
-// itself as ALIVE or LEFT, every row must pass wire_row_ok (no DEAD row,
-// no incarnation past kMaxIncarnation, no doubt at it), and anything
-// malformed is refused whole.
+// itself as ALIVE or LEFT, every reference and row must pass wire_row_ok
+// (no DEAD row, no incarnation past kMaxIncarnation, no doubt at it), and
+// anything malformed — a GGS1 payload included — is refused whole.
 //
 // Frames: a message rides the GFD1 frame space as kFrameDigestBegin
 // (varint total payload size) followed by kFrameDigestChunk frames, each
@@ -68,8 +75,8 @@ namespace ganglia::gossip {
 inline constexpr std::uint8_t kFrameDigestBegin = 10;
 inline constexpr std::uint8_t kFrameDigestChunk = 11;
 
-/// Payload magic: "GGS1" little-endian.
-inline constexpr std::uint64_t kMessageMagic = 0x31534747;
+/// Payload magic: "GGS2" little-endian.
+inline constexpr std::uint64_t kMessageMagic = 0x32534747;
 
 enum class MessageKind : std::uint8_t {
   ping = 1,
@@ -82,7 +89,9 @@ enum class MessageKind : std::uint8_t {
 struct Message {
   MessageKind kind = MessageKind::ping;
   std::uint64_t digest = 0;  ///< sender's digest (MemberTable::digest)
-  MemberEntry sender;        ///< the sender's own row
+  /// The sender's reference: state, id, address and incarnation.  Its
+  /// metadata never travels here, and a receiver never merges it.
+  MemberEntry sender;
   /// ping_req: the member to probe, at the address the requester holds.
   std::string target_id;
   std::string target_address;
@@ -90,7 +99,9 @@ struct Message {
   std::string page_from;
   std::string page_to;
   std::vector<std::uint64_t> have;  ///< sync request: rows held, hashed
-  std::vector<MemberEntry> rows;    ///< news, or a sync reply's page
+  /// News (the sender's own row among it while that is news), or a sync
+  /// reply's page.
+  std::vector<MemberEntry> rows;
 };
 
 // Hard caps the decoder enforces, beside kMaxDigestEntries and

@@ -99,8 +99,9 @@ class MemberTable {
 
   // -- gossip --------------------------------------------------------------
   /// Fold one remote row in; transition events are appended to `events`.
-  /// True when our row for a known peer changed: that is news.  Joins and
-  /// our own refutations are not (our row rides every message we send).
+  /// True when our row for a known peer changed: that is news.  Joins are
+  /// not, and our own refutations are the agent's to send (our row leads
+  /// our next messages whenever it changes).
   bool merge(const MemberEntry& theirs, TimeUs now,
              std::vector<MemberEvent>& events);
 

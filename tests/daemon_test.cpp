@@ -31,7 +31,7 @@ using net::ServiceServer;
 
 /// A sync request from `sender` that holds no member: the smallest
 /// request the gossip port answers, with every row the daemon holds.  The
-/// sender's row names a loopback port nothing listens on.
+/// sender's reference names a loopback port nothing listens on.
 std::string probe_payload(const std::string& sender) {
   gossip::Message probe;
   probe.kind = gossip::MessageKind::sync;

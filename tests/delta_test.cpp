@@ -1163,6 +1163,53 @@ TEST(DeltaFederation, NLevelTreeMatchesXmlAtEveryNodeAndArchiveUnderFaults) {
   }
 }
 
+TEST(DeltaFederation, ChildOwnGridArchiveEqualsItsParentsArchiveOfIt) {
+  // A child gmetad archives its own grid's summary, and its N-level parent
+  // archives the same grid as one of its sources.  Both fold the same
+  // clusters and grids in the same order, over XML dumps and over the
+  // summary view alike, so the two archives hold the same bits.
+  for (const bool federation : {false, true}) {
+    SCOPED_TRACE(federation ? "delta federation" : "XML dumps");
+    gmetad::TestbedSpec spec = fig2_tree(50, gmetad::Mode::n_level, federation);
+    gmetad::Testbed bed(spec);
+    const std::int64_t since = bed.clock().now_seconds();
+    bed.run_rounds(6);
+    const std::int64_t now = bed.clock().now_seconds();
+    std::size_t series = 0;
+    for (const gmetad::TestbedNodeSpec& parent : spec.nodes) {
+      for (const std::string& child : parent.children) {
+        gmetad::Gmetad& own = bed.node(child);
+        gmetad::Gmetad& above = bed.node(parent.name);
+        std::set<std::string> metrics;
+        for (const auto& snapshot : own.store().all()) {
+          for (const auto& [name, m] : snapshot->summary().metrics) {
+            metrics.insert(name);
+          }
+        }
+        for (const std::string& metric : metrics) {
+          for (const std::size_t ds : {0u, 1u}) {
+            const auto x = own.archiver().fetch_summary_metric(
+                child, metric, since, now, ds);
+            const auto y = above.archiver().fetch_summary_metric(
+                child, metric, since, now, ds);
+            ASSERT_TRUE(x.ok() && y.ok()) << parent.name << "<-" << child
+                                          << " " << metric;
+            ++series;
+            ASSERT_EQ(x->start, y->start);
+            ASSERT_EQ(x->values.size(), y->values.size());
+            EXPECT_EQ(std::memcmp(x->values.data(), y->values.data(),
+                                  x->values.size() * sizeof(double)),
+                      0)
+                << parent.name << "<-" << child << " " << metric << " ds "
+                << ds;
+          }
+        }
+      }
+    }
+    EXPECT_GT(series, 0u);
+  }
+}
+
 TEST(DeltaFederation, OneLevelTreeStillCarriesHostDetail) {
   run_faulted_fig2(6, gmetad::Mode::one_level);
   if (HasFatalFailure()) return;

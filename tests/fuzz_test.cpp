@@ -540,6 +540,49 @@ std::vector<std::string> make_message_corpus() {
           gossip::encode_message(sync)};
 }
 
+/// Payloads the decoder must refuse whole: each corpus message under a
+/// hostile sender reference — a DEAD, SUSPECT or out-of-range state, an
+/// incarnation past kMaxIncarnation, an empty id or address — and a GGS1
+/// payload, the wire GGS2 replaced.
+std::vector<std::string> make_hostile_messages() {
+  using gossip::MemberEntry;
+  using gossip::MemberState;
+  const std::vector<void (*)(MemberEntry&)> hostile_references = {
+      [](MemberEntry& s) { s.state = MemberState::dead; },
+      [](MemberEntry& s) { s.state = MemberState::suspect; },
+      [](MemberEntry& s) { s.state = static_cast<MemberState>(4); },
+      [](MemberEntry& s) { s.state = static_cast<MemberState>(255); },
+      [](MemberEntry& s) { s.incarnation = gossip::kMaxIncarnation + 1; },
+      [](MemberEntry& s) { s.incarnation = ~std::uint64_t{0}; },
+      [](MemberEntry& s) { s.id.clear(); },
+      [](MemberEntry& s) { s.address.clear(); },
+  };
+  std::vector<std::string> out;
+  for (const std::string& valid : make_message_corpus()) {
+    const auto message = gossip::decode_message(valid);
+    for (const auto& forge : hostile_references) {
+      gossip::Message hostile = *message;
+      forge(hostile.sender);
+      out.push_back(gossip::encode_message(hostile));
+    }
+  }
+  // A GGS1 ping: its magic, then the sender as a full row with metadata.
+  std::string ggs1;
+  net::put_varint(ggs1, 0x31534747);
+  net::put_u8(ggs1, static_cast<std::uint8_t>(gossip::MessageKind::ping));
+  ggs1.append(8, '\0');  // digest
+  net::put_u8(ggs1, 0);   // ALIVE
+  net::put_string(ggs1, "gm0");
+  net::put_string(ggs1, "gm0:8654");
+  net::put_varint(ggs1, 1'062'000'000'000'000ULL);
+  net::put_varint(ggs1, 1);
+  net::put_string(ggs1, "source");
+  net::put_string(ggs1, "gm0");
+  net::put_varint(ggs1, 0);  // no rows
+  out.push_back(ggs1);
+  return out;
+}
+
 std::string mutate(Rng& rng, std::string bytes) {
   const auto pos = rng.next_below(static_cast<std::uint32_t>(bytes.size()));
   switch (rng.next_below(3)) {
@@ -551,12 +594,19 @@ std::string mutate(Rng& rng, std::string bytes) {
 }
 
 TEST_P(FuzzSeeds, GossipDigestDecoderNeverCrashes) {
-  // Raw bytes, then valid messages of every kind mutated every way —
-  // flips, truncations at every boundary, insertions.  decode must accept
-  // or fail cleanly.
+  // Raw bytes, hostile sender references, then valid messages of every
+  // kind mutated every way — flips, truncations at every boundary,
+  // insertions.  decode must accept or fail cleanly, and refuse every
+  // hostile reference whole.
   for (int i = 0; i < 300; ++i) {
     (void)gossip::decode_message(random_bytes(rng_, 300));
     (void)gossip::collect_digest_frames(random_bytes(rng_, 300), 1u << 20);
+  }
+  for (const std::string& hostile : make_hostile_messages()) {
+    EXPECT_FALSE(gossip::decode_message(hostile).ok());
+    for (int i = 0; i < 20; ++i) {
+      (void)gossip::decode_message(mutate(rng_, hostile));
+    }
   }
   for (const std::string& valid : make_message_corpus()) {
     ASSERT_TRUE(gossip::decode_message(valid).ok());
@@ -649,6 +699,11 @@ TEST_P(FuzzSeeds, GossipAgentAnswersPoisonDigestsWithResync) {
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->kind, gossip::MessageKind::nack);
   EXPECT_EQ(agent.stats().sends, 0u);
+
+  // Hostile references and the retired GGS1 wire are refused whole.
+  for (const std::string& hostile : make_hostile_messages()) {
+    EXPECT_FALSE(agent.handle_digest_payload(hostile).ok());
+  }
 
   // Mutated messages and raw garbage through the full service entry point.
   for (const std::string& valid : make_message_corpus()) {

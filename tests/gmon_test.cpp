@@ -316,6 +316,27 @@ TEST(PseudoGmond, ReportConformsToDialectAndSize) {
   EXPECT_EQ(emulator.reports_served(), 1u);
 }
 
+TEST(PseudoGmond, GmondStartedHoldsAcrossReports) {
+  // An emulated gmond starts once.  A GMOND_STARTED that followed the
+  // clock would tell every poller that each host restarted since its last
+  // poll.
+  sim::SimClock clock(sim::SimClock::kDefaultEpochUs);
+  PseudoGmondConfig config;
+  config.host_count = 4;
+  PseudoGmond emulator(config, clock);
+  const auto first = parse_report(emulator.report_xml());
+  clock.advance_seconds(15);
+  const auto later = parse_report(emulator.report_xml());
+  ASSERT_TRUE(first.ok() && later.ok());
+  const Cluster& a = first->clusters.front();
+  const Cluster& b = later->clusters.front();
+  ASSERT_EQ(a.hosts.size(), 4u);
+  for (const auto& [name, host] : a.hosts) {
+    ASSERT_EQ(b.hosts.count(name), 1u) << name;
+    EXPECT_EQ(b.hosts.at(name).gmond_started, host.gmond_started) << name;
+  }
+}
+
 TEST(PseudoGmond, DeterministicAcrossRunsWithSameSeed) {
   sim::SimClock clock_a(0), clock_b(0);
   PseudoGmondConfig config;

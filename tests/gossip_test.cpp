@@ -30,6 +30,15 @@ MemberEntry row(const std::string& id, std::uint64_t incarnation,
   return entry;
 }
 
+/// A ping from a member whose row is news: its reference, and its row in
+/// `rows`, as its first messages after a change carry it.
+Message hello(const MemberEntry& sender) {
+  Message message;
+  message.sender = sender;
+  message.rows = {sender};
+  return message;
+}
+
 // ------------------------------------------------------------------- codec
 
 TEST(GossipCodec, RoundTrips) {
@@ -68,6 +77,10 @@ TEST(GossipCodec, RoundTrips) {
     SCOPED_TRACE(static_cast<int>(sent.kind));
     auto got = decode_message(encode_message(sent));
     ASSERT_TRUE(got.ok()) << got.error().to_string();
+    // The sender travels as a reference: every column but its metadata.
+    EXPECT_TRUE(got->sender.meta.empty());
+    MemberEntry sender = sent.sender;
+    sender.meta.clear();
     EXPECT_EQ(got->kind, sent.kind);
     EXPECT_EQ(got->digest, sent.digest);
     EXPECT_EQ(got->target_id, sent.target_id);
@@ -75,7 +88,7 @@ TEST(GossipCodec, RoundTrips) {
     EXPECT_EQ(got->page_from, sent.page_from);
     EXPECT_EQ(got->page_to, sent.page_to);
     EXPECT_EQ(got->have, sent.have);
-    std::vector<MemberEntry> want = {sent.sender};
+    std::vector<MemberEntry> want = {sender};
     want.insert(want.end(), sent.rows.begin(), sent.rows.end());
     std::vector<MemberEntry> have = {got->sender};
     have.insert(have.end(), got->rows.begin(), got->rows.end());
@@ -112,9 +125,8 @@ TEST(GossipCodec, LocalVerdictsAreNeverEncoded) {
   opts.t_cleanup_us = 5 * kSec;
   Agent agent(std::move(opts), fabric, clock);
 
-  Message doubt;
-  doubt.sender = row("p", 1);
-  doubt.rows = {row("d", 1)};
+  Message doubt = hello(row("p", 1));
+  doubt.rows.push_back(row("d", 1));
   ASSERT_TRUE(agent.handle_digest_payload(encode_message(doubt)).ok());
   doubt.rows = {row("d", 1, MemberState::suspect)};
   ASSERT_TRUE(agent.handle_digest_payload(encode_message(doubt)).ok());
@@ -244,16 +256,26 @@ TEST(GossipCodec, RejectsMalformedDigests) {
   }
   EXPECT_FALSE(decode_message(encode_message(meta)).ok()) << "meta over cap";
 
+  // A message's bytes before its page bounds or row count: one with no
+  // rows, less its empty row count and, for a sync, its two empty page
+  // bounds and empty hash count.
   const auto prefix = [&](MessageKind kind) {
-    std::string out = magic;
-    net::put_u8(out, static_cast<std::uint8_t>(kind));
-    out.append(8, '\0');  // digest
-    encode_row(out, valid.sender);
+    Message head;
+    head.kind = kind;
+    head.sender = valid.sender;
+    std::string out = encode_message(head);
+    out.resize(out.size() - (kind == MessageKind::sync ? 4 : 1));
     return out;
   };
+  std::string no_rows = prefix(MessageKind::ping);
+  net::put_varint(no_rows, 0);
+  ASSERT_TRUE(decode_message(no_rows).ok());
   std::string too_many_rows = prefix(MessageKind::ping);
   net::put_varint(too_many_rows, kMaxDigestEntries + 1);
   EXPECT_FALSE(decode_message(too_many_rows).ok()) << "row count over cap";
+  std::string no_hashes = prefix(MessageKind::sync);
+  no_hashes.append(4, '\0');  // page bounds, hash count, row count
+  ASSERT_TRUE(decode_message(no_hashes).ok());
   std::string too_many_hashes = prefix(MessageKind::sync);
   net::put_string(too_many_hashes, "");
   net::put_string(too_many_hashes, "");
@@ -508,9 +530,7 @@ TEST(GossipAgent, PingReqForAnUnknownTargetIsNackedWithoutADial) {
   };
 
   EXPECT_EQ(ask("victim", "victim:1"), MessageKind::nack) << "unknown member";
-  Message hello;
-  hello.sender = row("b", 1);
-  ASSERT_EQ(send(hello), MessageKind::ack);
+  ASSERT_EQ(send(hello(row("b", 1))), MessageKind::ack);
   EXPECT_EQ(ask("b", "victim:1"), MessageKind::nack)
       << "a member we hold, but at another address";
   EXPECT_EQ(dials, 0);
@@ -547,9 +567,7 @@ TEST(GossipAgent, RelaysOnePingReqAtATime) {
     return send(request);
   };
   for (const std::string id : {"b", "c"}) {
-    Message hello;
-    hello.sender = row(id, 1);
-    ASSERT_EQ(send(hello), MessageKind::ack);
+    ASSERT_EQ(send(hello(row(id, 1))), MessageKind::ack);
   }
 
   int c_dials = 0;
@@ -573,6 +591,68 @@ TEST(GossipAgent, RelaysOnePingReqAtATime) {
   EXPECT_EQ(c_dials, 0);
   ask("c");
   EXPECT_EQ(c_dials, 1) << "once the relay is done, the next is honoured";
+}
+
+TEST(GossipAgent, ReferencesAreNeverMergedButSyncAtTheirAddress) {
+  // A message names its sender by reference, which no receiver merges.  A
+  // reference that matches no row we hold shows up as a digest mismatch,
+  // and the sync that repairs it dials the address the reference names.
+  sim::SimClock clock;
+  net::InMemTransport fabric;
+  std::vector<std::pair<std::string, MessageKind>> dialled;
+  for (const std::string address : {"q:8654", "b:8654", "b:9654"}) {
+    fabric.register_service(
+        address, [&, address](std::string_view request) -> Result<std::string> {
+          auto payload = collect_digest_frames(request, kMaxDigestBytes);
+          auto message = payload.ok() ? decode_message(*payload)
+                                      : Result<Message>(payload.error());
+          if (message.ok()) dialled.emplace_back(address, message->kind);
+          return Error{Errc::io_error, "unreachable"};
+        });
+  }
+  AgentOptions opts;
+  opts.id = "me";
+  opts.address = "me:8654";
+  Agent agent(std::move(opts), fabric, clock);
+  const auto syncs_to = [&](const std::string& address) {
+    return std::count(dialled.begin(), dialled.end(),
+                      std::pair{address, MessageKind::sync});
+  };
+  const auto tick = [&] {
+    dialled.clear();
+    clock.advance_us(kSec);
+    agent.tick();
+  };
+
+  // An unknown member's reference.
+  Message unknown;
+  unknown.sender = row("q", 1);
+  unknown.digest = row_hash(unknown.sender);
+  ASSERT_TRUE(agent.handle_digest_payload(encode_message(unknown)).ok());
+  EXPECT_FALSE(agent.member("q").has_value()) << "a reference is no join";
+  tick();
+  EXPECT_EQ(syncs_to("q:8654"), 1);
+
+  // A member we hold, whose row arrived while it was news; its digest
+  // then matches ours, and nothing is synced.
+  Message joined = hello(row("b", 1));
+  joined.digest = row_hash(*agent.member("me")) ^ row_hash(row("b", 1));
+  ASSERT_TRUE(agent.handle_digest_payload(encode_message(joined)).ok());
+  ASSERT_EQ(agent.member("b")->incarnation, 1u);
+
+  // Its reference at a newer incarnation and a new address.
+  Message newer;
+  newer.sender = row("b", 5);
+  newer.sender.address = "b:9654";
+  newer.digest = row_hash(newer.sender) ^ row_hash(*agent.member("me"));
+  ASSERT_TRUE(agent.handle_digest_payload(encode_message(newer)).ok());
+  const auto held = agent.member("b");
+  ASSERT_TRUE(held.has_value());
+  EXPECT_EQ(held->incarnation, 1u) << "a reference is never merged";
+  EXPECT_EQ(held->address, "b:8654");
+  tick();
+  EXPECT_EQ(syncs_to("b:9654"), 1) << "the sync dials the reference's address";
+  EXPECT_EQ(syncs_to("b:8654"), 0);
 }
 
 // ------------------------------------------------------- group simulations
@@ -899,7 +979,7 @@ TEST(GossipDeltaSim, ConvergesLikeTextModeAndSendsDeltas) {
   // their metadata blocks, in both directions.
   const std::uint64_t table_bytes = full_table_bytes(sim, 0);
 
-  // Steady state: each message holds only its sender's own row.
+  // Steady state: each message names only its sender, by reference.
   const std::uint64_t before = sim.total_bytes_out();
   const std::uint64_t sends_before = sum_of(sim, &AgentStats::sends);
   for (int i = 0; i < 10; ++i) sim.run_round();
@@ -913,8 +993,9 @@ TEST(GossipDeltaSim, ConvergesLikeTextModeAndSendsDeltas) {
 }
 
 TEST(GossipDeltaSim, SteadyStateCostIsLinearInGroupSize) {
-  // A settled group moves no rows: every message holds only its sender's
-  // own row, so bytes per member per round do not grow with the group.
+  // A settled group moves no rows: every message names only its sender,
+  // by reference, so bytes per member per round do not grow with the
+  // group.
   const auto steady_cost = [](std::size_t members) {
     GossipSimOptions options;
     options.members = members;
@@ -939,6 +1020,50 @@ TEST(GossipDeltaSim, SteadyStateCostIsLinearInGroupSize) {
   EXPECT_NEAR(at128, at64, 0.1 * at64)
       << "bytes per member per round: " << at64 << " at 64 members, " << at128
       << " at 128";
+  // A settled message names its sender by reference and carries no row:
+  // a ping and its ack, plus a seed probe every few rounds, stay far
+  // below one metadata-bearing row each.
+  for (const double cost : {at64, at128}) {
+    EXPECT_LE(cost, 120.0) << "bytes per member per round: " << at64
+                           << " at 64 members, " << at128 << " at 128";
+  }
+}
+
+TEST(GossipDeltaSim, MetadataChangeAfterTheRowWindowReachesEveryTable) {
+  // Long after a member's own row stopped travelling, a new metadata value
+  // bumps its incarnation and its row is news again: under 10% loss it
+  // still reaches every member's table within 15 rounds.
+  for (const std::uint64_t loss_seed : {1u, 2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE("loss seed " + std::to_string(loss_seed));
+    GossipSimOptions options;
+    options.members = 10;
+    options.fanout = 3;
+    options.realistic_meta = true;
+    GossipSim sim(options);
+    ASSERT_GE(sim.run_until([&] { return sim.converged(); }, 20), 0);
+    for (int i = 0; i < 10; ++i) sim.run_round();
+    const std::uint64_t rows = sum_of(sim, &AgentStats::digest_rows_sent);
+    sim.run_round();
+    ASSERT_EQ(sum_of(sim, &AgentStats::digest_rows_sent), rows)
+        << "every member's row window has passed";
+
+    sim.fabric.set_loss(0.10, loss_seed);
+    const std::size_t mover = 4;
+    const std::string xml = "gm4.example:9651";
+    sim.agent(mover).set_self_meta("xml", xml);
+    const auto everyone_holds_it = [&] {
+      for (std::size_t i = 0; i < sim.size(); ++i) {
+        const auto entry = sim.agent(i).member(GossipSim::name_of(mover));
+        if (!entry) return false;
+        const auto it = entry->meta.find("xml");
+        if (it == entry->meta.end() || it->second != xml) return false;
+      }
+      return true;
+    };
+    const int rounds = sim.run_until(everyone_holds_it, 30);
+    ASSERT_GE(rounds, 0) << "the new metadata never reached every table";
+    EXPECT_LE(rounds, 15);
+  }
 }
 
 TEST(GossipDeltaSim, CompletenessHoldsUnderMessageLoss) {
