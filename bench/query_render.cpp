@@ -1,17 +1,18 @@
-// Whole-tree render: tree walk vs publish-time fragment splice.
+// Whole-tree render: tree walk vs snapshot fragment splice.
 //
 // A gmetad's most expensive response is the full-detail dump ("/"), the
 // document a parent polls every round and the one the gateway's cold path
 // renders.  The unified render pipeline materialises each source's
-// serialized subtree once at publish time; the full-tree response is then
-// composed by splicing those pre-escaped byte fragments instead of
+// serialized subtree at most once per snapshot; the full-tree response is
+// then composed by splicing those pre-escaped byte fragments instead of
 // re-walking every host and metric.  This bench measures both paths at
 // fig-5 scale (sources x hosts as the paper's tree experiment) in both
 // formats:
 //
 //   walk          fragments disabled — every render walks the whole tree;
 //   splice_cold   fresh snapshots each iteration — the render pays the
-//                 one-time fragment build (what the poll worker absorbs);
+//                 one-time fragment build (what the poll worker absorbs
+//                 for the slots readers asked for);
 //   splice_warm   fragments materialised — steady state between publishes.
 //
 // Expected: splice_warm >= 3x walk (the acceptance floor; in practice the

@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <set>
 
 #include "common/log.hpp"
 #include "common/strings.hpp"
@@ -79,25 +80,29 @@ bool safe_manifest_file(std::string_view file) {
 
 }  // namespace
 
+Archiver::Archiver(ArchiverOptions options) : options_(std::move(options)) {
+  rrd::RrdDef metric =
+      rrd::RrdDef::ganglia_default("sum", options_.heartbeat_s);
+  metric.step_s = options_.step_s;
+  rrd::RrdDef summary = metric;
+  rrd::DsDef num = summary.ds.front();
+  num.name = "num";
+  summary.ds.push_back(std::move(num));
+  shapes_ = {std::make_shared<const rrd::RrdDef>(std::move(metric)),
+             std::make_shared<const rrd::RrdDef>(std::move(summary))};
+}
+
 const Archiver::Shard& Archiver::shard_for(std::string_view key) const {
   return shards_[KeyHash{}(key) % kShards];
 }
 
-Archiver::Archive* Archiver::open_locked(Shard& shard, std::string_view key,
-                                         std::size_t hash,
-                                         std::size_t ds_count,
-                                         std::int64_t now) {
+Archiver::Archive* Archiver::open_locked(
+    Shard& shard, std::string_view key, std::size_t hash,
+    const std::shared_ptr<const rrd::RrdDef>& shape, std::int64_t now) {
   const auto it = shard.databases.find(KeyRef{key, hash});
   if (it != shard.databases.end()) return &it->second;
 
-  rrd::RrdDef def = rrd::RrdDef::ganglia_default("sum", options_.heartbeat_s);
-  def.step_s = options_.step_s;
-  if (ds_count == 2) {
-    rrd::DsDef num = def.ds.front();
-    num.name = "num";
-    def.ds.push_back(std::move(num));
-  }
-  auto db = rrd::RoundRobinDb::create(std::move(def), now - 1);
+  auto db = rrd::RoundRobinDb::create(shape, now - 1);
   if (!db.ok()) return nullptr;  // invalid options; callers treat as no-op
   const auto [pos, inserted] =
       shard.databases.emplace(std::string(key), Archive{std::move(*db)});
@@ -123,7 +128,7 @@ void Archiver::record_host_metric(const std::string& source,
   const std::size_t hash = KeyHash{}(std::string_view(key));
   Shard& shard = shards_[hash % kShards];
   std::lock_guard lock(shard.mutex);
-  Archive* archive = open_locked(shard, key, hash, 1, now);
+  Archive* archive = open_locked(shard, key, hash, shapes_[0], now);
   if (archive == nullptr) return;
   if (archive->db.update(now, metric.numeric).ok()) {
     archive->dirty = true;
@@ -157,7 +162,7 @@ void Archiver::record_cluster(const std::string& source,
           build_host_key(cache.key_buf, source, cluster.name, p.host->name,
                          p.metric->name);
           const std::size_t hash = KeyHash{}(std::string_view(cache.key_buf));
-          archive = open_locked(shard, cache.key_buf, hash, 1, now);
+          archive = open_locked(shard, cache.key_buf, hash, shapes_[0], now);
           if (archive == nullptr) continue;
           handle = {archive, static_cast<std::uint32_t>(i), gen};
         }
@@ -253,7 +258,8 @@ void Archiver::record_summary(const std::string& scope,
     Shard& shard = shards_[i];
     std::lock_guard lock(shard.mutex);
     for (const Item& item : buckets[i]) {
-      Archive* archive = open_locked(shard, item.key, item.hash, 2, now);
+      Archive* archive =
+          open_locked(shard, item.key, item.hash, shapes_[1], now);
       if (archive == nullptr) continue;
       const double values[2] = {item.ms->sum,
                                 static_cast<double>(item.ms->num)};
@@ -443,7 +449,8 @@ Status Archiver::load_from_disk() {
       ++skipped;
       continue;
     }
-    auto db = rrd::RrdCodec::load_file(options_.persist_dir + "/" + file);
+    auto db = rrd::RrdCodec::load_file(options_.persist_dir + "/" + file,
+                                       shapes_);
     if (!db.ok()) {
       // Torn write or deleted image: restore everything else.
       GLOG(warn, "archiver") << "skipping archive '" << key
@@ -522,6 +529,18 @@ std::size_t Archiver::storage_bytes() const {
     }
   }
   return bytes;
+}
+
+std::size_t Archiver::definition_count() const {
+  std::set<const rrd::RrdDef*> seen;
+  for (const Shard& shard : shards_) {
+    std::lock_guard lock(shard.mutex);
+    for (const auto& [key, archive] : shard.databases) {
+      (void)key;
+      seen.insert(&archive.db.definition());
+    }
+  }
+  return seen.size();
 }
 
 std::size_t Archiver::dirty_count() const {

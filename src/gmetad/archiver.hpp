@@ -73,7 +73,7 @@ struct ArchiverOptions {
 
 class Archiver {
  public:
-  explicit Archiver(ArchiverOptions options) : options_(std::move(options)) {}
+  explicit Archiver(ArchiverOptions options);
   ~Archiver() { stop_flusher(); }
 
   Archiver(const Archiver&) = delete;
@@ -164,6 +164,10 @@ class Archiver {
   }
   std::size_t database_count() const;
   std::size_t storage_bytes() const;
+  /// Distinct RRD definitions the archives point at.  Every archive of the
+  /// archiver's two shapes (metric; sum+num) shares one, so this stays at
+  /// most 2 unless a restored image has a shape of its own.
+  std::size_t definition_count() const;
   /// Archives updated since their last flush.
   std::size_t dirty_count() const;
   /// Completed flush passes (flush_to_disk + flush_dirty).
@@ -250,15 +254,21 @@ class Archiver {
 
   const Shard& shard_for(std::string_view key) const;
 
-  /// Find-or-create under the shard mutex (caller must hold it).
+  /// Find-or-create under the shard mutex (caller must hold it); a new
+  /// archive takes the shared definition `shape`.
   Archive* open_locked(Shard& shard, std::string_view key, std::size_t hash,
-                       std::size_t ds_count, std::int64_t now);
+                       const std::shared_ptr<const rrd::RrdDef>& shape,
+                       std::int64_t now);
 
   SourceCache& source_cache(const std::string& source);
 
   Result<FlushStats> flush_impl(bool everything);
 
   ArchiverOptions options_;
+  /// The two archive shapes, built once: every host-metric archive points
+  /// at `shapes_[0]` (one ds, "sum") and every summary archive at
+  /// `shapes_[1]` ("sum" and "num").  Restored images of either adopt it.
+  std::array<std::shared_ptr<const rrd::RrdDef>, 2> shapes_;
   std::array<Shard, kShards> shards_;
   std::atomic<std::uint64_t> updates_{0};
 

@@ -202,14 +202,30 @@ Gmetad::PollResult Gmetad::poll_source(DataSource& source, std::int64_t now) {
                               config_.connect_timeout_s * kMicrosPerSecond,
                               now, view, &cpu_meter_);
   ScopedCpuMeter meter(cpu_meter_);
+  // The 1-level design performs no summarisation during polling (the
+  // frontend computed its own); N-level summarises eagerly here, on the
+  // summarisation time scale.  Stale copies follow the same rule.
+  const bool eager_summary = config_.mode == Mode::n_level;
+  // Build, here on the poll worker, the render fragments readers asked for
+  // on the snapshot being replaced, so a reader that keeps asking splices
+  // bytes it never waits for, and nothing no reader asked for is built.
+  // Charged to this node's meter like any other summarisation work.
+  const auto publish = [this,
+                        &source](std::shared_ptr<const SourceSnapshot> next) {
+    render::prime_fragments(*next, store_.get(source.name()).get());
+    // One atomic swap: queries never see a half-parsed source.
+    store_.publish(std::move(next));
+  };
+  // On failure keep serving the previous data, marked unreachable; RRD
+  // heartbeats lapse on their own, writing the forensic unknown records.
+  const auto publish_stale = [&] {
+    publish(SourceSnapshot::unreachable_from(store_.get(source.name()),
+                                             source.name(), now,
+                                             eager_summary));
+  };
   if (!fetched.ok()) {
     result.error = fetched.error().to_string();
-    // Keep serving the previous data, marked unreachable; RRD heartbeats
-    // lapse on their own, writing the forensic unknown records.
-    auto stale = SourceSnapshot::unreachable_from(store_.get(source.name()),
-                                                 source.name(), now);
-    render::prime_fragments(*stale, config_.mode);
-    store_.publish(std::move(stale));
+    publish_stale();
     return result;
   }
   result.bytes = fetched->bytes;
@@ -223,10 +239,7 @@ Gmetad::PollResult Gmetad::poll_source(DataSource& source, std::int64_t now) {
     auto parsed = parse_report(fetched->body);
     if (!parsed.ok()) {
       result.error = parsed.error().to_string();
-      auto stale = SourceSnapshot::unreachable_from(store_.get(source.name()),
-                                                   source.name(), now);
-      render::prime_fragments(*stale, config_.mode);
-      store_.publish(std::move(stale));
+      publish_stale();
       return result;
     }
     report = std::move(*parsed);
@@ -247,20 +260,10 @@ Gmetad::PollResult Gmetad::poll_source(DataSource& source, std::int64_t now) {
     }
   }
 
-  // The 1-level design performs no summarisation during polling (the
-  // frontend computed its own); N-level summarises eagerly here, on the
-  // summarisation time scale.
   auto snapshot = std::make_shared<SourceSnapshot>(
-      source.name(), std::move(*report), now,
-      /*eager_summary=*/config_.mode == Mode::n_level);
+      source.name(), std::move(*report), now, eager_summary);
   if (config_.archive_enabled) archive_snapshot(*snapshot);
-  // Materialise the publish-time render fragments here, on the poll worker,
-  // so the query path never pays for a full-tree serialisation (it splices
-  // these bytes instead) — charged to this node's meter like any other
-  // summarisation work.
-  render::prime_fragments(*snapshot, config_.mode);
-  // One atomic swap: queries never see a half-parsed source.
-  store_.publish(std::move(snapshot));
+  publish(std::move(snapshot));
   result.ok = true;
   return result;
 }

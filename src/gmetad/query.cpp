@@ -224,7 +224,7 @@ render::Deps QueryEngine::render_document(const ParsedQuery& query,
       }
       backend.total(total);
     } else {
-      // Whole tree: splice publish-time fragments when the backend has a
+      // Whole tree: splice snapshot fragments when the backend has a
       // serialized form, walk otherwise.
       for (const auto& vs : sources) {
         backend.begin_source(source_info(*vs.snapshot));

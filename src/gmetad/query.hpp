@@ -39,7 +39,7 @@
 // Rendering goes through the unified render pipeline (gmetad/render): one
 // traversal emits backend events, so the same resolution logic serves XML,
 // JSON, and the presenter's HTML backends.  Whole-tree responses splice
-// publish-time snapshot fragments instead of re-walking every host.
+// snapshot fragments instead of re-walking every host.
 #pragma once
 
 #include <cstddef>
@@ -122,7 +122,7 @@ class QueryEngine {
                            render::Backend& backend, std::size_t& matches,
                            std::string& redirect) const;
 
-  /// Bench hook: disable publish-time fragment splicing to measure the
+  /// Bench hook: disable snapshot fragment splicing to measure the
   /// walk-render path.  On by default.
   void set_use_fragments(bool on) noexcept { use_fragments_ = on; }
   bool use_fragments() const noexcept { return use_fragments_; }

@@ -20,7 +20,7 @@
 // one array and all grids in another; XML interleaves freely and simply
 // ignores the pass boundary.  begin_source/end_source produce no output in
 // XML/JSON — they are grouping markers for the HTML meta view and the
-// splice points for publish-time fragments.
+// splice points for snapshot fragments.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +30,7 @@
 
 namespace ganglia::gmetad::render {
 
-/// Serialization formats with publish-time fragment support.
+/// Serialization formats with snapshot fragment support.
 enum class Format { xml, json };
 
 /// Identity stamped on a rendered document (the answering gmetad).

@@ -19,7 +19,26 @@ enum Slot : std::size_t {
   kJsonGridsOneLevel = 4,
   kJsonGridsNLevel = 5,
 };
-static_assert(kJsonGridsNLevel < SourceSnapshot::kFragmentSlots);
+
+/// What each slot holds, indexed by Slot.
+struct SlotShape {
+  Format format;
+  bool grids;
+  Mode mode;  ///< grid sections only
+};
+constexpr SlotShape kSlots[] = {
+    {Format::xml, false, Mode::n_level},    // kXmlClusters
+    {Format::json, false, Mode::n_level},   // kJsonClusters
+    {Format::xml, true, Mode::one_level},   // kXmlGridsOneLevel
+    {Format::xml, true, Mode::n_level},     // kXmlGridsNLevel
+    {Format::json, true, Mode::one_level},  // kJsonGridsOneLevel
+    {Format::json, true, Mode::n_level},    // kJsonGridsNLevel
+};
+static_assert(std::size(kSlots) == SourceSnapshot::kFragmentSlots);
+
+std::size_t cluster_slot(Format format) {
+  return format == Format::xml ? kXmlClusters : kJsonClusters;
+}
 
 std::size_t grid_slot(Format format, Mode mode) {
   if (format == Format::xml) {
@@ -28,55 +47,56 @@ std::size_t grid_slot(Format format, Mode mode) {
   return mode == Mode::one_level ? kJsonGridsOneLevel : kJsonGridsNLevel;
 }
 
-std::string build_clusters(const SourceSnapshot& snapshot, Format format) {
-  std::string out;
-  if (format == Format::xml) {
-    XmlBackend backend(out);
+void walk_slot(const SourceSnapshot& snapshot, const SlotShape& shape,
+               Backend& backend) {
+  if (shape.grids) {
+    walk_source_grids(snapshot, shape.mode, /*summary_only=*/false, backend);
+  } else {
     walk_source_clusters(snapshot, /*summary_only=*/false, backend);
+  }
+}
+
+std::string build_slot(const SourceSnapshot& snapshot, std::size_t slot) {
+  const SlotShape& shape = kSlots[slot];
+  std::string out;
+  if (shape.format == Format::xml) {
+    XmlBackend backend(out);
+    walk_slot(snapshot, shape, backend);
   } else {
     JsonBackend backend(out, /*fragment=*/true);
-    walk_source_clusters(snapshot, /*summary_only=*/false, backend);
+    walk_slot(snapshot, shape, backend);
     backend.finish_fragment();
   }
   return out;
 }
 
-std::string build_grids(const SourceSnapshot& snapshot, Format format,
-                        Mode mode) {
-  std::string out;
-  if (format == Format::xml) {
-    XmlBackend backend(out);
-    walk_source_grids(snapshot, mode, /*summary_only=*/false, backend);
-  } else {
-    JsonBackend backend(out, /*fragment=*/true);
-    walk_source_grids(snapshot, mode, /*summary_only=*/false, backend);
-    backend.finish_fragment();
-  }
-  return out;
+const std::string& read_slot(const SourceSnapshot& snapshot,
+                             std::size_t slot) {
+  return snapshot.fragment(
+      slot, [&snapshot, slot] { return build_slot(snapshot, slot); });
 }
 
 }  // namespace
 
 const std::string& cluster_fragment(const SourceSnapshot& snapshot,
                                     Format format) {
-  const std::size_t slot =
-      format == Format::xml ? kXmlClusters : kJsonClusters;
-  return snapshot.fragment(
-      slot, [&snapshot, format] { return build_clusters(snapshot, format); });
+  return read_slot(snapshot, cluster_slot(format));
 }
 
 const std::string& grid_fragment(const SourceSnapshot& snapshot, Format format,
                                  Mode mode) {
-  return snapshot.fragment(grid_slot(format, mode), [&snapshot, format, mode] {
-    return build_grids(snapshot, format, mode);
-  });
+  return read_slot(snapshot, grid_slot(format, mode));
 }
 
-void prime_fragments(const SourceSnapshot& snapshot, Mode mode) {
-  cluster_fragment(snapshot, Format::xml);
-  cluster_fragment(snapshot, Format::json);
-  grid_fragment(snapshot, Format::xml, mode);
-  grid_fragment(snapshot, Format::json, mode);
+void prime_fragments(const SourceSnapshot& snapshot,
+                     const SourceSnapshot* previous) {
+  if (previous == nullptr) return;
+  const std::uint32_t read = previous->fragment_use().read;
+  for (std::size_t slot = 0; slot < SourceSnapshot::kFragmentSlots; ++slot) {
+    if ((read & (1U << slot)) == 0) continue;
+    snapshot.prime_fragment(
+        slot, [&snapshot, slot] { return build_slot(snapshot, slot); });
+  }
 }
 
 }  // namespace ganglia::gmetad::render

@@ -1,12 +1,20 @@
-// Publish-time serialized snapshot fragments.
+// Serialized snapshot fragments, primed where a reader asked.
 //
 // The paper's freshness-for-latency trade says a query serves the latest
 // fully-parsed snapshot; this module extends the trade to *serialization*:
 // each immutable SourceSnapshot materialises its serialized subtree bytes
-// once — ideally in the poll pool right after publish (prime_fragments),
-// lazily on the first query otherwise — and full-tree responses are then
-// composed by splicing pre-escaped fragment bytes instead of re-walking
-// and re-escaping every host on every request.
+// at most once, and full-tree responses are composed by splicing
+// pre-escaped fragment bytes instead of re-walking and re-escaping every
+// host on every request.
+//
+// Priming is read-driven.  A snapshot records which fragments its readers
+// asked for, and the poll worker builds exactly those on the snapshot that
+// replaces it, before publishing it (prime_fragments).  A fragment no
+// reader asked for is never built ahead: the first reader builds it once
+// and every later reader shares the bytes.  So a child that only serves
+// its parent's delta polls builds no fragment at all, a child that serves
+// XML dumps builds only its XML fragments, and a root whose dashboard
+// reads the whole tree keeps every view it serves primed.
 //
 // Fragments come in two sections per format, matching the document walk's
 // two passes: the source's cluster items and its grid items.  Grid items
@@ -32,9 +40,11 @@ const std::string& cluster_fragment(const SourceSnapshot& snapshot,
 const std::string& grid_fragment(const SourceSnapshot& snapshot, Format format,
                                  Mode mode);
 
-/// Build every fragment the serving path can need (both formats, the given
-/// mode) so queries never pay the serialization cost.  Called from the poll
-/// pool right after a snapshot is published; idempotent and thread-safe.
-void prime_fragments(const SourceSnapshot& snapshot, Mode mode);
+/// Build on `snapshot` the fragments readers asked for on `previous`, the
+/// snapshot it replaces (nullptr: none).  Called on the poll worker before
+/// `snapshot` is published; builds no fragment that no reader asked for.
+/// Idempotent and thread-safe.
+void prime_fragments(const SourceSnapshot& snapshot,
+                     const SourceSnapshot* previous);
 
 }  // namespace ganglia::gmetad::render

@@ -66,9 +66,29 @@ const SummaryInfo& SourceSnapshot::cluster_summary(const Cluster& cluster) const
 const std::string& SourceSnapshot::fragment(
     std::size_t slot, const std::function<std::string()>& build) const {
   assert(slot < kFragmentSlots);
+  const std::uint32_t bit = 1U << slot;
+  // Test before setting: steady-state readers find the bit set and never
+  // write the shared cache line.
+  if ((fragments_read_.load(std::memory_order_relaxed) & bit) == 0) {
+    fragments_read_.fetch_or(bit, std::memory_order_relaxed);
+  }
+  prime_fragment(slot, build);
+  return fragments_[slot].bytes;
+}
+
+void SourceSnapshot::prime_fragment(
+    std::size_t slot, const std::function<std::string()>& build) const {
+  assert(slot < kFragmentSlots);
   FragmentSlot& cell = fragments_[slot];
-  std::call_once(cell.once, [&cell, &build] { cell.bytes = build(); });
-  return cell.bytes;
+  std::call_once(cell.once, [this, &cell, &build, slot] {
+    cell.bytes = build();
+    fragments_built_.fetch_or(1U << slot, std::memory_order_release);
+  });
+}
+
+SourceSnapshot::FragmentUse SourceSnapshot::fragment_use() const noexcept {
+  return {fragments_read_.load(std::memory_order_relaxed),
+          fragments_built_.load(std::memory_order_acquire)};
 }
 
 void SourceSnapshot::index_grid(const Grid& grid) {
@@ -82,13 +102,13 @@ void SourceSnapshot::index_grid(const Grid& grid) {
 
 std::shared_ptr<const SourceSnapshot> SourceSnapshot::unreachable_from(
     const std::shared_ptr<const SourceSnapshot>& previous, std::string name,
-    std::int64_t at) {
+    std::int64_t at, bool eager_summary) {
   std::shared_ptr<SourceSnapshot> snapshot;
   if (previous) {
     // Indexes must be rebuilt against this snapshot's own report copy.
     Report copy = previous->report_;
-    snapshot = std::shared_ptr<SourceSnapshot>(
-        new SourceSnapshot(std::move(name), std::move(copy), at));
+    snapshot = std::shared_ptr<SourceSnapshot>(new SourceSnapshot(
+        std::move(name), std::move(copy), at, eager_summary));
     snapshot->fetched_at_ = previous->fetched_at_;  // data is still old
   } else {
     snapshot = std::shared_ptr<SourceSnapshot>(new SourceSnapshot());

@@ -51,10 +51,11 @@ class SourceSnapshot {
   SourceSnapshot& operator=(SourceSnapshot&&) = delete;
 
   /// An unreachable placeholder carrying the previous snapshot's data (so
-  /// queries keep serving the last-known state, marked stale).
+  /// queries keep serving the last-known state, marked stale).  The copy
+  /// follows the same summary rule as a fresh snapshot of its mode.
   static std::shared_ptr<const SourceSnapshot> unreachable_from(
       const std::shared_ptr<const SourceSnapshot>& previous, std::string name,
-      std::int64_t at);
+      std::int64_t at, bool eager_summary = true);
 
   const std::string& name() const noexcept { return name_; }
   bool is_grid() const noexcept { return is_grid_; }
@@ -82,14 +83,28 @@ class SourceSnapshot {
   /// cached in the same map.
   const SummaryInfo& cluster_summary(const Cluster& cluster) const;
 
-  /// Serialized subtree bytes, materialised once per slot (publish-time
-  /// render fragments — see gmetad/render/fragments.hpp, which owns the
-  /// slot layout).  `build` runs at most once per slot; concurrent callers
-  /// block until the bytes exist.  Keeping the cache here, keyed by opaque
-  /// slot index, lets the snapshot stay ignorant of render formats.
+  /// Serialized subtree bytes, materialised once per slot (render
+  /// fragments — see gmetad/render/fragments.hpp, which owns the slot
+  /// layout).  A reader's call records the slot as read; `build` runs at
+  /// most once per slot; concurrent callers block until the bytes exist.
+  /// Keeping the cache here, keyed by opaque slot index, lets the snapshot
+  /// stay ignorant of render formats.
   static constexpr std::size_t kFragmentSlots = 6;
   const std::string& fragment(std::size_t slot,
                               const std::function<std::string()>& build) const;
+
+  /// Build a slot ahead of any reader without recording a read — the poll
+  /// path primes the slots the previous snapshot's readers asked for.
+  void prime_fragment(std::size_t slot,
+                      const std::function<std::string()>& build) const;
+
+  /// Fragment slots as bit masks (bit i = slot i): the slots a reader
+  /// asked for, and the slots whose bytes exist.
+  struct FragmentUse {
+    std::uint32_t read = 0;
+    std::uint32_t built = 0;
+  };
+  FragmentUse fragment_use() const noexcept;
 
   /// Authority URL of the child gmetad (empty for gmond sources).
   const std::string& authority() const noexcept { return authority_; }
@@ -122,6 +137,10 @@ class SourceSnapshot {
     std::string bytes;
   };
   mutable std::array<FragmentSlot, kFragmentSlots> fragments_;
+  /// Written by readers (HTTP and query workers), read by the poll worker
+  /// that builds this snapshot's successor.
+  mutable std::atomic<std::uint32_t> fragments_read_{0};
+  mutable std::atomic<std::uint32_t> fragments_built_{0};
   std::string authority_;
   std::int64_t fetched_at_ = 0;
   bool is_grid_ = false;

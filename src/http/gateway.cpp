@@ -155,7 +155,7 @@ Result<Gateway::Content> Gateway::render_xml(std::string_view rest,
   auto line = query_line(rest, query);
   if (!line.ok()) return line.error();
   // Charged to the node's CPU meter; whole-tree responses splice the
-  // publish-time fragments instead of re-walking the store.
+  // snapshot fragments instead of re-walking the store.
   auto rendered =
       monitor_.query_rendered(*line, gmetad::render::Format::xml);
   if (!rendered.ok()) return rendered.error();

@@ -28,7 +28,7 @@
 //
 // All formats render through the unified pipeline (gmetad/render): one
 // tree traversal in the query engine feeds the XML, JSON, and HTML
-// backends, and whole-tree responses splice the publish-time fragments
+// backends, and whole-tree responses splice the serialized fragments
 // each snapshot carries instead of re-walking the store.
 //
 // Every 200 passes through a ResponseCache validated by the store versions

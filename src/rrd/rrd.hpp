@@ -20,8 +20,11 @@
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <new>
 #include <span>
 #include <string>
 #include <vector>
@@ -54,6 +57,9 @@ struct DsDef {
   /// Valid range; values outside become unknown.  NaN bound = unbounded.
   double min_value = std::numeric_limits<double>::quiet_NaN();
   double max_value = std::numeric_limits<double>::quiet_NaN();
+
+  /// Same column; two NaN (unbounded) bounds are equal.
+  bool operator==(const DsDef& other) const noexcept;
 };
 
 /// One archive (ring of consolidated rows).
@@ -63,6 +69,8 @@ struct RraDef {
   double xff = 0.5;
   std::uint32_t pdp_per_row = 1;
   std::uint32_t rows = 0;
+
+  bool operator==(const RraDef&) const = default;
 };
 
 /// Complete database shape.
@@ -77,6 +85,9 @@ struct RrdDef {
   /// resolution than if we ask about more recent behavior".
   static RrdDef ganglia_default(std::string ds_name = "sum",
                                 std::int64_t heartbeat_s = 120);
+
+  /// Same shape: a database of one can be restored over the other.
+  bool operator==(const RrdDef&) const = default;
 };
 
 /// Windowed reduction over one archive range: the running sums a
@@ -113,8 +124,14 @@ struct Series {
 
 class RoundRobinDb {
  public:
-  /// Create a database whose first PDP period begins after `created_at`.
-  /// Fails on an empty/invalid definition.
+  /// Create a database over a shared, immutable definition whose first PDP
+  /// period begins after `created_at`.  Every database of one shape can
+  /// point at the same RrdDef (the archiver keeps two).  Fails on an
+  /// empty/invalid definition.
+  static Result<RoundRobinDb> create(std::shared_ptr<const RrdDef> def,
+                                     std::int64_t created_at);
+
+  /// Convenience: a database that owns its own copy of `def`.
   static Result<RoundRobinDb> create(RrdDef def, std::int64_t created_at);
 
   // -- updates ------------------------------------------------------------
@@ -148,8 +165,8 @@ class RoundRobinDb {
   double last_value(std::size_t ds_index = 0) const;
 
   std::int64_t last_update() const noexcept { return last_update_; }
-  std::int64_t step() const noexcept { return def_.step_s; }
-  const RrdDef& definition() const noexcept { return def_; }
+  std::int64_t step() const noexcept { return def_->step_s; }
+  const RrdDef& definition() const noexcept { return *def_; }
 
   /// Total update() calls served (archiver load accounting).
   std::uint64_t update_count() const noexcept { return update_count_; }
@@ -161,6 +178,13 @@ class RoundRobinDb {
   friend class RrdCodec;
   RoundRobinDb() = default;
 
+  // Everything a database changes lives in one heap block, allocated at
+  // create() and never resized: per data source its PDP scratch and last
+  // PDP, per archive its row cursor and per-ds CDP scratch, then every
+  // archive's ring back to back (archive order, rows * ds values each).
+  // The shape itself — step, data sources, archives — is the shared def_.
+  // The block is std::byte storage, which implicitly creates these
+  // trivially copyable objects; at() reaches them through std::launder.
   struct PdpScratch {
     double weighted_sum = 0;   ///< sum of value*seconds over known time
     std::int64_t known_s = 0;  ///< known seconds accumulated this step
@@ -170,63 +194,48 @@ class RoundRobinDb {
     double agg = std::numeric_limits<double>::quiet_NaN();
     std::uint32_t unknown_count = 0;
   };
-  /// Per-ds CDP scratch with inline storage: archives carry one or two data
-  /// sources (metric, or sum+num), so commit_pdp stays inside the Rra's own
-  /// cache lines instead of chasing a heap block per archive per update.
-  class CdpArray {
-   public:
-    void resize(std::size_t n) {
-      size_ = n;
-      if (n > kInline) heap_.resize(n);
-    }
-    std::size_t size() const noexcept { return size_; }
-    CdpScratch* data() noexcept {
-      return size_ > kInline ? heap_.data() : inline_.data();
-    }
-    const CdpScratch* data() const noexcept {
-      return size_ > kInline ? heap_.data() : inline_.data();
-    }
-    CdpScratch& operator[](std::size_t i) noexcept { return data()[i]; }
-    const CdpScratch& operator[](std::size_t i) const noexcept {
-      return data()[i];
-    }
-    CdpScratch* begin() noexcept { return data(); }
-    CdpScratch* end() noexcept { return data() + size_; }
-    const CdpScratch* begin() const noexcept { return data(); }
-    const CdpScratch* end() const noexcept { return data() + size_; }
+  struct RraCursor {
+    std::uint32_t cur_row = 0;       ///< next row to write
+    std::uint32_t pdp_count = 0;     ///< PDPs folded into the open row
+    std::int64_t last_row_time = 0;  ///< end time of newest committed row
+  };
 
-   private:
-    static constexpr std::size_t kInline = 2;
-    std::array<CdpScratch, kInline> inline_{};
-    std::vector<CdpScratch> heap_;
-    std::size_t size_ = 0;
-  };
-  struct Rra {
-    RraDef def;
-    std::vector<double> ring;       ///< rows * ds_count, NaN-initialised
-    std::uint32_t cur_row = 0;      ///< next row to write
-    std::uint32_t pdp_count = 0;    ///< PDPs folded into the open row
-    std::int64_t last_row_time = 0; ///< end time of newest committed row
-    CdpArray cdp;                   ///< one per ds
-  };
+  /// Byte offsets of the block's regions for this definition.
+  std::size_t last_pdp_offset() const noexcept;
+  std::size_t cursor_offset() const noexcept;
+  std::size_t cdp_offset() const noexcept;
+  std::size_t ring_offset() const noexcept;
+  /// Ring values (rows * ds) of every archive before `rra`.
+  std::size_t ring_start(std::size_t rra) const noexcept;
+
+  template <class T>
+  T* at(std::size_t offset) const noexcept {
+    return std::launder(reinterpret_cast<T*>(block_.get() + offset));
+  }
+  PdpScratch* pdp() const noexcept { return at<PdpScratch>(0); }
+  double* last_pdp() const noexcept { return at<double>(last_pdp_offset()); }
+  RraCursor* cursors() const noexcept { return at<RraCursor>(cursor_offset()); }
+  /// CDP scratch of archive `rra`, one per data source.
+  CdpScratch* cdp(std::size_t rra) const noexcept {
+    return at<CdpScratch>(cdp_offset()) + rra * def_->ds.size();
+  }
+  double* rings() const noexcept { return at<double>(ring_offset()); }
 
   void advance_to(std::int64_t pdp_end, std::span<const double> rates,
                   std::span<const std::uint8_t> known);
   void commit_pdp(std::int64_t pdp_end, std::span<const double> pdp_values);
 
-  /// Finest archive with CF `cf` still covering `start` (coarsest match
-  /// as fallback; nullptr when no archive uses `cf`) — the shared
-  /// resolution step of fetch() and reduce().
-  const Rra* pick_rra(ConsolidationFn cf, std::int64_t start) const;
+  /// Index of the finest archive with CF `cf` still covering `start`
+  /// (coarsest match as fallback; the archive count when no archive uses
+  /// `cf`) — the shared resolution step of fetch() and reduce().
+  std::size_t pick_rra(ConsolidationFn cf, std::int64_t start) const;
 
   /// Updates use stack scratch up to this many data sources (covers the
   /// 1-ds metric and 2-ds sum+num archives) and fall back to the heap.
   static constexpr std::size_t kInlineDs = 4;
 
-  RrdDef def_;
-  std::vector<Rra> rras_;
-  std::vector<PdpScratch> pdp_;
-  std::vector<double> last_pdp_;   ///< newest finished PDP value per ds
+  std::shared_ptr<const RrdDef> def_;
+  std::unique_ptr<std::byte[]> block_;
   std::int64_t last_update_ = 0;   ///< time of last update() call
   std::int64_t pdp_start_ = 0;     ///< start of the in-progress PDP period
   std::uint64_t update_count_ = 0;

@@ -58,7 +58,7 @@ class Reader {
 std::string RrdCodec::serialize(const RoundRobinDb& db) {
   std::string out;
   out.append(kMagic, sizeof kMagic);
-  const RrdDef& def = db.def_;
+  const RrdDef& def = db.definition();
   put<std::int64_t>(out, def.step_s);
 
   put<std::uint32_t>(out, static_cast<std::uint32_t>(def.ds.size()));
@@ -82,27 +82,36 @@ std::string RrdCodec::serialize(const RoundRobinDb& db) {
   put<std::int64_t>(out, db.pdp_start_);
   put<std::uint64_t>(out, db.update_count_);
 
-  for (const auto& scratch : db.pdp_) {
+  const std::size_t n = def.ds.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const RoundRobinDb::PdpScratch& scratch = db.pdp()[i];
     put<double>(out, scratch.weighted_sum);
     put<std::int64_t>(out, scratch.known_s);
     put<double>(out, scratch.last_raw);
   }
-  for (double v : db.last_pdp_) put<double>(out, v);
+  for (std::size_t i = 0; i < n; ++i) put<double>(out, db.last_pdp()[i]);
 
-  for (const auto& rra : db.rras_) {
-    put<std::uint32_t>(out, rra.cur_row);
-    put<std::uint32_t>(out, rra.pdp_count);
-    put<std::int64_t>(out, rra.last_row_time);
-    for (const auto& cdp : rra.cdp) {
+  const double* ring = db.rings();
+  for (std::size_t r = 0; r < def.rras.size(); ++r) {
+    const RoundRobinDb::RraCursor& cursor = db.cursors()[r];
+    put<std::uint32_t>(out, cursor.cur_row);
+    put<std::uint32_t>(out, cursor.pdp_count);
+    put<std::int64_t>(out, cursor.last_row_time);
+    for (std::size_t i = 0; i < n; ++i) {
+      const RoundRobinDb::CdpScratch& cdp = db.cdp(r)[i];
       put<double>(out, cdp.agg);
       put<std::uint32_t>(out, cdp.unknown_count);
     }
-    for (double v : rra.ring) put<double>(out, v);
+    const std::size_t values = std::size_t{def.rras[r].rows} * n;
+    for (std::size_t v = 0; v < values; ++v) put<double>(out, ring[v]);
+    ring += values;
   }
   return out;
 }
 
-Result<RoundRobinDb> RrdCodec::deserialize(std::string_view bytes) {
+Result<RoundRobinDb> RrdCodec::deserialize(
+    std::string_view bytes,
+    std::span<const std::shared_ptr<const RrdDef>> shapes) {
   const auto fail = [] {
     return Err(Errc::parse_error, "corrupt or truncated RRD image");
   };
@@ -152,7 +161,15 @@ Result<RoundRobinDb> RrdCodec::deserialize(std::string_view bytes) {
   }
   if (needed > r.remaining()) return fail();
 
-  auto created = RoundRobinDb::create(def, 0);
+  std::shared_ptr<const RrdDef> shape;
+  for (const auto& candidate : shapes) {
+    if (candidate && *candidate == def) {
+      shape = candidate;
+      break;
+    }
+  }
+  if (!shape) shape = std::make_shared<const RrdDef>(std::move(def));
+  auto created = RoundRobinDb::create(std::move(shape), 0);
   if (!created.ok()) return created.error();
   RoundRobinDb db = std::move(*created);
 
@@ -160,29 +177,38 @@ Result<RoundRobinDb> RrdCodec::deserialize(std::string_view bytes) {
       !r.get(db.update_count_)) {
     return fail();
   }
-  for (auto& scratch : db.pdp_) {
+  const RrdDef& shared = db.definition();
+  const std::size_t n = shared.ds.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    RoundRobinDb::PdpScratch& scratch = db.pdp()[i];
     if (!r.get(scratch.weighted_sum) || !r.get(scratch.known_s) ||
         !r.get(scratch.last_raw)) {
       return fail();
     }
   }
-  for (double& v : db.last_pdp_) {
-    if (!r.get(v)) return fail();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!r.get(db.last_pdp()[i])) return fail();
   }
-  for (auto& rra : db.rras_) {
-    if (!r.get(rra.cur_row) || !r.get(rra.pdp_count) ||
-        !r.get(rra.last_row_time)) {
+  double* ring = db.rings();
+  for (std::size_t a = 0; a < shared.rras.size(); ++a) {
+    const RraDef& rra = shared.rras[a];
+    RoundRobinDb::RraCursor& cursor = db.cursors()[a];
+    if (!r.get(cursor.cur_row) || !r.get(cursor.pdp_count) ||
+        !r.get(cursor.last_row_time)) {
       return fail();
     }
-    if (rra.cur_row >= rra.def.rows || rra.pdp_count >= rra.def.pdp_per_row) {
+    if (cursor.cur_row >= rra.rows || cursor.pdp_count >= rra.pdp_per_row) {
       return fail();
     }
-    for (auto& cdp : rra.cdp) {
+    for (std::size_t i = 0; i < n; ++i) {
+      RoundRobinDb::CdpScratch& cdp = db.cdp(a)[i];
       if (!r.get(cdp.agg) || !r.get(cdp.unknown_count)) return fail();
     }
-    for (double& v : rra.ring) {
-      if (!r.get(v)) return fail();
+    const std::size_t values = std::size_t{rra.rows} * n;
+    for (std::size_t v = 0; v < values; ++v) {
+      if (!r.get(ring[v])) return fail();
     }
+    ring += values;
   }
   if (!r.done()) return fail();
   return db;
@@ -216,12 +242,14 @@ Status RrdCodec::save_file(const RoundRobinDb& db, const std::string& path) {
   return write_file_atomic(path, serialize(db));
 }
 
-Result<RoundRobinDb> RrdCodec::load_file(const std::string& path) {
+Result<RoundRobinDb> RrdCodec::load_file(
+    const std::string& path,
+    std::span<const std::shared_ptr<const RrdDef>> shapes) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Err(Errc::io_error, "cannot open " + path);
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
-  return deserialize(bytes);
+  return deserialize(bytes, shapes);
 }
 
 }  // namespace ganglia::rrd

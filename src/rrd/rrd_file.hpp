@@ -5,9 +5,14 @@
 // this codec provides the file-backed option (and snapshot/restore for
 // daemon restarts).  Format: little-endian, fixed magic + version, the full
 // definition, then every archive ring verbatim — load gives back an
-// identical database including in-progress PDP state.
+// identical database including in-progress PDP state.  The image layout
+// (GRRD0001) is independent of the in-memory one: per data source its PDP
+// scratch, then its last PDP, then per archive its cursor, CDP scratch and
+// ring.
 #pragma once
 
+#include <memory>
+#include <span>
 #include <string>
 
 #include "common/result.hpp"
@@ -24,12 +29,18 @@ class RrdCodec {
   /// Serialise the complete database state.
   static std::string serialize(const RoundRobinDb& db);
 
-  /// Reconstruct a database from serialize() output.
-  static Result<RoundRobinDb> deserialize(std::string_view bytes);
+  /// Reconstruct a database from serialize() output.  An image whose
+  /// definition equals one of `shapes` adopts that shared definition; any
+  /// other gets a definition of its own.
+  static Result<RoundRobinDb> deserialize(
+      std::string_view bytes,
+      std::span<const std::shared_ptr<const RrdDef>> shapes = {});
 
   /// File convenience wrappers; save_file writes via write_file_atomic.
   static Status save_file(const RoundRobinDb& db, const std::string& path);
-  static Result<RoundRobinDb> load_file(const std::string& path);
+  static Result<RoundRobinDb> load_file(
+      const std::string& path,
+      std::span<const std::shared_ptr<const RrdDef>> shapes = {});
 };
 
 }  // namespace ganglia::rrd

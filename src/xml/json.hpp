@@ -40,7 +40,7 @@ class JsonWriter {
 
   /// Splice pre-serialized, pre-escaped JSON bytes as the next value (or
   /// array elements).  Used by the render pipeline to compose full-tree
-  /// responses from publish-time snapshot fragments: `bytes` must be one or
+  /// responses from serialized snapshot fragments: `bytes` must be one or
   /// more complete, comma-joined JSON values.  The leading comma (when the
   /// container already has elements) is emitted here; commas *between* the
   /// fragment's own values must already be inside `bytes`.  Empty fragments

@@ -46,7 +46,7 @@ class XmlWriter {
 
   /// Splice pre-serialized, pre-escaped element bytes as children of the
   /// current element.  The render pipeline uses this to compose full-tree
-  /// responses from publish-time snapshot fragments without re-walking (or
+  /// responses from serialized snapshot fragments without re-walking (or
   /// re-escaping) the subtree.  `bytes` must be well-formed element markup
   /// produced by a compact (non-pretty) writer; an empty fragment is a
   /// no-op, so an element with only empty splices still self-closes.

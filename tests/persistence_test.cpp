@@ -12,6 +12,7 @@
 #include "gmon/pseudo_gmond.hpp"
 #include "net/inmem.hpp"
 #include "sim/sim_clock.hpp"
+#include "test_dir.hpp"
 
 namespace ganglia::gmetad {
 namespace {
@@ -86,6 +87,80 @@ TEST(Persistence, KeysWithSlashesAndSpacesSurvive) {
                   .fetch_summary_metric("grid with spaces/cluster",
                                         "weird metric/name", 900, 1200)
                   .ok());
+}
+
+/// The archive directory in tests/data/archive_dir was written by the
+/// archiver when each ring was a vector of its own and every database
+/// copied its definition: 30 rounds at 15 s from t=1000 of this host
+/// metric and this grid summary.
+void record_fixture_round(Archiver& archiver, int round) {
+  const std::int64_t now = 1000 + round * 15;
+  archiver.record_cluster("src", tiny_cluster(0.5 * (round % 7)), now);
+  SummaryInfo summary;
+  summary.hosts_up = 4;
+  summary.metrics["load_one"] = {1.5 * (round % 5), 4, MetricType::float_t,
+                                 ""};
+  archiver.record_summary("grid", summary, now);
+}
+
+std::string read_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(Persistence, ArchiveDirectoryOfTheVectorLayoutRestores) {
+  const ganglia::testing::TestDir dir;
+  const std::filesystem::path fixture =
+      std::filesystem::path(GANGLIA_TEST_DATA_DIR) / "archive_dir";
+  std::filesystem::copy(fixture, dir.path());
+  Archiver restored({15, 120, dir.path().string()});
+  ASSERT_TRUE(restored.load_from_disk().ok());
+  ASSERT_EQ(restored.database_count(), 2u);
+  // Both images adopted the archiver's own shapes (metric; sum+num).
+  EXPECT_EQ(restored.definition_count(), 2u);
+
+  // Flushed back, every image is the bytes it was restored from.
+  ASSERT_TRUE(restored.flush_to_disk().ok());
+  for (const auto& entry : std::filesystem::directory_iterator(fixture)) {
+    EXPECT_EQ(read_bytes(dir.path() / entry.path().filename()),
+              read_bytes(entry.path()))
+        << entry.path().filename();
+  }
+
+  // The restored history is what this layout records from the same rounds.
+  Archiver replayed({15, 120, ""});
+  for (int round = 0; round < 30; ++round) {
+    record_fixture_round(replayed, round);
+  }
+  const auto host = [](const Archiver& a) {
+    return a.fetch_host_metric("src", "c", "h0", "load_one", 900, 1500);
+  };
+  const auto sums = [](const Archiver& a, std::size_t ds) {
+    return a.fetch_summary_metric("grid", "load_one", 900, 1500, ds);
+  };
+  for (const auto& [got, want] :
+       {std::pair{host(restored), host(replayed)},
+        std::pair{sums(restored, 0), sums(replayed, 0)},
+        std::pair{sums(restored, 1), sums(replayed, 1)}}) {
+    ASSERT_TRUE(got.ok() && want.ok());
+    ASSERT_EQ(got->values.size(), want->values.size());
+    std::size_t known = 0;
+    for (std::size_t i = 0; i < got->values.size(); ++i) {
+      if (rrd::is_unknown(want->values[i])) {
+        EXPECT_TRUE(rrd::is_unknown(got->values[i])) << i;
+        continue;
+      }
+      ++known;
+      EXPECT_EQ(got->values[i], want->values[i]) << i;
+    }
+    EXPECT_GT(known, 20u);
+  }
+
+  // New archives of both shapes share the same two definitions.
+  record_fixture_round(restored, 30);
+  restored.record_cluster("src2", tiny_cluster(1.0), 1450);
+  EXPECT_EQ(restored.database_count(), 3u);
+  EXPECT_EQ(restored.definition_count(), 2u);
 }
 
 TEST(Persistence, ColdStartIsNotAnError) {

@@ -1,18 +1,24 @@
-// Tests for the unified render pipeline: publish-time fragment splicing
-// must be byte-identical to the walk it replaces (both formats, both
-// modes), and the store's per-source versioning must behave as the cache
-// invalidation layer assumes.
+// Tests for the unified render pipeline: fragment splicing must be
+// byte-identical to the walk it replaces (both formats, both modes), the
+// poll path must prime exactly the fragments readers asked for, and the
+// store's per-source versioning must behave as the cache invalidation
+// layer assumes.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "gmetad/query.hpp"
 #include "gmetad/render/deps.hpp"
 #include "gmetad/render/fragments.hpp"
 #include "gmetad/store.hpp"
+#include "gmetad/testbed.hpp"
 
 namespace ganglia::gmetad {
 namespace {
@@ -103,18 +109,116 @@ TEST_F(RenderPipelineTest, SpliceMatchesWalkByteForByte) {
   }
 }
 
-TEST_F(RenderPipelineTest, PrimedFragmentsAreServedAsBuilt) {
-  // prime_fragments builds exactly the slots the whole-tree render reads,
-  // so a primed snapshot serves splices without re-serialising.
-  auto snapshot = store_.get("meteor");
-  ASSERT_NE(snapshot, nullptr);
-  render::prime_fragments(*snapshot, Mode::n_level);
+TEST_F(RenderPipelineTest, NeverReadSlotSplicesIdenticallyOnFirstUse) {
+  // Nothing primes a slot no reader asked for: the first whole-tree read
+  // builds it lazily, and that splice is the walk's bytes.
+  for (const char* name : {"meteor", "attic", "verbose-child"}) {
+    EXPECT_EQ(store_.get(name)->fragment_use().built, 0u) << name;
+  }
+  ctx_.mode = Mode::n_level;
+  for (const render::Format format :
+       {render::Format::xml, render::Format::json}) {
+    const std::string walked = render("/", format, /*fragments=*/false);
+    EXPECT_EQ(render("/", format, /*fragments=*/true), walked);
+  }
+  const auto use = store_.get("meteor")->fragment_use();
+  EXPECT_NE(use.built, 0u);
+  EXPECT_EQ(use.built, use.read) << "built exactly the slots read";
+  // Served again, the bytes are the ones built the first time.
   const std::string& a =
-      render::cluster_fragment(*snapshot, render::Format::xml);
+      render::cluster_fragment(*store_.get("meteor"), render::Format::xml);
   const std::string& b =
-      render::cluster_fragment(*snapshot, render::Format::xml);
-  EXPECT_EQ(&a, &b) << "fragment bytes are materialised once";
-  EXPECT_NE(a.find("host-0"), std::string::npos);
+      render::cluster_fragment(*store_.get("meteor"), render::Format::xml);
+  EXPECT_EQ(&a, &b);
+}
+
+TEST_F(RenderPipelineTest, SourceReadInOneFormatIsPrimedInThatFormatOnly) {
+  ctx_.mode = Mode::n_level;
+  const std::string walked_xml = render("/", render::Format::xml, false);
+  const std::string walked_json = render("/", render::Format::json, false);
+  render("/", render::Format::xml, /*fragments=*/true);
+  const auto previous = store_.get("meteor");
+  const std::uint32_t xml_read = previous->fragment_use().read;
+  ASSERT_NE(xml_read, 0u);
+
+  // The poll path's successor: primed from the predecessor's reads, before
+  // any reader sees it.
+  auto next = std::make_shared<SourceSnapshot>(
+      "meteor", cluster_report("meteor", 4), 500);
+  render::prime_fragments(*next, previous.get());
+  EXPECT_EQ(next->fragment_use().built, xml_read);
+  EXPECT_EQ(next->fragment_use().read, 0u) << "priming is not a read";
+  store_.publish(next);
+
+  // The primed XML splices as walked; JSON was never read, so its first
+  // read builds slots the priming did not.
+  EXPECT_EQ(render("/", render::Format::xml, true), walked_xml);
+  EXPECT_EQ(next->fragment_use().built, xml_read);
+  EXPECT_EQ(render("/", render::Format::json, true), walked_json);
+  const auto use = next->fragment_use();
+  EXPECT_NE(use.built & ~xml_read, 0u);
+  EXPECT_EQ(use.built, use.read);
+}
+
+TEST_F(RenderPipelineTest, ReadersSpliceWhileAWriterPublishesAndPrimes) {
+  // Readers (the HTTP workers) set a snapshot's read mask while the writer
+  // (a poll worker) reads its predecessor's mask to prime the successor.
+  // Every source is republished with unchanged content, so every splice
+  // must equal the walk whichever versions it caught.
+  ctx_.mode = Mode::n_level;
+  const std::string walked[2] = {render("/", render::Format::xml, false),
+                                 render("/", render::Format::json, false)};
+  engine_.set_use_fragments(true);
+  std::map<std::string, Report> reports;
+  for (const char* name : {"meteor", "attic", "verbose-child"}) {
+    const auto snapshot = store_.get(name);
+    Report report;
+    report.clusters = snapshot->clusters();
+    report.grids = snapshot->grids();
+    reports.emplace(name, std::move(report));
+  }
+
+  std::atomic<bool> done{false};
+  std::atomic<int> reads{0};
+  std::atomic<int> mismatches{0};
+  std::atomic<int> primed{0};
+  std::thread writer([&] {
+    for (int round = 0; round < 150; ++round) {
+      // Let the readers in between publishes, however fast this loop runs.
+      while (reads.load() <= round) std::this_thread::yield();
+      for (const auto& [name, report] : reports) {
+        const auto previous = store_.get(name);
+        auto next = std::make_shared<SourceSnapshot>(name, report, 500);
+        render::prime_fragments(*next, previous.get());
+        const std::uint32_t built = next->fragment_use().built;
+        // Built before publish, so only from reads the predecessor saw.
+        if ((built & ~previous->fragment_use().read) != 0) ++mismatches;
+        if (built != 0) ++primed;
+        store_.publish(std::move(next));
+      }
+    }
+    done = true;
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      int i = r;
+      do {
+        const auto format = (i++ % 2 == 0) ? render::Format::xml
+                                           : render::Format::json;
+        auto rendered = engine_.execute_rendered("/", ctx_, format);
+        if (!rendered.ok() ||
+            rendered->body != walked[format == render::Format::xml ? 0 : 1]) {
+          ++mismatches;
+        }
+        ++reads;
+      } while (!done.load());
+    });
+  }
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(primed.load(), 0) << "readers' slots were primed ahead";
 }
 
 TEST_F(RenderPipelineTest, JsonDocumentShapeSurvivesSplicing) {
@@ -126,6 +230,83 @@ TEST_F(RenderPipelineTest, JsonDocumentShapeSurvivesSplicing) {
   EXPECT_NE(spliced.find("\"grids\":["), std::string::npos);
   EXPECT_NE(spliced.find("\"meteor\""), std::string::npos);
   EXPECT_NE(spliced.find("\"attic\""), std::string::npos);
+}
+
+TEST(ReadDrivenPriming, Fig2DeltaTreePrimesOnlyWhatTheRootReads) {
+  // The dashboard's shape: a fig-2 tree on delta federation whose whole
+  // tree is read only at the root, in both formats.  Children serve their
+  // parents through the delta publisher, which reads no fragment.
+  TestbedSpec spec = fig2_spec(3, Mode::n_level);
+  spec.federation = true;
+  spec.soft_state = true;
+  Testbed bed(std::move(spec));
+  Gmetad& root = bed.node("root");
+  const auto read_root = [&root] {
+    EXPECT_TRUE(root.query_rendered("/", render::Format::json).ok());
+    EXPECT_FALSE(root.dump_xml().empty());
+  };
+  for (int warm_up = 0; warm_up < 2; ++warm_up) {
+    bed.run_round();
+    read_root();
+  }
+  for (int round = 0; round < 3; ++round) {
+    std::map<std::string, std::shared_ptr<const SourceSnapshot>> read;
+    for (const auto& snapshot : root.store().all()) {
+      read.emplace(snapshot->name(), snapshot);
+    }
+    bed.run_round();
+
+    // Each new root snapshot holds exactly the slots its predecessor's
+    // readers asked for, built before any reader touched it.
+    const auto published = root.store().all();
+    ASSERT_EQ(published.size(), read.size());
+    for (const auto& snapshot : published) {
+      const auto& previous = read.at(snapshot->name());
+      ASSERT_NE(previous, snapshot) << "republished every round";
+      const std::uint32_t asked = previous->fragment_use().read;
+      EXPECT_NE(asked, 0u) << snapshot->name();
+      EXPECT_EQ(snapshot->fragment_use().built, asked) << snapshot->name();
+      EXPECT_EQ(snapshot->fragment_use().read, 0u) << snapshot->name();
+    }
+    // No child snapshot holds fragment bytes.
+    for (const std::string& node : bed.poll_order()) {
+      if (node == "root") continue;
+      for (const auto& snapshot : bed.node(node).store().all()) {
+        EXPECT_EQ(snapshot->fragment_use().built, 0u)
+            << node << " source " << snapshot->name();
+      }
+    }
+    read_root();
+  }
+}
+
+TEST(ReadDrivenPriming, UnreachableSourceStaysPrimedForItsReaders) {
+  // A source the root reads goes dark: each stale copy that keeps serving
+  // its last-known data is primed from its predecessor's reads, like a
+  // fresh snapshot.  1-level, whose stale copies defer their summary just
+  // as its fresh snapshots do.
+  Testbed bed(fig2_spec(3, Mode::one_level));
+  Gmetad& root = bed.node("root");
+  const auto read_root = [&root] {
+    EXPECT_TRUE(root.query_rendered("/", render::Format::json).ok());
+    EXPECT_FALSE(root.dump_xml().empty());
+  };
+  bed.run_round();
+  read_root();
+  net::FailurePolicy refuse;
+  refuse.kind = net::FailurePolicy::Kind::refuse;
+  bed.transport().set_failure(Testbed::dump_address("ucsd"), refuse);
+  for (int round = 0; round < 2; ++round) {
+    const auto previous = root.store().get("ucsd");
+    bed.run_round();
+    const auto stale = root.store().get("ucsd");
+    ASSERT_FALSE(stale->reachable());
+    EXPECT_GT(stale->host_count(), 0u);
+    EXPECT_EQ(stale->host_count(), previous->host_count());
+    EXPECT_NE(previous->fragment_use().read, 0u);
+    EXPECT_EQ(stale->fragment_use().built, previous->fragment_use().read);
+    read_root();
+  }
 }
 
 // -------------------------------------------------------- store versioning

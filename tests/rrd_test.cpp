@@ -1,16 +1,39 @@
 // Unit tests for src/rrd: round-robin archive semantics — PDP assembly,
 // consolidation, heartbeat/unknown handling, counters, fetch resolution
-// selection, fixed storage, and binary persistence.
+// selection, fixed storage, the one-block layout's allocations, and binary
+// persistence.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <new>
 
 #include "common/rng.hpp"
 #include "rrd/rrd.hpp"
 #include "rrd/rrd_file.hpp"
 #include "test_dir.hpp"
+
+namespace {
+/// Every `operator new` this test binary makes, so a test can count the
+/// heap allocations of a window of code.
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+// Out of line, like the deletes below, so the compiler never pairs an
+// inlined malloc() or free() with a new or delete expression.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace ganglia::rrd {
 namespace {
@@ -468,6 +491,124 @@ TEST(RrdCodec, FileSaveLoad) {
   ASSERT_TRUE(loaded.ok()) << loaded.error().to_string();
   EXPECT_DOUBLE_EQ(loaded->last_value(), db->last_value());
   EXPECT_FALSE(RrdCodec::load_file("/nonexistent/x.grrd").ok());
+}
+
+/// The archiver's summary shape: "sum" and "num" over the default ladder.
+RrdDef sum_num_def() {
+  RrdDef def = RrdDef::ganglia_default("sum", 120);
+  DsDef num = def.ds.front();
+  num.name = "num";
+  def.ds.push_back(std::move(num));
+  return def;
+}
+
+TEST(RrdLayout, CreateTakesAtMostTwoAllocationsAndUpdateNone) {
+  for (const RrdDef& shape : {RrdDef::ganglia_default(), sum_num_def()}) {
+    const auto def = std::make_shared<const RrdDef>(shape);
+    const std::size_t n = def->ds.size();
+    const std::size_t before = g_allocations.load();
+    auto db = RoundRobinDb::create(def, 0);
+    const std::size_t created = g_allocations.load() - before;
+    ASSERT_TRUE(db.ok());
+    EXPECT_LE(created, 2u) << n << " ds";
+    EXPECT_EQ(&db->definition(), def.get()) << "the definition is shared";
+    EXPECT_EQ(db->storage_bytes(), (4 * 244 + 374) * n * sizeof(double));
+
+    const std::size_t before_updates = g_allocations.load();
+    bool all_ok = true;
+    for (int i = 1; i <= 400; ++i) {
+      const double values[2] = {0.5 * i, 2.0};
+      all_ok &= db->update(i * 15, std::span<const double>(values, n)).ok();
+    }
+    EXPECT_TRUE(all_ok);
+    EXPECT_EQ(g_allocations.load() - before_updates, 0u)
+        << "update() never touches the heap";
+  }
+}
+
+/// FNV-1a over an image: a fixed digest to pin its bytes against.
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// A fixed update sequence over `def` from t=1000: irregular intervals
+/// (partial PDPs), an unknown sample every 23 updates, a silence past the
+/// 120 s heartbeat, and about 420 PDPs, so the 244-row finest ring wraps.
+std::string pinned_image(RrdDef def) {
+  const std::size_t n = def.ds.size();
+  auto db = RoundRobinDb::create(std::move(def), 1000);
+  EXPECT_TRUE(db.ok());
+  if (!db.ok()) return {};
+  const bool counter = db->definition().ds[0].type == DsType::counter;
+  std::int64_t t = 1000;
+  double raw = 5000;
+  for (int i = 0; i < 400; ++i) {
+    t += (i % 5 == 0) ? 22 : 15;
+    if (i >= 100 && i < 112) continue;  // silence past the heartbeat
+    raw += 15.0 * (10 + i % 7);
+    double values[2];
+    values[0] = (i % 23 == 5) ? unknown() : counter ? raw : 0.25 * (i % 17);
+    values[1] = 1.0 + i % 3;
+    EXPECT_TRUE(db->update(t, std::span<const double>(values, n)).ok());
+  }
+  return RrdCodec::serialize(*db);
+}
+
+TEST(RrdCodec, ImageBytesArePinned) {
+  // The in-memory layout is free to change; GRRD0001 images are not.  The
+  // digests were recorded from this sequence when every ring was a vector
+  // of its own and every database copied its definition.
+  RrdDef counter = RrdDef::ganglia_default("bytes_in", 120);
+  counter.ds[0].type = DsType::counter;
+  counter.ds[0].min_value = 0.0;
+  const struct {
+    const char* what;
+    RrdDef def;
+    std::size_t size;
+    std::uint64_t digest;
+  } cases[] = {
+      {"1-ds gauge", RrdDef::ganglia_default("sum", 120), 11137,
+       0x8513c857e050e125ULL},
+      {"1-ds counter", counter, 11142, 0xe80577cef11f5e06ULL},
+      {"2-ds sum+num", sum_num_def(), 22061, 0x90ac398a95db6364ULL},
+  };
+  for (const auto& c : cases) {
+    const std::string image = pinned_image(c.def);
+    EXPECT_EQ(image.size(), c.size) << c.what;
+    EXPECT_EQ(fnv1a(image), c.digest) << c.what;
+  }
+}
+
+TEST(RrdCodec, RestoredImagesAdoptAMatchingSharedDefinition) {
+  const auto metric = std::make_shared<const RrdDef>(RrdDef::ganglia_default());
+  const auto summary = std::make_shared<const RrdDef>(sum_num_def());
+  const std::shared_ptr<const RrdDef> shapes[] = {metric, summary};
+  for (const auto& shape : shapes) {
+    auto db = RoundRobinDb::create(shape, 0);
+    ASSERT_TRUE(db.ok());
+    const double values[2] = {1.5, 3.0};
+    const std::size_t n = shape->ds.size();
+    ASSERT_TRUE(db->update(20, std::span<const double>(values, n)).ok());
+    const std::string image = RrdCodec::serialize(*db);
+
+    // The unbounded (NaN) min/max of the default columns still match.
+    auto restored = RrdCodec::deserialize(image, shapes);
+    ASSERT_TRUE(restored.ok()) << restored.error().to_string();
+    EXPECT_EQ(&restored->definition(), shape.get());
+    EXPECT_EQ(RrdCodec::serialize(*restored), image);
+
+    // Without a matching shape the image gets a definition of its own.
+    auto alone = RrdCodec::deserialize(image);
+    ASSERT_TRUE(alone.ok());
+    EXPECT_NE(&alone->definition(), shape.get());
+    EXPECT_EQ(alone->definition(), *shape);
+    EXPECT_EQ(RrdCodec::serialize(*alone), image);
+  }
 }
 
 TEST(Rrd, GangliaDefaultCoversAYear) {
