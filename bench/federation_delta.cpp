@@ -21,10 +21,13 @@
 // Every measured round also asserts that every node of the two trees
 // renders a byte-identical document — the bench doubles as an end-to-end
 // equivalence check.  It exits non-zero when any node diverges, when the
-// steady-state reduction falls below its floor, or when either chain edge
-// carries more than its ceiling per delta poll: an N-level parent asks a
+// steady-state reduction falls below its floor, when either chain edge
+// carries more than its ceiling per delta poll (an N-level parent asks a
 // child gmetad for its grid summary only, so those edges carry the
-// summary's churn however large the clusters below them grow.
+// summary's churn however large the clusters below them grow), or when
+// the twelve gmond->gmetad edges carry more than their ceiling per host
+// per delta poll (one host record per changed host, one short entry per
+// changed metric).
 //
 // Writes machine-readable results to BENCH_federation.json.
 //
@@ -47,6 +50,13 @@ namespace {
 constexpr double kReductionFloor = 10.0;
 /// Steady-state delta bytes per poll on a chain edge above which it fails.
 constexpr double kEdgeCeiling = 1024.0;
+/// Steady-state delta bytes per poll on the gmond->gmetad edges above
+/// which it fails, as bytes per host: kGmondHostCeiling for each host's
+/// record plus kGmondPollAllowance per poll, spread over the hosts, for
+/// what does not grow with them (the request, the frames, and the
+/// cluster's select, attribute and advance rows: about 80 B).
+constexpr double kGmondHostCeiling = 35.0;
+constexpr double kGmondPollAllowance = 80.0;
 
 gmetad::TestbedSpec spec_for(std::size_t hosts, bool federation) {
   gmetad::TestbedSpec spec = gmetad::fig2_spec(hosts, gmetad::Mode::n_level);
@@ -107,6 +117,13 @@ int main(int argc, char** argv) {
   // The deepest chain of figure 2: root <- ucsd <- physics.
   std::vector<EdgeBytes> delta_edges = {{"root", "ucsd"}, {"ucsd", "physics"}};
   std::vector<EdgeBytes> xml_edges = delta_edges;
+  // Every gmetad's local clusters: the gmond->gmetad edges.
+  std::vector<EdgeBytes> gmond_edges;
+  for (const gmetad::TestbedNodeSpec& node : delta_bed.spec().nodes) {
+    for (const std::string& cluster : node.cluster_names) {
+      gmond_edges.push_back({node.name, cluster});
+    }
+  }
 
   // Warm-up: session establishment and the unavoidable first fulls.
   constexpr std::size_t kWarmRounds = 2;
@@ -117,6 +134,7 @@ int main(int argc, char** argv) {
   std::uint64_t xml_before = tree_bytes(xml_bed);
   for (EdgeBytes& e : delta_edges) e.before = edge_total(delta_bed, e);
   for (EdgeBytes& e : xml_edges) e.before = edge_total(xml_bed, e);
+  for (EdgeBytes& e : gmond_edges) e.before = edge_total(delta_bed, e);
 
   std::printf(
       "delta federation vs full-XML polling: fig-2 tree, %zu hosts/cluster, "
@@ -165,6 +183,13 @@ int main(int argc, char** argv) {
   for (EdgeBytes& e : xml_edges) {
     e.per_poll = static_cast<double>(edge_total(xml_bed, e) - e.before) / denom;
   }
+  double gmond_total = 0;
+  for (EdgeBytes& e : gmond_edges) {
+    gmond_total += static_cast<double>(edge_total(delta_bed, e) - e.before);
+  }
+  const double gmond_per_host =
+      gmond_total /
+      (denom * static_cast<double>(gmond_edges.size() * hosts));
 
   // Modeled staleness over a constrained WAN link (measured bytes, modeled
   // latency): per level, half a poll interval of sampling delay plus the
@@ -192,6 +217,12 @@ int main(int argc, char** argv) {
                 e.child.c_str(), xml_edges[i].per_poll, e.per_poll);
     if (e.per_poll > kEdgeCeiling) edges_ok = false;
   }
+  const double gmond_ceiling =
+      kGmondHostCeiling + kGmondPollAllowance / static_cast<double>(hosts);
+  std::printf("  %zu gmond->gmetad edges: delta %.1f B per host per poll "
+              "(ceiling %.1f B)\n",
+              gmond_edges.size(), gmond_per_host, gmond_ceiling);
+  const bool gmond_ok = gmond_per_host <= gmond_ceiling;
   std::printf(
       "modeled root staleness over %.0f kbit/s links (physics->ucsd->root): "
       "xml %.1f s, delta %.1f s\n",
@@ -244,6 +275,8 @@ int main(int argc, char** argv) {
     w.end_object();
   }
   w.end_array();
+  w.key("gmond_delta_bytes_per_host_per_poll");
+  w.value(gmond_per_host);
   w.key("staleness_modeled_s");
   w.begin_object();
   w.key("xml");
@@ -276,6 +309,11 @@ int main(int argc, char** argv) {
   if (!edges_ok) {
     std::fprintf(stderr, "FAIL: a chain edge carries more than %.0f B per "
                  "delta poll\n", kEdgeCeiling);
+    return 1;
+  }
+  if (!gmond_ok) {
+    std::fprintf(stderr, "FAIL: the gmond->gmetad edges carry more than "
+                 "%.1f B per host per delta poll\n", gmond_ceiling);
     return 1;
   }
   return identical ? 0 : 1;

@@ -35,13 +35,6 @@ bool get_u32(net::WireReader& r, std::uint32_t& out) {
   return true;
 }
 
-bool get_string_into(net::WireReader& r, std::string& out) {
-  std::string_view s;
-  if (!r.get_string(s, kMaxStringBytes)) return false;
-  out.assign(s);
-  return true;
-}
-
 /// Add a zigzag-coded delta to `field`, refusing int64 overflow.
 bool add_delta(net::WireReader& r, std::int64_t& field) {
   std::uint64_t z = 0;
@@ -54,9 +47,11 @@ bool add_delta(net::WireReader& r, std::int64_t& field) {
 /// nodes are stable, so a plain pointer is safe.
 class Applier {
  public:
-  Applier(Report& doc, std::vector<std::string>& names)
-      : doc_(doc), names_(names) {
-    for (const std::string& name : names_) name_bytes_ += name.size();
+  Applier(Report& doc, Names& names) : doc_(doc), names_(names) {
+    for (const std::string& name : names_.hosts) host_bytes_ += name.size();
+    for (const std::string& name : names_.metrics) {
+      metric_bytes_ += name.size();
+    }
   }
 
   Status apply(std::string_view rows, std::size_t* applied) {
@@ -117,39 +112,159 @@ class Applier {
     host_ = nullptr;
   }
 
-  bool name_for(std::uint64_t id, const std::string** out) const {
-    if (id >= names_.size()) return false;
-    *out = &names_[static_cast<std::size_t>(id)];
+  static bool name_for(const std::vector<std::string>& names,
+                       std::uint64_t id, const std::string** out) {
+    if (id >= names.size()) return false;
+    *out = &names[static_cast<std::size_t>(id)];
     return true;
   }
+  bool host_name(std::uint64_t id, const std::string** out) const {
+    return name_for(names_.hosts, id, out);
+  }
+  bool metric_name(std::uint64_t id, const std::string** out) const {
+    return name_for(names_.metrics, id, out);
+  }
 
-  /// Mirror the XML parser: numeric metrics re-derive `numeric` from the
-  /// VAL text (rejecting unparsable values), strings keep numeric = 0.
-  static bool rederive_numeric(Metric& m) {
+  /// Mirror the XML parser: a numeric metric's `numeric` is its VAL text
+  /// parsed (an unparsable VAL is refused), a string's is 0.
+  static bool numeric_of(const Metric& m, std::string_view value,
+                         double& numeric) {
     if (!m.is_numeric()) {
-      m.numeric = 0.0;
+      numeric = 0.0;
       return true;
     }
-    auto num = parse_double(m.value);
+    auto num = parse_double(value);
     if (!num) return false;
-    m.numeric = *num;
+    numeric = *num;
+    return true;
+  }
+  static bool rederive_numeric(Metric& m) {
+    return numeric_of(m, m.value, m.numeric);
+  }
+
+  /// One metric change of a host record, decoded and checked before the
+  /// record changes anything.
+  struct Entry {
+    Metric* metric = nullptr;
+    bool has_value = false;
+    std::string value;
+    double numeric = 0.0;
+    std::uint32_t tn = 0;
+  };
+
+  /// Decode one record entry of `host` into `e`, refusing a metric an
+  /// earlier entry of the record named (seen_).
+  bool decode_entry(net::WireReader& r, Host& host, Entry& e) {
+    std::uint64_t head = 0;
+    const std::string* name = nullptr;
+    if (!r.get_varint(head) || !metric_name(head >> kEntryKindBits, &name)) {
+      return false;
+    }
+    const auto it =
+        std::find_if(host.metrics.begin(), host.metrics.end(),
+                     [name](const Metric& m) { return m.name == *name; });
+    if (it == host.metrics.end()) return false;
+    const auto index = static_cast<std::size_t>(it - host.metrics.begin());
+    if (seen_[index]) return false;
+    seen_[index] = true;
+    const std::uint64_t kind = head & ((1u << kEntryKindBits) - 1);
+    e.metric = &*it;
+    e.has_value = kind != kEntryTn;
+    if (kind == kEntryDigits) {
+      const std::uint8_t form = value_form(it->value);
+      if (form == kValText || !get_digits(r, form, e.value)) return false;
+    } else if (kind == kEntryValue) {
+      if (!get_value(r, e.value)) return false;
+    } else if (kind != kEntryTn) {
+      return false;
+    }
+    return get_u32(r, e.tn) &&
+           (!e.has_value || numeric_of(*it, e.value, e.numeric));
+  }
+
+  /// kRowHost: decode and check the whole record against the host it
+  /// selects, then apply it.
+  bool apply_host(net::WireReader& r) {
+    static const Host kAppended;
+    std::uint64_t id = 0;
+    std::uint8_t mask = 0;
+    const std::string* name = nullptr;
+    Cluster* c = cur_cluster();
+    if (!r.get_varint(id) || !host_name(id, &name) || c == nullptr ||
+        !r.get_u8(mask) || (mask & ~kHostFields) != 0) {
+      return false;
+    }
+    const auto found = c->hosts.find(*name);
+    Host* existing = found == c->hosts.end() ? nullptr : &found->second;
+    const Host& base = existing != nullptr ? *existing : kAppended;
+    std::string_view ip;
+    std::string_view location;
+    std::int64_t reported = base.reported;
+    std::int64_t started = base.gmond_started;
+    std::uint32_t tn = 0;
+    std::uint32_t tmax = base.tmax;
+    std::uint32_t dmax = base.dmax;
+    std::uint64_t count = 0;
+    if (((mask & kHostIp) != 0 && !r.get_string(ip, kMaxStringBytes)) ||
+        ((mask & kHostReported) != 0 && !add_delta(r, reported)) ||
+        ((mask & kHostTn) != 0 && !get_u32(r, tn)) ||
+        ((mask & kHostTmax) != 0 && !get_u32(r, tmax)) ||
+        ((mask & kHostDmax) != 0 && !get_u32(r, dmax)) ||
+        ((mask & kHostLocation) != 0 &&
+         !r.get_string(location, kMaxStringBytes)) ||
+        ((mask & kHostStarted) != 0 && !add_delta(r, started)) ||
+        !r.get_varint(count) ||
+        count > (existing != nullptr ? existing->metrics.size() : 0)) {
+      return false;
+    }
+    if ((mask & kHostTn) == 0) tn = implied_host_tn(c->localtime, reported);
+    if (count > entries_.size()) entries_.resize(count);
+    if (existing != nullptr) seen_.assign(existing->metrics.size(), false);
+    for (std::size_t i = 0; i < count; ++i) {
+      if (!decode_entry(r, *existing, entries_[i])) return false;
+    }
+
+    Host* h = existing;
+    if (h == nullptr) {
+      h = &c->hosts[*name];
+      h->name = *name;
+    }
+    if ((mask & kHostIp) != 0) h->ip.assign(ip);
+    if ((mask & kHostLocation) != 0) h->location.assign(location);
+    h->reported = reported;
+    h->gmond_started = started;
+    h->tn = tn;
+    h->tmax = tmax;
+    h->dmax = dmax;
+    for (std::size_t i = 0; i < count; ++i) {
+      Entry& e = entries_[i];
+      if (e.has_value) {
+        e.metric->value.swap(e.value);
+        e.metric->numeric = e.numeric;
+      }
+      e.metric->tn = e.tn;
+    }
+    host_ = h;
     return true;
   }
 
   bool apply_row(std::uint8_t tag, net::WireReader& r) {
     switch (tag) {
       case kRowDefineName: {
-        std::uint64_t id = 0;
+        std::uint64_t key = 0;
         std::string_view name;
-        if (!r.get_varint(id) || !r.get_string(name, kMaxStringBytes)) {
+        if (!r.get_varint(key) || !r.get_string(name, kMaxStringBytes)) {
           return false;
         }
-        if (id != names_.size() ||
-            !dict_admits(names_.size(), name_bytes_, name.size())) {
+        const bool host = (key & 1) == kSpaceHost;
+        std::vector<std::string>& names = host ? names_.hosts : names_.metrics;
+        std::size_t& bytes = host ? host_bytes_ : metric_bytes_;
+        if (key >> 1 != names.size() ||
+            !dict_admits(names.size(), bytes, name.size())) {
           return false;
         }
-        names_.emplace_back(name);
-        name_bytes_ += name.size();
+        names.emplace_back(name);
+        bytes += name.size();
         return true;
       }
       case kRowReportAttrs: {
@@ -189,16 +304,21 @@ class Applier {
         deselect_cluster();
         return true;
       case kRowGridAttrs: {
-        std::string_view authority;
-        std::uint64_t localtime = 0;
-        if (!r.get_string(authority, kMaxStringBytes) ||
-            !r.get_varint(localtime)) {
+        std::uint8_t mask = 0;
+        Grid* g = cur_grid();
+        if (!r.get_u8(mask) || mask == 0 || (mask & ~kGridFields) != 0 ||
+            g == nullptr) {
           return false;
         }
-        Grid* g = cur_grid();
-        if (g == nullptr) return false;
-        g->authority.assign(authority);
-        g->localtime = static_cast<std::int64_t>(localtime);
+        std::string_view authority;
+        std::int64_t localtime = g->localtime;
+        if (((mask & kGridAuthority) != 0 &&
+             !r.get_string(authority, kMaxStringBytes)) ||
+            ((mask & kGridLocaltime) != 0 && !add_delta(r, localtime))) {
+          return false;
+        }
+        if ((mask & kGridAuthority) != 0) g->authority.assign(authority);
+        g->localtime = localtime;
         return true;
       }
       case kRowGridRemove: {
@@ -232,21 +352,29 @@ class Applier {
         return true;
       }
       case kRowClusterAttrs: {
-        std::uint64_t localtime = 0;
+        std::uint8_t mask = 0;
+        Cluster* c = cur_cluster();
+        if (!r.get_u8(mask) || mask == 0 || (mask & ~kClusterFields) != 0 ||
+            c == nullptr) {
+          return false;
+        }
+        std::int64_t localtime = c->localtime;
         std::string_view owner;
         std::string_view latlong;
         std::string_view url;
-        if (!r.get_varint(localtime) || !r.get_string(owner, kMaxStringBytes) ||
-            !r.get_string(latlong, kMaxStringBytes) ||
-            !r.get_string(url, kMaxStringBytes)) {
+        if (((mask & kClusterLocaltime) != 0 && !add_delta(r, localtime)) ||
+            ((mask & kClusterOwner) != 0 &&
+             !r.get_string(owner, kMaxStringBytes)) ||
+            ((mask & kClusterLatlong) != 0 &&
+             !r.get_string(latlong, kMaxStringBytes)) ||
+            ((mask & kClusterUrl) != 0 &&
+             !r.get_string(url, kMaxStringBytes))) {
           return false;
         }
-        Cluster* c = cur_cluster();
-        if (c == nullptr) return false;
-        c->localtime = static_cast<std::int64_t>(localtime);
-        c->owner.assign(owner);
-        c->latlong.assign(latlong);
-        c->url.assign(url);
+        c->localtime = localtime;
+        if ((mask & kClusterOwner) != 0) c->owner.assign(owner);
+        if ((mask & kClusterLatlong) != 0) c->latlong.assign(latlong);
+        if ((mask & kClusterUrl) != 0) c->url.assign(url);
         return true;
       }
       case kRowClusterRemove: {
@@ -277,37 +405,12 @@ class Applier {
         }
         return true;
       }
-      case kRowHost: {
-        std::uint64_t id = 0;
-        const std::string* name = nullptr;
-        if (!r.get_varint(id) || !name_for(id, &name)) return false;
-        Cluster* c = cur_cluster();
-        if (c == nullptr) return false;
-        auto [it, inserted] = c->hosts.try_emplace(*name);
-        if (inserted) it->second.name = *name;
-        host_ = &it->second;
-        return true;
-      }
-      case kRowHostAttrs: {
-        std::uint8_t mask = 0;
-        if (!r.get_u8(mask) || mask == 0 || (mask & ~kHostFields) != 0 ||
-            host_ == nullptr) {
-          return false;
-        }
-        Host& h = *host_;
-        return ((mask & kHostIp) == 0 || get_string_into(r, h.ip)) &&
-               ((mask & kHostReported) == 0 || add_delta(r, h.reported)) &&
-               ((mask & kHostTn) == 0 || get_u32(r, h.tn)) &&
-               ((mask & kHostTmax) == 0 || get_u32(r, h.tmax)) &&
-               ((mask & kHostDmax) == 0 || get_u32(r, h.dmax)) &&
-               ((mask & kHostLocation) == 0 ||
-                get_string_into(r, h.location)) &&
-               ((mask & kHostStarted) == 0 || add_delta(r, h.gmond_started));
-      }
+      case kRowHost:
+        return apply_host(r);
       case kRowHostRemove: {
         std::uint64_t id = 0;
         const std::string* name = nullptr;
-        if (!r.get_varint(id) || !name_for(id, &name)) return false;
+        if (!r.get_varint(id) || !host_name(id, &name)) return false;
         Cluster* c = cur_cluster();
         if (c == nullptr) return false;
         auto it = c->hosts.find(*name);
@@ -332,7 +435,7 @@ class Applier {
           return false;
         }
         const std::string* name = nullptr;
-        if (!name_for(id, &name) || host_ == nullptr || !valid_type(type) ||
+        if (!metric_name(id, &name) || host_ == nullptr || !valid_type(type) ||
             !valid_slope(slope) ||
             tn > std::numeric_limits<std::uint32_t>::max() ||
             tmax > std::numeric_limits<std::uint32_t>::max() ||
@@ -355,42 +458,11 @@ class Applier {
         m->source.assign(source);
         return rederive_numeric(*m);
       }
-      case kRowMetricValue: {
-        std::uint64_t id = 0;
-        std::uint64_t tn = 0;
-        if (!r.get_varint(id) || !get_value(r, value_) || !r.get_varint(tn)) {
-          return false;
-        }
-        const std::string* name = nullptr;
-        if (!name_for(id, &name) || host_ == nullptr ||
-            tn > std::numeric_limits<std::uint32_t>::max()) {
-          return false;
-        }
-        Metric* m = host_->find_metric(*name);
-        if (m == nullptr) return false;
-        m->value = value_;
-        m->tn = static_cast<std::uint32_t>(tn);
-        return rederive_numeric(*m);
-      }
-      case kRowMetricTn: {
-        std::uint64_t id = 0;
-        std::uint64_t tn = 0;
-        if (!r.get_varint(id) || !r.get_varint(tn)) return false;
-        const std::string* name = nullptr;
-        if (!name_for(id, &name) || host_ == nullptr ||
-            tn > std::numeric_limits<std::uint32_t>::max()) {
-          return false;
-        }
-        Metric* m = host_->find_metric(*name);
-        if (m == nullptr) return false;
-        m->tn = static_cast<std::uint32_t>(tn);
-        return true;
-      }
       case kRowMetricRemove: {
         std::uint64_t id = 0;
         if (!r.get_varint(id)) return false;
         const std::string* name = nullptr;
-        if (!name_for(id, &name) || host_ == nullptr) return false;
+        if (!metric_name(id, &name) || host_ == nullptr) return false;
         auto& ms = host_->metrics;
         auto it = std::find_if(ms.begin(), ms.end(), [&](const Metric& m) {
           return m.name == *name;
@@ -424,7 +496,7 @@ class Applier {
           return false;
         }
         const std::string* name = nullptr;
-        if (!name_for(id, &name) || !valid_type(type)) return false;
+        if (!metric_name(id, &name) || !valid_type(type)) return false;
         SummaryInfo* s = summary_target();
         if (s == nullptr) return false;
         MetricSummary& ms = s->metrics[*name];
@@ -439,7 +511,7 @@ class Applier {
         double sum = 0.0;
         if (!r.get_varint(id) || !r.get_f64(sum)) return false;
         const std::string* name = nullptr;
-        if (!name_for(id, &name)) return false;
+        if (!metric_name(id, &name)) return false;
         SummaryInfo* s = summary_target();
         if (s == nullptr) return false;
         const auto it = s->metrics.find(*name);
@@ -451,7 +523,7 @@ class Applier {
         std::uint64_t id = 0;
         if (!r.get_varint(id)) return false;
         const std::string* name = nullptr;
-        if (!name_for(id, &name)) return false;
+        if (!metric_name(id, &name)) return false;
         SummaryInfo* s = summary_target();
         if (s == nullptr) return false;
         return s->metrics.erase(*name) != 0;
@@ -468,9 +540,12 @@ class Applier {
   }
 
   Report& doc_;
-  std::vector<std::string>& names_;
-  std::size_t name_bytes_ = 0;  ///< sum of the lengths in names_
-  std::string value_;           ///< the VAL being decoded
+  Names& names_;
+  std::size_t host_bytes_ = 0;    ///< sum of the lengths in names_.hosts
+  std::size_t metric_bytes_ = 0;  ///< and in names_.metrics
+  std::string value_;             ///< the VAL being decoded
+  std::vector<Entry> entries_;    ///< the host record being decoded
+  std::vector<bool> seen_;        ///< its host's metrics it changes
   std::vector<std::size_t> grid_path_;
   std::ptrdiff_t cluster_idx_ = -1;
   Host* host_ = nullptr;
@@ -478,8 +553,8 @@ class Applier {
 
 }  // namespace
 
-Status apply_rows(Report& doc, std::string_view rows,
-                  std::vector<std::string>& names, std::size_t* applied) {
+Status apply_rows(Report& doc, std::string_view rows, Names& names,
+                  std::size_t* applied) {
   return Applier(doc, names).apply(rows, applied);
 }
 

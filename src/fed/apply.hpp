@@ -19,11 +19,24 @@
 
 namespace ganglia::fed {
 
-/// Apply `rows` (concatenated packed rows, no framing) to `doc`.  `names`
-/// is the client half of the per-session dictionary; kRowDefineName rows
-/// append to it.  On success `*applied` (when non-null) is the number of
-/// rows consumed, for cross-checking against the kFrameEnd row count.
-Status apply_rows(Report& doc, std::string_view rows,
-                  std::vector<std::string>& names, std::size_t* applied);
+/// The client half of a session's dictionary: host names and metric
+/// names, each its own dense id space.
+struct Names {
+  std::vector<std::string> hosts;
+  std::vector<std::string> metrics;
+
+  void clear() {
+    hosts.clear();
+    metrics.clear();
+  }
+};
+
+/// Apply `rows` (concatenated packed rows, no framing) to `doc`.
+/// kRowDefineName rows append to `names`.  On success `*applied` (when
+/// non-null) is the number of rows consumed, for cross-checking against
+/// the kFrameEnd row count.  A host record is checked whole before it
+/// changes anything.
+Status apply_rows(Report& doc, std::string_view rows, Names& names,
+                  std::size_t* applied);
 
 }  // namespace ganglia::fed

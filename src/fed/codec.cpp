@@ -36,31 +36,40 @@ bool plain_decimal(std::string_view value, bool& negative, std::size_t& scale,
 
 }  // namespace
 
-void put_value(std::string& out, std::string_view value) {
+std::uint8_t value_form(std::string_view value, std::uint64_t* digits) {
   bool negative = false;
   std::size_t scale = 0;
+  std::uint64_t packed = 0;
+  if (!plain_decimal(value, negative, scale, packed)) return kValText;
+  if (digits != nullptr) *digits = packed;
+  return static_cast<std::uint8_t>(scale << 1 | (negative ? 1 : 0));
+}
+
+void put_value(std::string& out, std::string_view value) {
   std::uint64_t digits = 0;
-  if (!plain_decimal(value, negative, scale, digits)) {
-    net::put_u8(out, kValText);
+  const std::uint8_t form = value_form(value, &digits);
+  net::put_u8(out, form);
+  if (form == kValText) {
     net::put_string(out, value);
-    return;
+  } else {
+    net::put_varint(out, digits);
   }
-  net::put_u8(out, static_cast<std::uint8_t>(scale << 1 | (negative ? 1 : 0)));
-  net::put_varint(out, digits);
 }
 
 bool get_value(net::WireReader& r, std::string& value) {
-  std::uint8_t head = 0;
-  if (!r.get_u8(head)) return false;
-  if (head == kValText) {
-    std::string_view text;
-    if (!r.get_string(text, kMaxStringBytes)) return false;
-    value.assign(text);
-    return true;
-  }
+  std::uint8_t form = 0;
+  if (!r.get_u8(form)) return false;
+  if (form != kValText) return get_digits(r, form, value);
+  std::string_view text;
+  if (!r.get_string(text, kMaxStringBytes)) return false;
+  value.assign(text);
+  return true;
+}
+
+bool get_digits(net::WireReader& r, std::uint8_t form, std::string& value) {
   // At least one integer digit, so at most kMaxValDigits - 1 after the point.
   constexpr std::uint64_t kDigitsEnd = 10'000'000'000'000'000'000ull;  // 10^19
-  const std::size_t scale = head >> 1;
+  const std::size_t scale = form >> 1;
   std::uint64_t digits = 0;
   if (scale >= kMaxValDigits || !r.get_varint(digits) || digits >= kDigitsEnd) {
     return false;
@@ -75,7 +84,7 @@ bool get_value(net::WireReader& r, std::string& value) {
     *--p = static_cast<char>('0' + digits % 10);
     digits /= 10;
   }
-  if ((head & 1) != 0) *--p = '-';
+  if ((form & 1) != 0) *--p = '-';
   value.assign(p, static_cast<std::size_t>(end - p));
   return true;
 }

@@ -14,12 +14,14 @@
 // legacy dump port stays available as the final fallback.
 //
 // Rows are context-stateful like tarantool's iproto replication rows: a
-// kRowGridPush / kRowCluster / kRowHost row selects (or creates) the
-// container that subsequent rows mutate, so per-metric rows carry a
-// dictionary-interned name id and nothing else about their position.
-// Host and metric names share the session's dictionary; a host attribute
-// row carries only the fields that changed, and a VAL that is a plain
-// decimal travels as packed digits.
+// kRowGridPush / kRowCluster row selects (or creates) the container that
+// subsequent rows mutate, and a kRowHost record selects (or creates) one
+// host and carries everything that changed on it in one row: its changed
+// attributes, then one short entry per changed metric.  Names travel once
+// per session as dictionary ids, hosts and metrics in separate id spaces;
+// a record sends TN only where it breaks gmond's rule TN = LOCALTIME −
+// REPORTED, and a VAL that is a plain decimal travels as packed digits,
+// without its form byte when it keeps the base VAL's form.
 #pragma once
 
 #include <cstdint>
@@ -34,17 +36,18 @@ namespace ganglia::fed {
 
 /// Protocol magic carried in every poll request ("GFD1").
 inline constexpr std::uint32_t kMagic = 0x31444647u;
-inline constexpr std::uint32_t kCodecVersion = 3;
+inline constexpr std::uint32_t kCodecVersion = 4;
 
 // Size caps, mirroring the gossip codec's defensive posture: nothing a
 // peer sends may trigger an unbounded allocation.
 inline constexpr std::size_t kMaxFrameBytes = 4u << 20;
 inline constexpr std::size_t kMaxSessionIdBytes = 64;
 inline constexpr std::size_t kMaxStringBytes = 64u << 10;
-// One session's name dictionary: at most kMaxNameIds names totalling at
-// most kMaxNameBytes, room for 100,000 host names of up to 80 bytes plus
-// the metric names.  The differ answers a full rather than define past it;
-// the applier refuses such a define, which resyncs the session.
+// Each of a session's two name dictionaries (host names, metric names):
+// at most kMaxNameIds names totalling at most kMaxNameBytes, room for
+// 100,000 host names of up to 80 bytes.  The differ answers a full rather
+// than define past it; the applier refuses such a define, which resyncs
+// the session.
 inline constexpr std::size_t kMaxNameIds = 1u << 18;
 inline constexpr std::size_t kMaxNameBytes = 8u << 20;
 inline constexpr std::size_t kMaxResponseBytes = 64u << 20;
@@ -64,34 +67,41 @@ inline constexpr std::uint8_t kFrameError = 9;      // string message
 
 // -- row tags ---------------------------------------------------------------
 
-inline constexpr std::uint8_t kRowDefineName = 1;    // varint id, string
+inline constexpr std::uint8_t kRowDefineName = 1;    // id<<1|space, string
 inline constexpr std::uint8_t kRowReportAttrs = 2;   // version, source
 inline constexpr std::uint8_t kRowGridPush = 3;      // string name
 inline constexpr std::uint8_t kRowGridPop = 4;
-inline constexpr std::uint8_t kRowGridAttrs = 5;     // authority, localtime
+inline constexpr std::uint8_t kRowGridAttrs = 5;     // u8 mask, masked fields
 inline constexpr std::uint8_t kRowGridRemove = 6;    // string name
 inline constexpr std::uint8_t kRowCluster = 7;       // string name
-inline constexpr std::uint8_t kRowClusterAttrs = 8;  // localtime,owner,latlong,url
+inline constexpr std::uint8_t kRowClusterAttrs = 8;  // u8 mask, masked fields
 inline constexpr std::uint8_t kRowClusterRemove = 9; // string name
 inline constexpr std::uint8_t kRowAdvance = 11;      // varint dt seconds
-inline constexpr std::uint8_t kRowHost = 12;         // name_id
-inline constexpr std::uint8_t kRowHostAttrs = 13;    // u8 mask, masked fields
-inline constexpr std::uint8_t kRowHostRemove = 14;   // name_id
+inline constexpr std::uint8_t kRowHost = 12;         // host record, below
+inline constexpr std::uint8_t kRowHostRemove = 14;   // host id
 inline constexpr std::uint8_t kRowMetric = 15;       // full metric upsert
-inline constexpr std::uint8_t kRowMetricValue = 16;  // name_id, VAL, tn
-inline constexpr std::uint8_t kRowMetricTn = 17;     // name_id, tn
-inline constexpr std::uint8_t kRowMetricRemove = 18; // name_id
+inline constexpr std::uint8_t kRowMetricRemove = 18; // metric id
 inline constexpr std::uint8_t kRowSummaryHosts = 19; // varint up, down
-inline constexpr std::uint8_t kRowSummaryMetric = 20;// name_id,f64 sum,num,type,units
-inline constexpr std::uint8_t kRowSummaryMetricRemove = 21; // name_id
+inline constexpr std::uint8_t kRowSummaryMetric = 20;// id,sum,num,type,units
+inline constexpr std::uint8_t kRowSummaryMetricRemove = 21; // metric id
 inline constexpr std::uint8_t kRowSummaryClear = 22;
-inline constexpr std::uint8_t kRowSummarySum = 23;   // name_id, f64 sum
+inline constexpr std::uint8_t kRowSummarySum = 23;   // metric id, f64 sum
 
-// kRowHostAttrs mask bits, in the order their fields follow the mask.  The
-// fields are those that differ from the selected host (after any Advance;
-// a host the row's select created starts default-constructed).  REPORTED
-// and GMOND_STARTED travel as zigzag varint deltas against it, TN, TMAX
-// and DMAX as varints, IP and LOCATION as strings.
+// kRowDefineName id spaces: host names (kRowHost, kRowHostRemove) and
+// metric names (every other row naming a metric).  Each is dense from 0.
+inline constexpr std::uint8_t kSpaceHost = 0;
+inline constexpr std::uint8_t kSpaceMetric = 1;
+
+// kRowHost record: varint host id, u8 mask, the masked fields, varint entry
+// count, then the entries.  The record selects the host, creating it when
+// the cluster lacks it, for the kRowMetric and kRowMetricRemove rows that
+// follow.  Its fields are those that differ from the selected host (after
+// any Advance; a host the record creates starts default-constructed), in
+// mask bit order.  REPORTED and GMOND_STARTED travel as zigzag varint
+// deltas against it, TN, TMAX and DMAX as varints, IP and LOCATION as
+// strings.  TN travels only when it differs from implied_host_tn() of the
+// cluster's LOCALTIME and the host's new REPORTED; otherwise the record
+// sets the implied TN.
 inline constexpr std::uint8_t kHostIp = 1u << 0;
 inline constexpr std::uint8_t kHostReported = 1u << 1;
 inline constexpr std::uint8_t kHostTn = 1u << 2;
@@ -100,6 +110,43 @@ inline constexpr std::uint8_t kHostDmax = 1u << 4;
 inline constexpr std::uint8_t kHostLocation = 1u << 5;
 inline constexpr std::uint8_t kHostStarted = 1u << 6;
 inline constexpr std::uint8_t kHostFields = 0x7f;
+
+// A record entry changes one metric the host already has: a varint
+// metric id << 2 | kind, then by kind
+//   kEntryTn      varint TN
+//   kEntryDigits  varint digits, varint TN: a plain decimal VAL in the
+//                 base VAL's form (its sign/scale byte, below)
+//   kEntryValue   VAL (put_value), varint TN
+// A record holds at most one entry per metric.
+inline constexpr std::uint8_t kEntryTn = 0;
+inline constexpr std::uint8_t kEntryDigits = 1;
+inline constexpr std::uint8_t kEntryValue = 2;
+inline constexpr unsigned kEntryKindBits = 2;
+
+// kRowClusterAttrs mask bits: LOCALTIME as a zigzag varint delta against
+// the selected cluster, OWNER, LATLONG and URL as strings.
+inline constexpr std::uint8_t kClusterLocaltime = 1u << 0;
+inline constexpr std::uint8_t kClusterOwner = 1u << 1;
+inline constexpr std::uint8_t kClusterLatlong = 1u << 2;
+inline constexpr std::uint8_t kClusterUrl = 1u << 3;
+inline constexpr std::uint8_t kClusterFields = 0x0f;
+
+// kRowGridAttrs mask bits: AUTHORITY as a string, LOCALTIME as a zigzag
+// varint delta against the current grid.
+inline constexpr std::uint8_t kGridAuthority = 1u << 0;
+inline constexpr std::uint8_t kGridLocaltime = 1u << 1;
+inline constexpr std::uint8_t kGridFields = 0x03;
+
+/// The TN gmond gives a host last heard from at `reported` when its
+/// cluster's LOCALTIME is `localtime`: max(0, LOCALTIME − REPORTED),
+/// saturated to 32 bits.
+inline std::uint32_t implied_host_tn(std::int64_t localtime,
+                                     std::int64_t reported) {
+  if (reported >= localtime) return 0;
+  const std::uint64_t age = static_cast<std::uint64_t>(localtime) -
+                            static_cast<std::uint64_t>(reported);
+  return age > 0xffffffffu ? 0xffffffffu : static_cast<std::uint32_t>(age);
+}
 
 /// Whether a name dictionary holding `ids` names of `bytes` total may take
 /// one more name of `size` bytes.  Both halves of a session apply it.
@@ -116,21 +163,31 @@ inline std::int64_t unzigzag(std::uint64_t v) {
   return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1);
 }
 
-// -- VAL codec (kRowMetric, kRowMetricValue) ---------------------------------
+// -- VAL codec (kRowMetric, record entries) ---------------------------------
 //
 // A plain decimal -?(0|[1-9][0-9]*)(\.[0-9]+)? of at most kMaxValDigits
-// digits is one byte, (fraction digits << 1) | negative, then a varint of
-// its digits with the point removed.  Any other text is kValText followed
-// by a length-prefixed string.  Either form rebuilds the exact text.
+// digits is its form byte, (fraction digits << 1) | negative, then a
+// varint of its digits with the point removed.  Any other text is
+// kValText followed by a length-prefixed string.  Either form rebuilds the
+// exact text.
 
 inline constexpr std::size_t kMaxValDigits = 19;
 inline constexpr std::uint8_t kValText = 0xff;
+
+/// The form byte of `value`, storing its digits in `*digits` when it is a
+/// plain decimal; kValText otherwise.
+std::uint8_t value_form(std::string_view value,
+                        std::uint64_t* digits = nullptr);
 
 void put_value(std::string& out, std::string_view value);
 
 /// Decode one VAL into `value`.  Refuses a scale or digit count a plain
 /// decimal of kMaxValDigits digits cannot have, and an unknown first byte.
 bool get_value(net::WireReader& r, std::string& value);
+
+/// Decode the digits of a plain decimal whose form byte `form` travelled
+/// elsewhere (kEntryDigits), with get_value's checks.
+bool get_digits(net::WireReader& r, std::uint8_t form, std::string& value);
 
 // -- poll request -----------------------------------------------------------
 

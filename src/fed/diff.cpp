@@ -30,7 +30,7 @@ bool bits_equal(double a, double b) {
 
 class Differ {
  public:
-  Differ(NameDict& dict, RowBuffer& out) : dict_(dict), out_(out) {}
+  Differ(Dictionaries& dict, RowBuffer& out) : dict_(dict), out_(out) {}
 
   bool run(const Report& oldr, const Report& newr) {
     if (oldr.version != newr.version || oldr.source != newr.source) {
@@ -50,7 +50,7 @@ class Differ {
   struct Mark {
     std::size_t bytes;
     std::size_t ends;
-    std::size_t names;
+    Dictionaries::Size names;
   };
   Mark mark() const {
     return {out_.bytes.size(), out_.ends.size(), dict_.size()};
@@ -58,7 +58,10 @@ class Differ {
   /// Were the rows since `m` only `selects` select rows and the names
   /// they defined?
   bool only_selects(Mark m, std::size_t selects) const {
-    return out_.ends.size() - m.ends == selects + (dict_.size() - m.names);
+    const Dictionaries::Size now = dict_.size();
+    const std::size_t defines =
+        (now.hosts - m.names.hosts) + (now.metrics - m.names.metrics);
+    return out_.ends.size() - m.ends == selects + defines;
   }
   void rollback(Mark m) {
     out_.bytes.resize(m.bytes);
@@ -71,19 +74,27 @@ class Differ {
     if (s.size() > kMaxStringBytes) fail();
   }
 
-  /// Dictionary-intern `name`, emitting a kRowDefineName row on first use.
-  std::uint32_t intern(const std::string& name) {
-    if (const auto known = dict_.find(name)) return *known;
+  /// Dictionary-intern `name` in one id space, emitting a kRowDefineName
+  /// row on first use.
+  std::uint32_t intern(NameDict& names, std::uint8_t space,
+                       const std::string& name) {
+    if (const auto known = names.find(name)) return *known;
     std::uint32_t id = 0;
-    if (!dict_.add(name, id)) {
+    if (!names.add(name, id)) {
       fail();
       return 0;
     }
     put_u8(out_.bytes, kRowDefineName);
-    put_varint(out_.bytes, id);
+    put_varint(out_.bytes, std::uint64_t{id} << 1 | space);
     put_string(out_.bytes, name);
     out_.mark_row();
     return id;
+  }
+  std::uint32_t host_id(const std::string& name) {
+    return intern(dict_.hosts, kSpaceHost, name);
+  }
+  std::uint32_t metric_id(const std::string& name) {
+    return intern(dict_.metrics, kSpaceMetric, name);
   }
 
   /// Verify the select-or-append row semantics can reproduce `newv` from
@@ -126,7 +137,7 @@ class Differ {
 
   void emit_summary_metric(const std::string& name, const MetricSummary& m) {
     check_str(m.units);
-    const std::uint32_t id = intern(name);
+    const std::uint32_t id = metric_id(name);
     put_u8(out_.bytes, kRowSummaryMetric);
     put_varint(out_.bytes, id);
     put_f64(out_.bytes, m.sum);
@@ -147,7 +158,7 @@ class Differ {
     }
     for (const auto& [name, om] : o.metrics) {
       if (n.metrics.find(name) != n.metrics.end()) continue;
-      const std::uint32_t id = intern(name);
+      const std::uint32_t id = metric_id(name);
       put_u8(out_.bytes, kRowSummaryMetricRemove);
       put_varint(out_.bytes, id);
       out_.mark_row();
@@ -159,7 +170,7 @@ class Differ {
         emit_summary_metric(name, nm);
       } else if (!bits_equal(it->second.sum, nm.sum)) {
         // The steady state of a summary: only the sum moved.
-        const std::uint32_t id = intern(name);
+        const std::uint32_t id = metric_id(name);
         put_u8(out_.bytes, kRowSummarySum);
         put_varint(out_.bytes, id);
         put_f64(out_.bytes, nm.sum);
@@ -174,7 +185,7 @@ class Differ {
     check_str(m.value);
     check_str(m.units);
     check_str(m.source);
-    const std::uint32_t id = intern(m.name);
+    const std::uint32_t id = metric_id(m.name);
     put_u8(out_.bytes, kRowMetric);
     put_varint(out_.bytes, id);
     put_u8(out_.bytes, static_cast<std::uint8_t>(m.type));
@@ -188,84 +199,110 @@ class Differ {
     out_.mark_row();
   }
 
-  void diff_metric(const Metric& o, const Metric& n, std::uint32_t dt) {
-    const std::uint32_t predicted_tn = sat_add_u32(o.tn, dt);
-    const bool static_same = o.type == n.type && o.units == n.units &&
-                             o.tmax == n.tmax && o.dmax == n.dmax &&
-                             o.slope == n.slope && o.source == n.source;
+  /// Add to the host record being built the entry that turns `o` into `n`,
+  /// or none when `n` is `o` aged by `dt`.  False when the change reaches
+  /// past VAL and TN, which only a kRowMetric upsert carries.
+  bool add_entry(const Metric& o, const Metric& n, std::uint32_t dt) {
+    if (o.type != n.type || o.units != n.units || o.tmax != n.tmax ||
+        o.dmax != n.dmax || o.slope != n.slope || o.source != n.source) {
+      return false;
+    }
     const bool value_same = o.value == n.value;
-    const bool tn_same = n.tn == predicted_tn;
-    if (static_same && value_same && tn_same) return;
-    if (static_same && !value_same) {
+    if (value_same && n.tn == sat_add_u32(o.tn, dt)) return true;
+    const std::uint64_t head = std::uint64_t{metric_id(n.name)}
+                               << kEntryKindBits;
+    std::uint64_t digits = 0;
+    if (value_same) {
+      put_varint(entries_, head | kEntryTn);
+    } else if (const std::uint8_t form = value_form(n.value, &digits);
+               form != kValText && form == value_form(o.value)) {
+      put_varint(entries_, head | kEntryDigits);
+      put_varint(entries_, digits);
+    } else {
       check_str(n.value);
-      const std::uint32_t id = intern(n.name);
-      put_u8(out_.bytes, kRowMetricValue);
-      put_varint(out_.bytes, id);
-      put_value(out_.bytes, n.value);
-      put_varint(out_.bytes, n.tn);
-      out_.mark_row();
-      return;
+      put_varint(entries_, head | kEntryValue);
+      put_value(entries_, n.value);
     }
-    if (static_same) {  // value same, tn drifted off the advance prediction
-      const std::uint32_t id = intern(n.name);
-      put_u8(out_.bytes, kRowMetricTn);
-      put_varint(out_.bytes, id);
-      put_varint(out_.bytes, n.tn);
-      out_.mark_row();
-      return;
-    }
-    emit_full_metric(n);
+    put_varint(entries_, n.tn);
+    ++entry_count_;
+    return true;
   }
 
   // ---- hosts --------------------------------------------------------------
 
-  /// Emit the fields of `n` that differ from `o` once its TN has aged by
-  /// `dt`, or nothing when none do.
-  void emit_host_attrs(const Host& o, const Host& n, std::uint32_t dt) {
+  /// Start a host record: no fields, entries, removals or upserts yet.
+  void begin_record() {
+    entries_.clear();
+    entry_count_ = 0;
+    removals_.clear();
+    upserts_.clear();
+  }
+
+  /// Write the record's mask and fields: those of `n` that differ from
+  /// `o`, and TN where it is not the one the cluster's `localtime` and
+  /// REPORTED imply.  Returns the mask.
+  std::uint8_t host_fields(const Host& o, const Host& n,
+                           std::int64_t localtime) {
+    fields_.clear();
     std::int64_t reported = 0;
     std::int64_t started = 0;
     if (__builtin_sub_overflow(n.reported, o.reported, &reported) ||
         __builtin_sub_overflow(n.gmond_started, o.gmond_started, &started)) {
       fail();
-      return;
+      return 0;
     }
     std::uint8_t mask = 0;
     if (n.ip != o.ip) mask |= kHostIp;
     if (reported != 0) mask |= kHostReported;
-    if (n.tn != sat_add_u32(o.tn, dt)) mask |= kHostTn;
+    if (n.tn != implied_host_tn(localtime, n.reported)) mask |= kHostTn;
     if (n.tmax != o.tmax) mask |= kHostTmax;
     if (n.dmax != o.dmax) mask |= kHostDmax;
     if (n.location != o.location) mask |= kHostLocation;
     if (started != 0) mask |= kHostStarted;
-    if (mask == 0) return;
     check_str(n.ip);
     check_str(n.location);
-    put_u8(out_.bytes, kRowHostAttrs);
-    put_u8(out_.bytes, mask);
-    if ((mask & kHostIp) != 0) put_string(out_.bytes, n.ip);
-    if ((mask & kHostReported) != 0) put_varint(out_.bytes, zigzag(reported));
-    if ((mask & kHostTn) != 0) put_varint(out_.bytes, n.tn);
-    if ((mask & kHostTmax) != 0) put_varint(out_.bytes, n.tmax);
-    if ((mask & kHostDmax) != 0) put_varint(out_.bytes, n.dmax);
-    if ((mask & kHostLocation) != 0) put_string(out_.bytes, n.location);
-    if ((mask & kHostStarted) != 0) put_varint(out_.bytes, zigzag(started));
-    out_.mark_row();
+    put_u8(fields_, mask);
+    if ((mask & kHostIp) != 0) put_string(fields_, n.ip);
+    if ((mask & kHostReported) != 0) put_varint(fields_, zigzag(reported));
+    if ((mask & kHostTn) != 0) put_varint(fields_, n.tn);
+    if ((mask & kHostTmax) != 0) put_varint(fields_, n.tmax);
+    if ((mask & kHostDmax) != 0) put_varint(fields_, n.dmax);
+    if ((mask & kHostLocation) != 0) put_string(fields_, n.location);
+    if ((mask & kHostStarted) != 0) put_varint(fields_, zigzag(started));
+    return mask;
   }
 
-  void emit_host_select(const std::string& name) {
-    const std::uint32_t id = intern(name);
+  /// Emit the record built for host `name`, then the metric removals and
+  /// upserts that follow it.
+  void emit_record(const std::string& name) {
+    const std::uint32_t id = host_id(name);
     put_u8(out_.bytes, kRowHost);
     put_varint(out_.bytes, id);
+    out_.bytes += fields_;
+    put_varint(out_.bytes, entry_count_);
+    out_.bytes += entries_;
     out_.mark_row();
+    for (const Metric* m : removals_) {
+      const std::uint32_t metric = metric_id(m->name);
+      put_u8(out_.bytes, kRowMetricRemove);
+      put_varint(out_.bytes, metric);
+      out_.mark_row();
+    }
+    for (const Metric* m : upserts_) emit_full_metric(*m);
   }
 
   /// A new host is diffed against the default-constructed host the
-  /// applier's select appends.
-  void emit_full_host(const Host& h) {
+  /// applier's record appends.
+  void emit_full_host(const Host& h, std::int64_t localtime) {
     static const Host kAppended;
-    emit_host_select(h.name);
-    emit_host_attrs(kAppended, h, 0);
-    for (const Metric& m : h.metrics) emit_full_metric(m);
+    if (!unique_names(h)) {
+      fail();
+      return;
+    }
+    begin_record();
+    for (const Metric& m : h.metrics) upserts_.push_back(&m);
+    host_fields(kAppended, h, localtime);
+    emit_record(h.name);
   }
 
   /// Do `o` and `n` name the same metrics in the same order?  Then the
@@ -292,10 +329,9 @@ class Differ {
     return true;
   }
 
-  void diff_host(const Host& o, const Host& n, std::uint32_t dt) {
-    const Mark m = mark();
-    emit_host_select(n.name);
-    emit_host_attrs(o, n, dt);
+  void diff_host(const Host& o, const Host& n, std::uint32_t dt,
+                 std::int64_t localtime) {
+    begin_record();
     if (same_order(o, n)) {
       // The steady state: no metric removed, added or moved, so pair by
       // index — the rows the general path below would emit.
@@ -304,7 +340,9 @@ class Differ {
         return;
       }
       for (std::size_t i = 0; i < n.metrics.size(); ++i) {
-        diff_metric(o.metrics[i], n.metrics[i], dt);
+        if (!add_entry(o.metrics[i], n.metrics[i], dt)) {
+          upserts_.push_back(&n.metrics[i]);
+        }
       }
     } else {
       std::map<std::string_view, std::size_t> old_idx;
@@ -313,22 +351,23 @@ class Differ {
         return;
       }
       for (const Metric& om : o.metrics) {
-        if (n.find_metric(om.name) != nullptr) continue;
-        const std::uint32_t id = intern(om.name);
-        put_u8(out_.bytes, kRowMetricRemove);
-        put_varint(out_.bytes, id);
-        out_.mark_row();
+        if (n.find_metric(om.name) == nullptr) removals_.push_back(&om);
       }
       for (const Metric& nm : n.metrics) {
         auto it = old_idx.find(nm.name);
-        if (it == old_idx.end()) {
-          emit_full_metric(nm);
-        } else {
-          diff_metric(o.metrics[it->second], nm, dt);
+        if (it == old_idx.end() ||
+            !add_entry(o.metrics[it->second], nm, dt)) {
+          upserts_.push_back(&nm);
         }
       }
     }
-    if (only_selects(m, 1)) rollback(m);
+    const std::uint8_t mask = host_fields(o, n, localtime);
+    // A host with no record keeps its fields and ages its TN by dt.
+    if ((mask & ~kHostTn) == 0 && n.tn == sat_add_u32(o.tn, dt) &&
+        entry_count_ == 0 && removals_.empty() && upserts_.empty()) {
+      return;
+    }
+    emit_record(n.name);
   }
 
   // ---- clusters -----------------------------------------------------------
@@ -340,25 +379,44 @@ class Differ {
     out_.mark_row();
   }
 
-  void emit_cluster_attrs(const Cluster& c) {
-    check_str(c.owner);
-    check_str(c.latlong);
-    check_str(c.url);
+  /// Emit the attributes of `n` that differ from `o`, or nothing when
+  /// none do.
+  void emit_cluster_attrs(const Cluster& o, const Cluster& n) {
+    std::int64_t localtime = 0;
+    if (__builtin_sub_overflow(n.localtime, o.localtime, &localtime)) {
+      fail();
+      return;
+    }
+    std::uint8_t mask = 0;
+    if (localtime != 0) mask |= kClusterLocaltime;
+    if (n.owner != o.owner) mask |= kClusterOwner;
+    if (n.latlong != o.latlong) mask |= kClusterLatlong;
+    if (n.url != o.url) mask |= kClusterUrl;
+    if (mask == 0) return;
+    check_str(n.owner);
+    check_str(n.latlong);
+    check_str(n.url);
     put_u8(out_.bytes, kRowClusterAttrs);
-    put_varint(out_.bytes, static_cast<std::uint64_t>(c.localtime));
-    put_string(out_.bytes, c.owner);
-    put_string(out_.bytes, c.latlong);
-    put_string(out_.bytes, c.url);
+    put_u8(out_.bytes, mask);
+    if ((mask & kClusterLocaltime) != 0) {
+      put_varint(out_.bytes, zigzag(localtime));
+    }
+    if ((mask & kClusterOwner) != 0) put_string(out_.bytes, n.owner);
+    if ((mask & kClusterLatlong) != 0) put_string(out_.bytes, n.latlong);
+    if ((mask & kClusterUrl) != 0) put_string(out_.bytes, n.url);
     out_.mark_row();
   }
 
+  /// A new cluster is diffed against the default-constructed cluster the
+  /// applier's select appends.
   void emit_full_cluster(const Cluster& c) {
+    static const Cluster kAppended;
     emit_cluster_select(c.name);
-    emit_cluster_attrs(c);
+    emit_cluster_attrs(kAppended, c);
     if (c.summary) {
       emit_full_summary(*c.summary);
     } else {
-      for (const auto& [name, h] : c.hosts) emit_full_host(h);
+      for (const auto& [name, h] : c.hosts) emit_full_host(h, c.localtime);
     }
   }
 
@@ -405,10 +463,7 @@ class Differ {
     }
     const Mark m = mark();
     emit_cluster_select(n.name);
-    if (o.localtime != n.localtime || o.owner != n.owner ||
-        o.latlong != n.latlong || o.url != n.url) {
-      emit_cluster_attrs(n);
-    }
+    emit_cluster_attrs(o, n);
     if (n.summary) {
       diff_summary(*o.summary, *n.summary);
     } else {
@@ -420,7 +475,7 @@ class Differ {
       }
       for (const auto& [name, oh] : o.hosts) {
         if (n.hosts.find(name) != n.hosts.end()) continue;
-        const std::uint32_t id = intern(name);
+        const std::uint32_t id = host_id(name);
         put_u8(out_.bytes, kRowHostRemove);
         put_varint(out_.bytes, id);
         out_.mark_row();
@@ -428,9 +483,9 @@ class Differ {
       for (const auto& [name, nh] : n.hosts) {
         auto it = o.hosts.find(name);
         if (it == o.hosts.end()) {
-          emit_full_host(nh);
+          emit_full_host(nh, n.localtime);
         } else {
-          diff_host(it->second, nh, dt);
+          diff_host(it->second, nh, dt, n.localtime);
         }
       }
     }
@@ -480,17 +535,32 @@ class Differ {
     out_.mark_row();
   }
 
-  void emit_grid_attrs(const Grid& g) {
-    check_str(g.authority);
+  /// Emit the attributes of `n` that differ from `o`, or nothing when
+  /// none do.
+  void emit_grid_attrs(const Grid& o, const Grid& n) {
+    std::int64_t localtime = 0;
+    if (__builtin_sub_overflow(n.localtime, o.localtime, &localtime)) {
+      fail();
+      return;
+    }
+    std::uint8_t mask = 0;
+    if (n.authority != o.authority) mask |= kGridAuthority;
+    if (localtime != 0) mask |= kGridLocaltime;
+    if (mask == 0) return;
+    check_str(n.authority);
     put_u8(out_.bytes, kRowGridAttrs);
-    put_string(out_.bytes, g.authority);
-    put_varint(out_.bytes, static_cast<std::uint64_t>(g.localtime));
+    put_u8(out_.bytes, mask);
+    if ((mask & kGridAuthority) != 0) put_string(out_.bytes, n.authority);
+    if ((mask & kGridLocaltime) != 0) put_varint(out_.bytes, zigzag(localtime));
     out_.mark_row();
   }
 
+  /// A new grid is diffed against the default-constructed grid the
+  /// applier's push appends.
   void emit_full_grid(const Grid& g) {
+    static const Grid kAppended;
     emit_grid_push(g.name);
-    emit_grid_attrs(g);
+    emit_grid_attrs(kAppended, g);
     if (g.summary) {
       emit_full_summary(*g.summary);
     } else {
@@ -507,9 +577,7 @@ class Differ {
     }
     const Mark m = mark();
     emit_grid_push(n.name);
-    if (o.authority != n.authority || o.localtime != n.localtime) {
-      emit_grid_attrs(n);
-    }
+    emit_grid_attrs(o, n);
     if (n.summary) {
       diff_summary(*o.summary, *n.summary);
     } else {
@@ -549,8 +617,15 @@ class Differ {
     }
   }
 
-  NameDict& dict_;
+  Dictionaries& dict_;
   RowBuffer& out_;
+  // The host record being built: its mask and fields, its entries, and
+  // the rows that follow it.
+  std::string fields_;
+  std::string entries_;
+  std::size_t entry_count_ = 0;
+  std::vector<const Metric*> removals_;
+  std::vector<const Metric*> upserts_;
   std::vector<std::string_view> sorted_names_;  ///< unique_names sort buffer
   const Host* unique_host_ = nullptr;  ///< a host of newr with unique names
   bool failed_ = false;
@@ -580,7 +655,7 @@ void NameDict::truncate(std::size_t size) {
   }
 }
 
-bool diff_report(const Report& oldr, const Report& newr, NameDict& dict,
+bool diff_report(const Report& oldr, const Report& newr, Dictionaries& dict,
                  RowBuffer& out) {
   return Differ(dict, out).run(oldr, newr);
 }

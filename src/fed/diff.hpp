@@ -26,10 +26,9 @@
 
 namespace ganglia::fed {
 
-/// Per-session name dictionary of host and metric names.  Ids are dense
-/// and append-only in emission order; kRowDefineName rows teach the peer
-/// new entries.  The publisher notes size() before diffing and truncates
-/// back to it when the delta is not sent.
+/// One id space of a session's name dictionary.  Ids are dense and
+/// append-only in emission order; kRowDefineName rows teach the peer new
+/// entries.
 class NameDict {
  public:
   std::optional<std::uint32_t> find(std::string_view name) const;
@@ -47,10 +46,29 @@ class NameDict {
   std::size_t bytes_ = 0;  ///< sum of the name lengths
 };
 
+/// The server half of a session's dictionary: host names and metric names,
+/// each its own id space.  The publisher notes size() before diffing and
+/// truncates back to it when the delta is not sent.
+struct Dictionaries {
+  NameDict hosts;
+  NameDict metrics;
+
+  struct Size {
+    std::size_t hosts = 0;
+    std::size_t metrics = 0;
+  };
+  Size size() const noexcept { return {hosts.size(), metrics.size()}; }
+  void truncate(Size size) {
+    hosts.truncate(size.hosts);
+    metrics.truncate(size.metrics);
+  }
+  void clear() { truncate({}); }
+};
+
 /// Diff `oldr` -> `newr` into `out` (appending; callers normally pass it
 /// empty).  Returns false when no faithful delta exists; `out` must then be
 /// discarded and `dict` truncated back to its size before the call.
-bool diff_report(const Report& oldr, const Report& newr, NameDict& dict,
+bool diff_report(const Report& oldr, const Report& newr, Dictionaries& dict,
                  RowBuffer& out);
 
 }  // namespace ganglia::fed

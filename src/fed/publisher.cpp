@@ -205,7 +205,7 @@ std::string Publisher::serve(std::string_view request) {
     return out;
   }
 
-  const std::size_t dict_size = sess->dict.size();
+  const Dictionaries::Size dict_size = sess->dict.size();
   RowBuffer rows;
   bool usable = diff_report(*sess->base, *doc.report, sess->dict, rows);
   if (usable) {

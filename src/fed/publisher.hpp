@@ -88,7 +88,7 @@ class Publisher {
     std::uint64_t version = 0;
     View view = View::tree;  ///< the view `base` was served in
     std::shared_ptr<const Report> base;
-    NameDict dict;
+    Dictionaries dict;
     std::uint64_t last_used = 0;
   };
 

@@ -28,6 +28,7 @@
 #include "common/clock.hpp"
 #include "common/cpu_timer.hpp"
 #include "common/result.hpp"
+#include "fed/apply.hpp"
 #include "fed/codec.hpp"
 #include "net/transport.hpp"
 #include "xml/ganglia.hpp"
@@ -92,7 +93,7 @@ class Session {
   std::string session_id_;
   std::uint64_t last_version_ = 0;
   std::optional<Report> base_;
-  std::vector<std::string> names_;
+  Names names_;
   std::unique_ptr<net::Stream> stream_;
   bool reuse_ok_ = true;  ///< cleared when the transport is one-exchange
 };

@@ -204,7 +204,8 @@ Gmetad::PollResult Gmetad::poll_source(DataSource& source, std::int64_t now) {
   ScopedCpuMeter meter(cpu_meter_);
   // The 1-level design performs no summarisation during polling (the
   // frontend computed its own); N-level summarises eagerly here, on the
-  // summarisation time scale.  Stale copies follow the same rule.
+  // summarisation time scale.  Stale copies share what their predecessor
+  // computed.
   const bool eager_summary = config_.mode == Mode::n_level;
   // Build, here on the poll worker, the render fragments readers asked for
   // on the snapshot being replaced, so a reader that keeps asking splices
@@ -220,8 +221,7 @@ Gmetad::PollResult Gmetad::poll_source(DataSource& source, std::int64_t now) {
   // heartbeats lapse on their own, writing the forensic unknown records.
   const auto publish_stale = [&] {
     publish(SourceSnapshot::unreachable_from(store_.get(source.name()),
-                                             source.name(), now,
-                                             eager_summary));
+                                             source.name()));
   };
   if (!fetched.ok()) {
     result.error = fetched.error().to_string();

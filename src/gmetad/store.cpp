@@ -6,60 +6,77 @@
 
 namespace ganglia::gmetad {
 
-SourceSnapshot::SourceSnapshot(std::string name, Report report,
-                               std::int64_t fetched_at, bool eager_summary)
-    : name_(std::move(name)), report_(std::move(report)),
-      fetched_at_(fetched_at) {
-  is_grid_ = !report_.grids.empty();
-  if (is_grid_ && !report_.grids.empty()) {
-    authority_ = report_.grids.front().authority;
+SourceSnapshot::Body::Body(Report r) : report(std::move(r)) {
+  is_grid = !report.grids.empty();
+  if (is_grid) authority = report.grids.front().authority;
+  for (const Cluster& c : report.clusters) {
+    cluster_index.emplace(c.name, &c);
+    host_count += c.hosts.size();
   }
-  for (const Cluster& c : report_.clusters) {
-    cluster_index_.emplace(c.name, &c);
-    host_count_ += c.hosts.size();
-  }
-  for (const Grid& g : report_.grids) index_grid(g);
-  if (eager_summary) summary();
+  for (const Grid& g : report.grids) index_grid(g);
 }
 
-void SourceSnapshot::compute_summary() const {
+void SourceSnapshot::Body::index_grid(const Grid& grid) {
+  grid_index.emplace(grid.name, &grid);
+  for (const Cluster& c : grid.clusters) {
+    cluster_index.emplace(c.name, &c);
+    host_count += c.hosts.size();
+  }
+  for (const Grid& g : grid.grids) index_grid(g);
+}
+
+void SourceSnapshot::Body::compute_summary() {
   // One pass computes and caches every cluster reduction (including those
   // inside full-detail child grids) and folds them into the source total.
   // Runs under call_once, so no reader observes the map mid-build; the
   // lock still guards against a concurrent foreign-cluster insert from a
   // caller whose call_once already completed.
-  std::unique_lock lock(summaries_mutex_);
+  std::unique_lock lock(summaries_mutex);
   const auto add_cluster = [this](const Cluster& c) -> const SummaryInfo& {
-    return cluster_summaries_.emplace(&c, c.summarize()).first->second;
+    return cluster_summaries.emplace(&c, c.summarize()).first->second;
   };
-  for (const Cluster& c : report_.clusters) summary_.merge(add_cluster(c));
-  const auto walk = [this, &add_cluster](const auto& self,
-                                         const Grid& g) -> SummaryInfo {
+  for (const Cluster& c : report.clusters) summary.merge(add_cluster(c));
+  const auto walk = [&add_cluster](const auto& self,
+                                   const Grid& g) -> SummaryInfo {
     if (g.summary) return *g.summary;
     SummaryInfo total;
     for (const Cluster& c : g.clusters) total.merge(add_cluster(c));
     for (const Grid& child : g.grids) total.merge(self(self, child));
     return total;
   };
-  for (const Grid& g : report_.grids) summary_.merge(walk(walk, g));
+  for (const Grid& g : report.grids) summary.merge(walk(walk, g));
 }
 
+SourceSnapshot::SourceSnapshot(std::string name, Report report,
+                               std::int64_t fetched_at, bool eager_summary)
+    : SourceSnapshot(std::move(name),
+                     std::make_shared<Body>(std::move(report)), fetched_at) {
+  if (eager_summary) summary();
+}
+
+SourceSnapshot::SourceSnapshot(std::string name, std::shared_ptr<Body> body,
+                               std::int64_t fetched_at)
+    : name_(std::move(name)), body_(std::move(body)),
+      fetched_at_(fetched_at) {}
+
 const SummaryInfo& SourceSnapshot::summary() const {
-  std::call_once(summary_once_, [this] { compute_summary(); });
-  return summary_;
+  Body& body = *body_;
+  std::call_once(body.summary_once, [&body] { body.compute_summary(); });
+  return body.summary;
 }
 
 const SummaryInfo& SourceSnapshot::cluster_summary(const Cluster& cluster) const {
   summary();  // ensure the cache is built (all clusters of this snapshot)
+  Body& body = *body_;
   {
-    std::shared_lock lock(summaries_mutex_);
-    const auto it = cluster_summaries_.find(&cluster);
-    if (it != cluster_summaries_.end()) return it->second;
+    std::shared_lock lock(body.summaries_mutex);
+    const auto it = body.cluster_summaries.find(&cluster);
+    if (it != body.cluster_summaries.end()) return it->second;
   }
   // A cluster that is not part of this snapshot (defensive): compute once
   // under the writer lock and cache it alongside the rest.
-  std::unique_lock lock(summaries_mutex_);
-  return cluster_summaries_.try_emplace(&cluster, cluster.summarize())
+  std::unique_lock lock(body.summaries_mutex);
+  return body.cluster_summaries.try_emplace(&cluster, cluster.summarize())
       .first->second;
 }
 
@@ -73,59 +90,44 @@ const std::string& SourceSnapshot::fragment(
     fragments_read_.fetch_or(bit, std::memory_order_relaxed);
   }
   prime_fragment(slot, build);
-  return fragments_[slot].bytes;
+  return body_->fragments[slot].bytes;
 }
 
 void SourceSnapshot::prime_fragment(
     std::size_t slot, const std::function<std::string()>& build) const {
   assert(slot < kFragmentSlots);
-  FragmentSlot& cell = fragments_[slot];
-  std::call_once(cell.once, [this, &cell, &build, slot] {
+  Body& body = *body_;
+  Body::FragmentSlot& cell = body.fragments[slot];
+  std::call_once(cell.once, [&body, &cell, &build, slot] {
     cell.bytes = build();
-    fragments_built_.fetch_or(1U << slot, std::memory_order_release);
+    body.fragments_built.fetch_or(1U << slot, std::memory_order_release);
   });
 }
 
 SourceSnapshot::FragmentUse SourceSnapshot::fragment_use() const noexcept {
   return {fragments_read_.load(std::memory_order_relaxed),
-          fragments_built_.load(std::memory_order_acquire)};
-}
-
-void SourceSnapshot::index_grid(const Grid& grid) {
-  grid_index_.emplace(grid.name, &grid);
-  for (const Cluster& c : grid.clusters) {
-    cluster_index_.emplace(c.name, &c);
-    host_count_ += c.hosts.size();
-  }
-  for (const Grid& g : grid.grids) index_grid(g);
+          body_->fragments_built.load(std::memory_order_acquire)};
 }
 
 std::shared_ptr<const SourceSnapshot> SourceSnapshot::unreachable_from(
-    const std::shared_ptr<const SourceSnapshot>& previous, std::string name,
-    std::int64_t at, bool eager_summary) {
-  std::shared_ptr<SourceSnapshot> snapshot;
-  if (previous) {
-    // Indexes must be rebuilt against this snapshot's own report copy.
-    Report copy = previous->report_;
-    snapshot = std::shared_ptr<SourceSnapshot>(new SourceSnapshot(
-        std::move(name), std::move(copy), at, eager_summary));
-    snapshot->fetched_at_ = previous->fetched_at_;  // data is still old
-  } else {
-    snapshot = std::shared_ptr<SourceSnapshot>(new SourceSnapshot());
-    snapshot->name_ = std::move(name);
-  }
+    const std::shared_ptr<const SourceSnapshot>& previous, std::string name) {
+  std::shared_ptr<SourceSnapshot> snapshot(
+      previous ? new SourceSnapshot(std::move(name), previous->body_,
+                                    previous->fetched_at_)
+               : new SourceSnapshot(std::move(name),
+                                    std::make_shared<Body>(Report{}), 0));
   snapshot->reachable_ = false;
   return snapshot;
 }
 
 const Cluster* SourceSnapshot::find_cluster(std::string_view cluster_name) const {
-  const auto it = cluster_index_.find(cluster_name);
-  return it == cluster_index_.end() ? nullptr : it->second;
+  const auto it = body_->cluster_index.find(cluster_name);
+  return it == body_->cluster_index.end() ? nullptr : it->second;
 }
 
 const Grid* SourceSnapshot::find_grid(std::string_view grid_name) const {
-  const auto it = grid_index_.find(grid_name);
-  return it == grid_index_.end() ? nullptr : it->second;
+  const auto it = body_->grid_index.find(grid_name);
+  return it == body_->grid_index.end() ? nullptr : it->second;
 }
 
 void Store::publish(std::shared_ptr<const SourceSnapshot> snapshot) {

@@ -43,33 +43,34 @@ class SourceSnapshot {
   SourceSnapshot(std::string name, Report report, std::int64_t fetched_at,
                  bool eager_summary = true);
 
-  // The hash indexes hold string_views into report_ (short names sit in
-  // SSO buffers), so the object must never relocate its storage.
   SourceSnapshot(const SourceSnapshot&) = delete;
   SourceSnapshot& operator=(const SourceSnapshot&) = delete;
   SourceSnapshot(SourceSnapshot&&) = delete;
   SourceSnapshot& operator=(SourceSnapshot&&) = delete;
 
   /// An unreachable placeholder carrying the previous snapshot's data (so
-  /// queries keep serving the last-known state, marked stale).  The copy
-  /// follows the same summary rule as a fresh snapshot of its mode.
+  /// queries keep serving the last-known state, marked stale).  It shares
+  /// the previous snapshot's report, indexes, summaries and fragment bytes
+  /// (nothing is copied, summarised or serialised again) and keeps its
+  /// fetch time: the data is still that old.
   static std::shared_ptr<const SourceSnapshot> unreachable_from(
-      const std::shared_ptr<const SourceSnapshot>& previous, std::string name,
-      std::int64_t at, bool eager_summary = true);
+      const std::shared_ptr<const SourceSnapshot>& previous, std::string name);
 
   const std::string& name() const noexcept { return name_; }
-  bool is_grid() const noexcept { return is_grid_; }
+  bool is_grid() const noexcept { return body_->is_grid; }
   bool reachable() const noexcept { return reachable_; }
   std::int64_t fetched_at() const noexcept { return fetched_at_; }
 
   /// Full-detail clusters (gmond sources have exactly one; a 1-level child
   /// gmetad forwards many inside grids).
   const std::vector<Cluster>& clusters() const noexcept {
-    return report_.clusters;
+    return body_->report.clusters;
   }
   /// Child grids as received (full detail from 1-level children, summary
   /// form from N-level children).
-  const std::vector<Grid>& grids() const noexcept { return report_.grids; }
+  const std::vector<Grid>& grids() const noexcept {
+    return body_->report.grids;
+  }
 
   /// Additive summary over everything in this source (computed lazily when
   /// the snapshot was built without an eager summary; thread-safe).
@@ -88,7 +89,9 @@ class SourceSnapshot {
   /// layout).  A reader's call records the slot as read; `build` runs at
   /// most once per slot; concurrent callers block until the bytes exist.
   /// Keeping the cache here, keyed by opaque slot index, lets the snapshot
-  /// stay ignorant of render formats.
+  /// stay ignorant of render formats.  `build` may read only the data a
+  /// stale copy shares (clusters, grids, summaries), never the name or
+  /// reachability, since a stale copy shares the bytes too.
   static constexpr std::size_t kFragmentSlots = 6;
   const std::string& fragment(std::size_t slot,
                               const std::function<std::string()>& build) const;
@@ -98,8 +101,8 @@ class SourceSnapshot {
   void prime_fragment(std::size_t slot,
                       const std::function<std::string()>& build) const;
 
-  /// Fragment slots as bit masks (bit i = slot i): the slots a reader
-  /// asked for, and the slots whose bytes exist.
+  /// Fragment slots as bit masks (bit i = slot i): the slots a reader of
+  /// this snapshot asked for, and the slots whose bytes exist.
   struct FragmentUse {
     std::uint32_t read = 0;
     std::uint32_t built = 0;
@@ -107,7 +110,7 @@ class SourceSnapshot {
   FragmentUse fragment_use() const noexcept;
 
   /// Authority URL of the child gmetad (empty for gmond sources).
-  const std::string& authority() const noexcept { return authority_; }
+  const std::string& authority() const noexcept { return body_->authority; }
 
   // -- hash lookups (level 2 of the paper's three) -------------------------
   /// Find a cluster anywhere in this source by name (O(1)).
@@ -116,38 +119,52 @@ class SourceSnapshot {
   const Grid* find_grid(std::string_view grid_name) const;
 
   /// Total host count at full detail.
-  std::size_t host_count() const noexcept { return host_count_; }
+  std::size_t host_count() const noexcept { return body_->host_count; }
 
  private:
-  SourceSnapshot() = default;
-  void index_grid(const Grid& grid);
-  void compute_summary() const;
+  /// What a stale copy shares with the snapshot it replaces: the report
+  /// and everything derived from it.  The hash indexes hold string_views
+  /// into `report` (short names sit in SSO buffers), so a body never
+  /// relocates its storage.
+  struct Body {
+    explicit Body(Report r);
+
+    void index_grid(const Grid& grid);
+    void compute_summary();
+
+    Report report;
+    std::once_flag summary_once;
+    SummaryInfo summary;
+    /// One map for every cluster reduction (snapshot-owned clusters filled
+    /// by compute_summary, foreign ones on demand).  References handed out
+    /// are stable: unordered_map never relocates nodes on insert.
+    std::shared_mutex summaries_mutex;
+    std::unordered_map<const Cluster*, SummaryInfo> cluster_summaries;
+    struct FragmentSlot {
+      std::once_flag once;
+      std::string bytes;
+    };
+    std::array<FragmentSlot, kFragmentSlots> fragments;
+    std::atomic<std::uint32_t> fragments_built{0};
+    std::string authority;
+    bool is_grid = false;
+    std::size_t host_count = 0;
+    std::unordered_map<std::string_view, const Cluster*> cluster_index;
+    std::unordered_map<std::string_view, const Grid*> grid_index;
+  };
+
+  SourceSnapshot(std::string name, std::shared_ptr<Body> body,
+                 std::int64_t fetched_at);
 
   std::string name_;
-  Report report_;
-  mutable std::once_flag summary_once_;
-  mutable SummaryInfo summary_;
-  /// One map for every cluster reduction (snapshot-owned clusters filled by
-  /// compute_summary, foreign ones on demand).  References handed out are
-  /// stable: unordered_map never relocates nodes on insert.
-  mutable std::shared_mutex summaries_mutex_;
-  mutable std::unordered_map<const Cluster*, SummaryInfo> cluster_summaries_;
-  struct FragmentSlot {
-    std::once_flag once;
-    std::string bytes;
-  };
-  mutable std::array<FragmentSlot, kFragmentSlots> fragments_;
+  /// Its lazy caches (summary, cluster summaries, fragments) fill on
+  /// first use behind their own once-flags and locks.
+  std::shared_ptr<Body> body_;
   /// Written by readers (HTTP and query workers), read by the poll worker
   /// that builds this snapshot's successor.
   mutable std::atomic<std::uint32_t> fragments_read_{0};
-  mutable std::atomic<std::uint32_t> fragments_built_{0};
-  std::string authority_;
   std::int64_t fetched_at_ = 0;
-  bool is_grid_ = false;
   bool reachable_ = true;
-  std::size_t host_count_ = 0;
-  std::unordered_map<std::string_view, const Cluster*> cluster_index_;
-  std::unordered_map<std::string_view, const Grid*> grid_index_;
 };
 
 /// Level-1 hash table: data source name -> latest snapshot.

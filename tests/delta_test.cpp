@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -285,11 +286,13 @@ Metric make_metric(const std::string& name, double value,
   return m;
 }
 
+/// A host heard from 5 s before make_report's LOCALTIME, its TN as gmond
+/// derives it.
 Host make_host(const std::string& name, int metric_count, double base) {
   Host h;
   h.name = name;
   h.ip = "10.0.0.1";
-  h.reported = 1000;
+  h.reported = 4995;
   h.tn = 5;
   for (int i = 0; i < metric_count; ++i) {
     h.metrics.push_back(make_metric("metric_" + std::to_string(i),
@@ -317,7 +320,7 @@ Report make_report(int hosts, int metrics) {
 /// it to the old report must reproduce the new one byte-for-byte.
 void expect_faithful_delta(const Report& oldr, const Report& newr,
                            bool must_delta) {
-  NameDict dict;
+  Dictionaries dict;
   RowBuffer rows;
   const bool found = diff_report(oldr, newr, dict, rows);
   if (must_delta) {
@@ -325,7 +328,7 @@ void expect_faithful_delta(const Report& oldr, const Report& newr,
   }
   if (!found) return;  // full resync: always correct, just not incremental
   Report doc = oldr;
-  std::vector<std::string> names;
+  Names names;
   std::size_t applied = 0;
   const Status status = apply_rows(doc, rows.bytes, names, &applied);
   ASSERT_TRUE(status.ok()) << status.error().to_string();
@@ -343,12 +346,12 @@ TEST(DiffApply, ValueChangeRoundTrips) {
 
 TEST(DiffApply, IdenticalReportsDiffToNearNothing) {
   const Report r = make_report(3, 4);
-  NameDict dict;
+  Dictionaries dict;
   RowBuffer rows;
   ASSERT_TRUE(diff_report(r, r, dict, rows));
   EXPECT_LT(rows.bytes.size(), 64u) << "no-change delta should be tiny";
   Report doc = r;
-  std::vector<std::string> names;
+  Names names;
   ASSERT_TRUE(apply_rows(doc, rows.bytes, names, nullptr).ok());
   EXPECT_EQ(write_report(doc), write_report(r));
 }
@@ -362,14 +365,14 @@ TEST(DiffApply, UniformAgingUsesAdvanceRow) {
     host.tn += 15;
     for (Metric& m : host.metrics) m.tn += 15;
   }
-  NameDict dict;
+  Dictionaries dict;
   RowBuffer rows;
   ASSERT_TRUE(diff_report(oldr, newr, dict, rows));
   // 8 hosts x 10 metrics aging must not cost 80 per-metric rows.
   EXPECT_LT(rows.bytes.size(), 200u)
       << "uniform tn aging should compress via kRowAdvance";
   Report doc = oldr;
-  std::vector<std::string> names;
+  Names names;
   ASSERT_TRUE(apply_rows(doc, rows.bytes, names, nullptr).ok());
   EXPECT_EQ(write_report(doc), write_report(newr));
 }
@@ -462,12 +465,15 @@ void set_val(Metric& m, const std::string& text) {
   }
 }
 
-constexpr std::uint32_t kEditKinds = 13;
+constexpr std::uint32_t kEditKinds = 17;
 
-/// One random edit of kind `kind` to `host`.  Kinds 6-12 each change one
-/// host field alone.
+/// One random edit of kind `kind` to `host`, of a cluster at `localtime`.
+/// Kinds 6-12 each change one host field alone; kinds 13-16 each break one
+/// prediction a host record makes: TN from LOCALTIME − REPORTED (13, and
+/// 14 through its clamp at 0), a VAL keeping its base's form (15), a VAL
+/// that is a plain decimal (16 swaps text and decimal VALs both ways).
 void edit_host(Host& host, std::uint32_t kind, Rng& rng,
-               const std::string& tag) {
+               const std::string& tag, std::int64_t localtime) {
   Metric& metric = host.metrics[rng.next_below(
       static_cast<std::uint32_t>(host.metrics.size()))];
   const auto any_i64 = [&rng] {
@@ -492,6 +498,24 @@ void edit_host(Host& host, std::uint32_t kind, Rng& rng,
     case 10: host.dmax = rng.next_below(1u << 31); break;
     case 11: host.location = tag + "," + std::to_string(kind) + ",0"; break;
     case 12: host.gmond_started = any_i64(); break;
+    case 13:
+      host.tn = implied_host_tn(localtime, host.reported) + 1 +
+                rng.next_below(100);
+      break;
+    case 14:
+      host.reported = localtime + 1 + rng.next_below(1000);
+      host.tn = 0;
+      break;
+    case 15:
+      set_val(metric, value_form(metric.value) == value_form("-1.250")
+                          ? std::to_string(rng.next_below(1000))
+                          : "-1.2" + std::to_string(rng.next_below(10)) + "0");
+      break;
+    case 16:
+      set_val(metric, value_form(metric.value) == kValText
+                          ? std::to_string(rng.next_below(100)) + ".5"
+                          : std::to_string(1 + rng.next_below(9)) + "e5");
+      break;
   }
 }
 
@@ -519,39 +543,64 @@ TEST(DiffApply, SameOrderAndReorderedHostsEachReproduceTheNewReport) {
     auto& metrics = dup_new.clusters[0].hosts.at("node2").metrics;
     metrics[5].set_double(1.25);
     if (append) metrics.push_back(make_metric("late", 7.0));
-    NameDict dict;
+    Dictionaries dict;
     RowBuffer rows;
     EXPECT_FALSE(diff_report(dup_old, dup_new, dict, rows))
         << (append ? "reordered" : "same-order") << " host with a duplicate";
   }
+  // Nor does a joining host: its second upsert of the name would update
+  // the first metric instead of appending one.
+  Report joined = oldr;
+  Host dup_host = make_host("node9", 3, 9.0);
+  dup_host.metrics[2].name = "metric_0";
+  joined.clusters[0].hosts.emplace(dup_host.name, std::move(dup_host));
+  Dictionaries dict;
+  RowBuffer rows;
+  EXPECT_FALSE(diff_report(oldr, joined, dict, rows))
+      << "joining host with a duplicate";
 }
 
 TEST(DiffApply, RandomizedMutationsNeverDiverge) {
+  // Random edits over three polls in a row, so a later poll can undo or
+  // redo what an earlier one changed.
   Rng rng(20260808);
   for (int iter = 0; iter < 40; ++iter) {
-    const Report oldr =
-        make_report(3 + static_cast<int>(rng.next_below(3)),
-                    2 + static_cast<int>(rng.next_below(4)));
-    Report newr = oldr;
-    const int edits = 1 + static_cast<int>(rng.next_below(5));
-    for (int e = 0; e < edits; ++e) {
+    Report oldr = make_report(3 + static_cast<int>(rng.next_below(3)),
+                              2 + static_cast<int>(rng.next_below(4)));
+    for (int poll = 0; poll < 3; ++poll) {
+      Report newr = oldr;
       Cluster& c = newr.clusters[0];
-      auto host_it = c.hosts.begin();
-      std::advance(host_it, rng.next_below(
-          static_cast<std::uint32_t>(c.hosts.size())));
-      edit_host(host_it->second, rng.next_below(kEditKinds), rng,
-                std::to_string(iter) + "_" + std::to_string(e));
+      c.localtime += rng.next_below(20);
+      const int edits = 1 + static_cast<int>(rng.next_below(5));
+      for (int e = 0; e < edits; ++e) {
+        auto host_it = c.hosts.begin();
+        std::advance(host_it, rng.next_below(
+            static_cast<std::uint32_t>(c.hosts.size())));
+        edit_host(host_it->second, rng.next_below(kEditKinds), rng,
+                  std::to_string(iter) + "_" + std::to_string(poll) + "_" +
+                      std::to_string(e),
+                  c.localtime);
+      }
+      expect_faithful_delta(oldr, newr, false);
+      oldr = std::move(newr);
     }
-    expect_faithful_delta(oldr, newr, false);
   }
 
-  // Every edit kind alone, every edge VAL alone, and the extreme REPORTED
-  // and GMOND_STARTED jumps that still fit an int64 delta.
+  // Every edit kind alone, then again on top of itself (kind 16 swaps a
+  // text VAL back to a decimal), every edge VAL alone, and the extreme
+  // REPORTED and GMOND_STARTED jumps that still fit an int64 delta.
   const Report base = make_report(3, 4);
+  const std::int64_t localtime = base.clusters[0].localtime;
   for (std::uint32_t kind = 0; kind < kEditKinds; ++kind) {
-    Report newr = base;
-    edit_host(newr.clusters[0].hosts.at("node1"), kind, rng, "alone");
-    expect_faithful_delta(base, newr, true);
+    SCOPED_TRACE("edit kind " + std::to_string(kind));
+    Report once = base;
+    edit_host(once.clusters[0].hosts.at("node1"), kind, rng, "alone",
+              localtime);
+    expect_faithful_delta(base, once, true);
+    Report twice = once;
+    edit_host(twice.clusters[0].hosts.at("node1"), kind, rng, "again",
+              localtime);
+    expect_faithful_delta(once, twice, true);
   }
   for (const std::string& text : edge_vals()) {
     Report newr = base;
@@ -568,9 +617,17 @@ TEST(DiffApply, RandomizedMutationsNeverDiverge) {
   // A jump no int64 delta holds falls back to a full.
   Report wrapped = extremes;
   wrapped.clusters[0].hosts.at("node2").reported = -kMax;
-  NameDict dict;
+  Dictionaries dict;
   RowBuffer rows;
   EXPECT_FALSE(diff_report(extremes, wrapped, dict, rows));
+}
+
+/// Append a kRowDefineName row naming `name` with `id` in `space`.
+void put_define(std::string& out, std::uint8_t space, std::uint64_t id,
+                std::string_view name) {
+  net::put_u8(out, kRowDefineName);
+  net::put_varint(out, id << 1 | space);
+  net::put_string(out, name);
 }
 
 TEST(DiffApply, ApplierRejectsUnknownDictionaryIds) {
@@ -578,31 +635,51 @@ TEST(DiffApply, ApplierRejectsUnknownDictionaryIds) {
   std::string select;
   net::put_u8(select, kRowCluster);
   net::put_string(select, "alpha");
-  net::put_u8(select, kRowDefineName);
-  net::put_varint(select, 0);
-  net::put_string(select, "node0");
-  net::put_u8(select, kRowHost);
-  net::put_varint(select, 0);
+  put_define(select, kSpaceHost, 0, "node0");
+  put_define(select, kSpaceMetric, 0, "metric_1");
   {
+    // A record that changes nothing: node0's TN becomes the one its
+    // REPORTED implies, which it already is.
+    std::string record = select;
+    net::put_u8(record, kRowHost);
+    net::put_varint(record, 0);  // node0
+    net::put_u8(record, 0);      // no field
+    net::put_varint(record, 0);  // no entry
     Report copy = doc;
-    std::vector<std::string> names;
-    ASSERT_TRUE(apply_rows(copy, select, names, nullptr).ok());
+    Names names;
+    ASSERT_TRUE(apply_rows(copy, record, names, nullptr).ok());
+    EXPECT_EQ(names.hosts, std::vector<std::string>{"node0"});
+    EXPECT_EQ(names.metrics, std::vector<std::string>{"metric_1"});
+    EXPECT_EQ(write_report(copy), write_report(doc));
   }
-  std::string metric = select;
-  net::put_u8(metric, kRowMetricTn);
-  net::put_varint(metric, 9999);  // never defined
-  net::put_varint(metric, 1);
-  std::vector<std::string> names;
-  EXPECT_FALSE(apply_rows(doc, metric, names, nullptr).ok());
-
+  for (const std::uint64_t metric : {1u, 9999u}) {  // never defined
+    std::string record = select;
+    net::put_u8(record, kRowHost);
+    net::put_varint(record, 0);
+    net::put_u8(record, 0);
+    net::put_varint(record, 1);
+    net::put_varint(record, metric << kEntryKindBits | kEntryTn);
+    net::put_varint(record, 1);
+    Report copy = doc;
+    Names names;
+    EXPECT_FALSE(apply_rows(copy, record, names, nullptr).ok()) << metric;
+  }
   for (const std::uint8_t tag : {kRowHost, kRowHostRemove}) {
     std::string host = select;
     net::put_u8(host, tag);
-    net::put_varint(host, 1);  // one past the dictionary
-    Report copy = make_report(2, 2);
-    std::vector<std::string> fresh;
-    EXPECT_FALSE(apply_rows(copy, host, fresh, nullptr).ok()) << int{tag};
+    net::put_varint(host, 1);  // one past the host dictionary
+    net::put_u8(host, 0);
+    net::put_varint(host, 0);
+    Report copy = doc;
+    Names names;
+    EXPECT_FALSE(apply_rows(copy, host, names, nullptr).ok()) << int{tag};
   }
+  // A define must name the next id of its own space.
+  std::string skip = select;
+  put_define(skip, kSpaceMetric, 0, "metric_0");
+  Report copy = doc;
+  Names names;
+  EXPECT_FALSE(apply_rows(copy, skip, names, nullptr).ok());
 }
 
 TEST(NameDict, DenseIdsTruncateAndABudgetForAHundredThousandHosts) {
@@ -617,8 +694,8 @@ TEST(NameDict, DenseIdsTruncateAndABudgetForAHundredThousandHosts) {
   ASSERT_TRUE(dict.add("d", id));
   EXPECT_EQ(id, 2u) << "ids stay dense after a truncate";
 
-  // A child naming 100,000 hosts of 80 bytes, plus its metric names, fits
-  // both the id cap and the byte budget.
+  // A child naming 100,000 hosts of 80 bytes, with room to spare, fits
+  // both the id cap and the byte budget of its host id space.
   EXPECT_TRUE(dict_admits(100'000 + 255, 100'000 * 80 + 255 * 64, 80));
   EXPECT_FALSE(dict_admits(kMaxNameIds, 0, 1));
   EXPECT_FALSE(dict_admits(0, kMaxNameBytes, 1));
@@ -730,11 +807,16 @@ std::size_t row_bytes(std::string_view response) {
 
 TEST(PublisherSession, SteadyHostAndValueRowsArePacked) {
   // The steady churn of a soft-state gmond: a heartbeat moves a host's
-  // REPORTED, TN and GMOND_STARTED, and a rebroadcast moves one
-  // plain-decimal VAL.  Once the dictionary knows the names, the host
-  // costs at most 8 bytes of rows (select plus attributes), the VAL at
-  // most 6.
-  PubRig rig(make_report(6, 8));
+  // REPORTED and GMOND_STARTED, its TN following as LOCALTIME − REPORTED,
+  // and a rebroadcast moves one plain-decimal VAL.  Once the dictionary
+  // knows the names, the host's record costs at most 6 bytes (tag, host
+  // id, mask, two deltas, entry count) and carries no TN; the VAL's entry
+  // at most 4 (metric id and kind, two bytes of digits, TN).
+  Report initial = make_report(6, 8);
+  Host& watched = initial.clusters[0].hosts.at("node3");
+  watched.reported = 4900;
+  watched.tn = 100;
+  PubRig rig(std::move(initial));
   std::string response;
   rig.transport.register_service(
       "spy:1", [&](std::string_view request) -> Result<std::string> {
@@ -749,14 +831,19 @@ TEST(PublisherSession, SteadyHostAndValueRowsArePacked) {
   const auto heartbeat = [](Report& r) {
     Host& h = r.clusters[0].hosts.at("node3");
     h.reported += 10;
-    h.tn += 1;
+    h.tn = implied_host_tn(r.clusters[0].localtime, h.reported);
     h.gmond_started += 15;
   };
-  double val = 12.5;
+  const auto heartbeat_off_rule = [&](Report& r) {
+    heartbeat(r);
+    r.clusters[0].hosts.at("node3").tn += 1;
+  };
+  // "12.75", then "13.25": four digits in the same form, scale 2.
+  const double vals[] = {12.75, 13.25};
+  std::size_t next_val = 0;
   const auto heartbeat_and_val = [&](Report& r) {
     heartbeat(r);
-    val += 0.25;  // "12.75", "13.25": four digits, scale 2
-    r.clusters[0].hosts.at("node3").metrics[2].set_double(val);
+    r.clusters[0].hosts.at("node3").metrics[2].set_double(vals[next_val++]);
   };
   const auto delta_rows = [&](const std::function<void(Report&)>& edit) {
     Report next = *rig.current;
@@ -773,11 +860,14 @@ TEST(PublisherSession, SteadyHostAndValueRowsArePacked) {
   delta_rows(heartbeat_and_val);  // defines the host and metric names
   const std::size_t host_only = delta_rows(heartbeat);
   const std::size_t host_and_val = delta_rows(heartbeat_and_val);
+  const std::size_t host_off_rule = delta_rows(heartbeat_off_rule);
   std::string cluster_select;
   net::put_u8(cluster_select, kRowCluster);
   net::put_string(cluster_select, "alpha");
-  EXPECT_LE(host_only - cluster_select.size(), 8u);
-  EXPECT_LE(host_and_val - host_only, 6u);
+  EXPECT_LE(host_only - cluster_select.size(), 6u);
+  EXPECT_LE(host_and_val - host_only, 4u);
+  EXPECT_EQ(host_off_rule, host_only + 1)
+      << "only a TN off gmond's rule travels, as one varint";
 }
 
 TEST(PublisherSession, DefinesPastTheByteBudgetForceResync) {
@@ -799,9 +889,7 @@ TEST(PublisherSession, DefinesPastTheByteBudgetForceResync) {
         net::put_frame(out, kFrameDeltaBegin, begin);
         for (std::size_t id = 0; id < count; ++id) {
           std::string row;
-          net::put_u8(row, kRowDefineName);
-          net::put_varint(row, id);
-          net::put_string(row, name);
+          put_define(row, kSpaceHost, id, name);
           net::put_frame(out, kFrameRows, row);
         }
         std::string end;
@@ -1210,6 +1298,39 @@ TEST(DeltaFederation, ChildOwnGridArchiveEqualsItsParentsArchiveOfIt) {
   }
 }
 
+/// What the tree view's gmetad->gmetad edges carried per delta poll in
+/// OneLevelTreeStillCarriesHostDetail under codec version 3, measured
+/// there: host select, attribute and per-metric rows.
+constexpr double kOneLevelEdgeCeiling = 1049.05;
+
+/// Steady-state delta bytes per poll over every gmetad->gmetad edge of a
+/// tree, averaged over `rounds` rounds.
+double gmetad_edge_bytes_per_poll(gmetad::Testbed& bed,
+                                  std::size_t rounds) {
+  const auto totals = [&bed] {
+    std::pair<std::uint64_t, std::uint64_t> bytes_and_polls{0, 0};
+    for (const gmetad::TestbedNodeSpec& node : bed.spec().nodes) {
+      for (const gmetad::DataSource* source : bed.node(node.name).sources()) {
+        const auto& children = node.children;
+        if (std::find(children.begin(), children.end(), source->name()) ==
+            children.end()) {
+          continue;
+        }
+        bytes_and_polls.first += source->bytes_delta();
+        bytes_and_polls.second += source->delta_polls();
+      }
+    }
+    return bytes_and_polls;
+  };
+  const auto before = totals();
+  bed.run_rounds(rounds);
+  const auto after = totals();
+  EXPECT_GT(after.second, before.second) << "no delta poll measured";
+  return static_cast<double>(after.first - before.first) /
+         static_cast<double>(std::max<std::uint64_t>(1, after.second -
+                                                           before.second));
+}
+
 TEST(DeltaFederation, OneLevelTreeStillCarriesHostDetail) {
   run_faulted_fig2(6, gmetad::Mode::one_level);
   if (HasFatalFailure()) return;
@@ -1224,6 +1345,9 @@ TEST(DeltaFederation, OneLevelTreeStillCarriesHostDetail) {
   for (const gmetad::DataSource* source : fed.node("root").sources()) {
     EXPECT_GT(source->delta_polls(), 0u) << source->name();
   }
+  // Host records carry the tree view in no more bytes than before them.
+  const double per_poll = gmetad_edge_bytes_per_poll(fed, 4);
+  EXPECT_LE(per_poll, kOneLevelEdgeCeiling) << "B per tree-view delta poll";
 }
 
 TEST(DeltaFederation, GridEdgeBytesDoNotGrowWithClusterSize) {

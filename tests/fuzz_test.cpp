@@ -261,14 +261,17 @@ TEST_P(FuzzSeeds, DeltaRequestDecoderNeverCrashes) {
   }
 }
 
-/// A small report and a valid row stream transforming it, for mutation,
-/// plus `prefix`, valid rows selecting host h0, and `hostile` streams that
-/// extend it with rows every applier must refuse.
+/// A small report and a valid row stream transforming it, for mutation;
+/// `prefix`, valid rows selecting host h0; `hostile` streams that extend
+/// it with rows every applier must refuse; and `records`, streams that
+/// extend it with one host record the applier must refuse before that
+/// record changes anything.
 struct DeltaCorpus {
   Report base;
   std::string rows;
   std::string prefix;
   std::vector<std::string> hostile;
+  std::vector<std::string> records;
 
   DeltaCorpus() {
     Cluster c;
@@ -284,6 +287,7 @@ struct DeltaCorpus {
         metric.set_double(h + m * 0.5);
         host.metrics.push_back(std::move(metric));
       }
+      host.metrics[3].set_string("linux");
       c.hosts.emplace(host.name, std::move(host));
     }
     base.source = "gmond";
@@ -291,10 +295,19 @@ struct DeltaCorpus {
 
     Report next = base;
     next.clusters[0].localtime = 115;
-    next.clusters[0].hosts.at("h1").metrics[2].set_double(99.0);
-    next.clusters[0].hosts.at("h2").tn = 30;
-    // Every host attribute mask bit at once, VALs packed and as text, and
-    // a joining host diffed against the default host.
+    // Every entry kind: a VAL in its base's form, a TN alone, a decimal
+    // after text; a TN gmond's rule implies and one it does not.
+    Host& h1 = next.clusters[0].hosts.at("h1");
+    h1.metrics[2].set_double(99.0);
+    h1.metrics[1].tn = 7;
+    h1.reported = 110;
+    h1.tn = 5;
+    Host& h2 = next.clusters[0].hosts.at("h2");
+    h2.tn = 30;
+    h2.metrics[3].value = "3.25";
+    // Every host attribute mask bit at once, VALs in another form, as
+    // text and as an upsert, and a joining host diffed against the
+    // default host.
     Host& h0 = next.clusters[0].hosts.at("h0");
     h0.ip = "10.0.0.2";
     h0.reported = 1'062'000'115;
@@ -309,28 +322,39 @@ struct DeltaCorpus {
     Host joiner = h0;
     joiner.name = "h3";
     next.clusters[0].hosts.emplace(joiner.name, std::move(joiner));
-    fed::NameDict dict;
+    fed::Dictionaries dict;
     fed::RowBuffer buffer;
     EXPECT_TRUE(fed::diff_report(base, next, dict, buffer));
     rows = buffer.bytes;
 
     net::put_u8(prefix, fed::kRowCluster);
     net::put_string(prefix, "fuzz");
-    define(prefix, 0, "h0");
-    net::put_u8(prefix, fed::kRowHost);
-    net::put_varint(prefix, 0);
-    define(prefix, 1, "m0");
+    define(prefix, fed::kSpaceHost, 0, "h0");
+    for (int m = 0; m < 4; ++m) {
+      define(prefix, fed::kSpaceMetric, static_cast<std::uint64_t>(m),
+             "m" + std::to_string(m));
+    }
+    define(prefix, fed::kSpaceMetric, 4, "absent");
+    record(prefix, 0, 0, 0);
 
     constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
-    for (const std::uint8_t mask : {std::uint8_t{0}, std::uint8_t{0x80},
-                                    std::uint8_t{0xff}}) {
-      std::string bits = prefix;  // empty or unknown mask bits
-      net::put_u8(bits, fed::kRowHostAttrs);
+    for (const std::uint8_t mask : {std::uint8_t{0x80}, std::uint8_t{0xff}}) {
+      std::string bits = prefix;  // unknown mask bits
+      net::put_u8(bits, fed::kRowHost);
+      net::put_varint(bits, 0);
       net::put_u8(bits, mask);
       net::put_string(bits, "10.0.0.3");
       for (int field = 0; field < 4; ++field) net::put_varint(bits, 1);
       net::put_string(bits, "0,0,0");
       net::put_varint(bits, 1);
+      net::put_varint(bits, 0);
+      hostile.push_back(std::move(bits));
+    }
+    for (const std::uint8_t mask : {std::uint8_t{0}, std::uint8_t{0xf0}}) {
+      std::string bits = prefix;  // empty or unknown cluster mask bits
+      net::put_u8(bits, fed::kRowClusterAttrs);
+      net::put_u8(bits, mask);
+      net::put_varint(bits, 2);
       hostile.push_back(std::move(bits));
     }
     for (const auto& [bit, first, second] :
@@ -338,9 +362,11 @@ struct DeltaCorpus {
           std::tuple{fed::kHostStarted, -kMax - 1, std::int64_t{-1}}}) {
       std::string overflow = prefix;  // int64 overflow on the second row
       for (const std::int64_t delta : {first, second}) {
-        net::put_u8(overflow, fed::kRowHostAttrs);
+        net::put_u8(overflow, fed::kRowHost);
+        net::put_varint(overflow, 0);
         net::put_u8(overflow, bit);
         net::put_varint(overflow, fed::zigzag(delta));
+        net::put_varint(overflow, 0);
       }
       hostile.push_back(std::move(overflow));
     }
@@ -351,52 +377,121 @@ struct DeltaCorpus {
           std::pair<std::uint8_t, std::uint64_t>{
               1, 10'000'000'000'000'000'000ull}}) {               // digits
       std::string value = prefix;
-      net::put_u8(value, fed::kRowMetricValue);
-      net::put_varint(value, 1);
+      record(value, 0, 0, 1);
+      net::put_varint(value, entry(1, fed::kEntryValue));
       net::put_u8(value, head);
       net::put_varint(value, digits);
       net::put_varint(value, 0);
       hostile.push_back(std::move(value));
     }
-    for (const std::uint8_t tag : {fed::kRowHost, fed::kRowHostRemove}) {
-      std::string past = prefix;  // host id past the dictionary
-      net::put_u8(past, tag);
-      net::put_varint(past, 2);
-      hostile.push_back(std::move(past));
-    }
+    std::string remove = prefix;  // host id past the dictionary
+    net::put_u8(remove, fed::kRowHostRemove);
+    net::put_varint(remove, 1);
+    hostile.push_back(std::move(remove));
     std::string sum = prefix;  // a sum for a metric the summary lacks
     net::put_u8(sum, fed::kRowSummarySum);
     net::put_varint(sum, 1);
     net::put_f64(sum, 2.5);
     hostile.push_back(std::move(sum));
+
+    // Records whose last entry (or whose host id) is bad, after a new IP
+    // and REPORTED and one good entry, none of which may land.
+    const auto good = [] {
+      std::string e;
+      net::put_varint(e, entry(0, fed::kEntryDigits));  // m0: "0" -> "7"
+      net::put_varint(e, 7);
+      net::put_varint(e, 3);
+      return e;
+    }();
+    const auto tn_of = [](std::uint64_t metric) {
+      std::string e;
+      net::put_varint(e, entry(metric, fed::kEntryTn));
+      net::put_varint(e, 9);
+      return e;
+    };
+    std::string digits_over_text;
+    net::put_varint(digits_over_text, entry(3, fed::kEntryDigits));
+    net::put_varint(digits_over_text, 5);
+    net::put_varint(digits_over_text, 0);
+    std::string unknown_kind;
+    net::put_varint(unknown_kind, entry(1, 3));
+    net::put_varint(unknown_kind, 9);
+    const std::pair<std::uint64_t, std::string> bad[] = {
+        {5, good + tn_of(1) + tn_of(2) + tn_of(3) + tn_of(4)},  // > metrics
+        {2, good + tn_of(7)},                      // id past the dictionary
+        {2, good + tn_of(4)},                      // a metric h0 lacks
+        {2, good + tn_of(0)},                      // m0 twice
+        {2, good + unknown_kind},                  // kind 3
+        {2, good + digits_over_text},              // digits over "linux"
+    };
+    for (const auto& [count, entries] : bad) {
+      records.push_back(changed_record(0, count) + entries);
+    }
+    records.push_back(changed_record(1, 1) + good);  // host id past
   }
 
-  static void define(std::string& out, std::uint64_t id,
+  /// The metric entry head of `metric` with `kind`.
+  static std::uint64_t entry(std::uint64_t metric, std::uint8_t kind) {
+    return metric << fed::kEntryKindBits | kind;
+  }
+
+  /// `prefix` plus the head of a record for `host` that moves its IP and
+  /// REPORTED, ending with an entry count of `count`.
+  std::string changed_record(std::uint64_t host, std::uint64_t count) const {
+    std::string out = prefix;
+    net::put_u8(out, fed::kRowHost);
+    net::put_varint(out, host);
+    net::put_u8(out, fed::kHostIp | fed::kHostReported);
+    net::put_string(out, "10.9.9.9");
+    net::put_varint(out, fed::zigzag(5));
+    net::put_varint(out, count);
+    return out;
+  }
+
+  /// A record for `host` with `mask` (its fields follow) and `count`
+  /// entries (they follow).
+  static void record(std::string& out, std::uint64_t host, std::uint8_t mask,
+                     std::uint64_t count) {
+    net::put_u8(out, fed::kRowHost);
+    net::put_varint(out, host);
+    net::put_u8(out, mask);
+    net::put_varint(out, count);
+  }
+
+  static void define(std::string& out, std::uint8_t space, std::uint64_t id,
                      std::string_view name) {
     net::put_u8(out, fed::kRowDefineName);
-    net::put_varint(out, id);
+    net::put_varint(out, id << 1 | space);
     net::put_string(out, name);
   }
 };
 
 TEST_P(FuzzSeeds, DeltaApplierNeverCrashes) {
   const DeltaCorpus corpus;
+  Report primed = corpus.base;
   {
     Report doc = corpus.base;
-    std::vector<std::string> names;
+    fed::Names names;
     ASSERT_TRUE(fed::apply_rows(doc, corpus.rows, names, nullptr).ok());
-    Report again = corpus.base;
     names.clear();
-    ASSERT_TRUE(fed::apply_rows(again, corpus.prefix, names, nullptr).ok());
+    ASSERT_TRUE(fed::apply_rows(primed, corpus.prefix, names, nullptr).ok());
   }
   for (const std::string& stream : corpus.hostile) {
     Report doc = corpus.base;
-    std::vector<std::string> names;
+    fed::Names names;
     EXPECT_FALSE(fed::apply_rows(doc, stream, names, nullptr).ok());
+  }
+  for (std::size_t i = 0; i < corpus.records.size(); ++i) {
+    Report doc = corpus.base;
+    fed::Names names;
+    EXPECT_FALSE(fed::apply_rows(doc, corpus.records[i], names, nullptr).ok())
+        << "record " << i;
+    EXPECT_EQ(write_report(doc), write_report(primed))
+        << "refused record " << i << " changed the report";
   }
   for (int i = 0; i < 200; ++i) {
     Report doc = corpus.base;
-    std::vector<std::string> names;
+    fed::Names names;
     (void)fed::apply_rows(doc, random_bytes(rng_, 300), names, nullptr);
   }
   // Mutated valid and hostile row streams: accepted or parse_error, never
@@ -411,12 +506,14 @@ TEST_P(FuzzSeeds, DeltaApplierNeverCrashes) {
                              static_cast<char>(rng_.next_below(256))); break;
     }
     Report doc = corpus.base;
-    std::vector<std::string> names;
+    fed::Names names;
     (void)fed::apply_rows(doc, mutated, names, nullptr);
   };
   for (int i = 0; i < 300; ++i) mutate_and_apply(corpus.rows);
-  for (const std::string& stream : corpus.hostile) {
-    for (int i = 0; i < 20; ++i) mutate_and_apply(stream);
+  for (const auto* streams : {&corpus.hostile, &corpus.records}) {
+    for (const std::string& stream : *streams) {
+      for (int i = 0; i < 20; ++i) mutate_and_apply(stream);
+    }
   }
 }
 

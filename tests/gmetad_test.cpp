@@ -284,7 +284,7 @@ TEST(Store, UnreachablePlaceholderKeepsLastKnownData) {
   Store store;
   store.publish(std::make_shared<SourceSnapshot>("alpha",
                                                  cluster_report("alpha", 4), 100));
-  store.publish(SourceSnapshot::unreachable_from(store.get("alpha"), "alpha", 130));
+  store.publish(SourceSnapshot::unreachable_from(store.get("alpha"), "alpha"));
 
   auto snapshot = store.get("alpha");
   ASSERT_NE(snapshot, nullptr);
@@ -295,7 +295,7 @@ TEST(Store, UnreachablePlaceholderKeepsLastKnownData) {
 }
 
 TEST(Store, UnreachableWithNoHistoryIsEmpty) {
-  auto snapshot = SourceSnapshot::unreachable_from(nullptr, "ghost", 10);
+  auto snapshot = SourceSnapshot::unreachable_from(nullptr, "ghost");
   EXPECT_FALSE(snapshot->reachable());
   EXPECT_EQ(snapshot->host_count(), 0u);
   EXPECT_TRUE(snapshot->summary().empty());

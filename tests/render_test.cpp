@@ -309,6 +309,53 @@ TEST(ReadDrivenPriming, UnreachableSourceStaysPrimedForItsReaders) {
   }
 }
 
+TEST(ReadDrivenPriming, RefusedRoundsShareTheLastReportAndItsFragments) {
+  // While a source stays dark, each stale copy holds the last report it
+  // delivered and the fragment bytes its readers asked for: nothing is
+  // copied, indexed, summarised or serialised again, in either mode.
+  for (const Mode mode : {Mode::one_level, Mode::n_level}) {
+    SCOPED_TRACE(mode == Mode::n_level ? "n-level" : "1-level");
+    Testbed bed(fig2_spec(3, mode));
+    Gmetad& root = bed.node("root");
+    const auto read_root = [&root] {
+      EXPECT_TRUE(root.query_rendered("/", render::Format::json).ok());
+      EXPECT_FALSE(root.dump_xml().empty());
+    };
+    bed.run_round();
+    read_root();
+    const auto delivered = root.store().get("ucsd");
+    ASSERT_TRUE(delivered->reachable());
+    const std::uint32_t built = delivered->fragment_use().built;
+    ASSERT_NE(built, 0u);
+    const std::string* xml = &render::cluster_fragment(
+        *delivered, render::Format::xml);
+    const std::string* grids = &render::grid_fragment(
+        *delivered, render::Format::json, mode);
+
+    net::FailurePolicy refuse;
+    refuse.kind = net::FailurePolicy::Kind::refuse;
+    bed.transport().set_failure(Testbed::dump_address("ucsd"), refuse);
+    auto previous = delivered;
+    for (int round = 0; round < 3; ++round) {
+      bed.run_round();
+      const auto stale = root.store().get("ucsd");
+      ASSERT_NE(stale, previous) << "a stale copy is published every round";
+      ASSERT_FALSE(stale->reachable());
+      EXPECT_EQ(stale->fetched_at(), delivered->fetched_at());
+      EXPECT_EQ(stale->clusters().data(), delivered->clusters().data());
+      EXPECT_EQ(stale->grids().data(), delivered->grids().data());
+      EXPECT_EQ(&stale->summary(), &delivered->summary());
+      EXPECT_EQ(stale->fragment_use().built, built) << "no slot built anew";
+      EXPECT_EQ(stale->fragment_use().read, 0u) << "reads are per snapshot";
+      EXPECT_EQ(&render::cluster_fragment(*stale, render::Format::xml), xml);
+      EXPECT_EQ(&render::grid_fragment(*stale, render::Format::json, mode),
+                grids);
+      read_root();
+      previous = stale;
+    }
+  }
+}
+
 // -------------------------------------------------------- store versioning
 
 TEST(StoreVersions, PublishAssignsUniqueMonotonicVersions) {
