@@ -115,7 +115,7 @@ void Agent::tick() {
       incarnation = next->incarnation;
     } else if (!sync_) {
       // Nobody to probe: pull the group from a seed.
-      if (auto seed = pick_seed_locked()) sync_ = Sync{std::move(*seed), ""};
+      if (auto seed = pick_seed_locked()) schedule_sync_locked(seed->address);
     }
     const std::vector<PeerRef> dead = table_.peers({MemberState::dead});
     if (!dead.empty()) {
@@ -139,13 +139,9 @@ Message Agent::stamp_locked(MessageKind kind) {
   Message message;
   message.kind = kind;
   message.digest = table_.digest();
-  message.sender.id = self.id;
-  message.sender.address = self.address;
-  message.sender.incarnation = self.incarnation;
-  message.sender.state = self.state;
+  message.sender = self.id;
   // Every change to our row changes its version; the row then leads our
-  // next retransmit_limit messages, and after that only the reference
-  // goes out.
+  // next retransmit_limit messages, and after that only our id goes out.
   const std::uint64_t version = row_hash(self);
   if (version != self_version_) {
     self_version_ = version;
@@ -159,10 +155,9 @@ Message Agent::stamp_locked(MessageKind kind) {
 }
 
 Message Agent::message_locked(MessageKind kind, const std::string& receiver_id,
-                              const PeerRef& target) {
+                              const std::string& target_id) {
   Message message = stamp_locked(kind);
-  message.target_id = target.id;
-  message.target_address = target.address;
+  message.target_id = target_id;
 
   // Piggyback rows within the cap (3 bytes of slack for the row count).
   std::size_t size = encode_message(message).size() + 3;
@@ -212,6 +207,9 @@ Message Agent::message_locked(MessageKind kind, const std::string& receiver_id,
 
 Message Agent::sync_request_locked(const std::string& from) {
   Message request = stamp_locked(MessageKind::sync);
+  // Our row rides every request, news or not: a responder that dropped us
+  // learns our address from it, and can pull back what it lacks.
+  if (request.rows.empty()) request.rows.push_back(table_.self());
   request.page_from = from;
   // Hash the rows after `from` while they fit; each may also end the page,
   // so reserve room to name it.
@@ -253,7 +251,7 @@ Message Agent::sync_reply_locked(const Message& request) {
     mine.insert(hash);
     if (cut) continue;
     const MemberEntry& row = it->second;
-    if (have.count(hash) == 0 && row.id != request.sender.id &&
+    if (have.count(hash) == 0 && row.id != request.sender &&
         (row.id != options_.id || !self_carried)) {
       scratch.clear();
       encode_row(scratch, row);
@@ -272,7 +270,7 @@ Message Agent::sync_reply_locked(const Message& request) {
   // The request shows rows we do not hold: pull them back.
   for (const std::uint64_t hash : request.have) {
     if (mine.count(hash) == 0) {
-      schedule_sync_locked(request.sender);
+      sync_with_member_locked(request.sender);
       break;
     }
   }
@@ -283,18 +281,22 @@ void Agent::merge_locked(const MemberEntry& row, TimeUs now) {
   if (table_.merge(row, now, pending_)) news_[row.id] = 0;
 }
 
-void Agent::absorb_locked(const Message& message, bool compare_digest) {
+bool Agent::absorb_locked(const Message& message) {
   const TimeUs now = clock_.now_us();
   for (const MemberEntry& row : message.rows) merge_locked(row, now);
-  if (compare_digest && message.digest != table_.digest()) {
-    schedule_sync_locked(message.sender);
+  return message.digest != table_.digest();
+}
+
+void Agent::sync_with_member_locked(const std::string& id) {
+  const MemberEntry* peer = table_.find(id);
+  if (peer != nullptr && (peer->state == MemberState::alive ||
+                          peer->state == MemberState::suspect)) {
+    schedule_sync_locked(peer->address);
   }
 }
 
-void Agent::schedule_sync_locked(const MemberEntry& peer) {
-  if (!sync_ && peer.state == MemberState::alive) {
-    sync_ = Sync{{peer.id, peer.address}, ""};
-  }
+void Agent::schedule_sync_locked(const std::string& address) {
+  if (!sync_) sync_ = Sync{address, ""};
 }
 
 // ------------------------------------------------------------- exchanges
@@ -312,13 +314,13 @@ void Agent::probe(const PeerRef& target, std::uint64_t incarnation) {
     Message request;
     {
       std::lock_guard lock(mutex_);
-      request = message_locked(MessageKind::ping_req, helper.id, target);
+      request = message_locked(MessageKind::ping_req, helper.id, target.id);
     }
     const Result<Message> reply = round_trip(helper.address, request);
     if (!reply.ok()) continue;
     {
       std::lock_guard lock(mutex_);
-      absorb_locked(*reply, true);
+      if (absorb_locked(*reply)) schedule_sync_locked(helper.address);
     }
     dispatch();
     if (reply->kind == MessageKind::ack) return;
@@ -347,10 +349,10 @@ bool Agent::ping(const PeerRef& target) {
   if (!reply.ok() || reply->kind != MessageKind::ack) return false;
   {
     std::lock_guard lock(mutex_);
-    absorb_locked(*reply, true);
+    if (absorb_locked(*reply)) schedule_sync_locked(target.address);
   }
   dispatch();
-  return target.id.empty() || reply->sender.id == target.id;
+  return target.id.empty() || reply->sender == target.id;
 }
 
 void Agent::sync_page(const Sync& sync) {
@@ -360,16 +362,15 @@ void Agent::sync_page(const Sync& sync) {
     if (sync.from.empty()) ++stats_.full_resyncs;
     request = sync_request_locked(sync.from);
   }
-  const Result<Message> reply = round_trip(sync.peer.address, request);
+  const Result<Message> reply = round_trip(sync.address, request);
   {
     std::lock_guard lock(mutex_);
     sync_.reset();
     if (reply.ok() && reply->kind == MessageKind::sync) {
-      absorb_locked(*reply, false);
+      (void)absorb_locked(*reply);
       // Keep paging until a reply covers the rest of our id order.
       if (!reply->page_to.empty() && reply->page_to > sync.from) {
-        sync_ = Sync{{reply->sender.id, reply->sender.address},
-                     reply->page_to};
+        sync_ = Sync{sync.address, reply->page_to};
       }
     }
   }
@@ -388,7 +389,7 @@ Result<Message> Agent::round_trip(const std::string& address,
   const Result<std::string> reply = exchange(address, payload, carried);
   Result<Message> message =
       reply.ok() ? decode_message(*reply) : Result<Message>(reply.error());
-  if (message.ok() && message->sender.id == options_.id) {
+  if (message.ok() && message->sender == options_.id) {
     message = Error{Errc::invalid_argument, "gossip: reply from own id"};
   }
   std::lock_guard lock(mutex_);
@@ -445,7 +446,7 @@ Result<std::string> Agent::exchange(const std::string& address,
 Result<std::string> Agent::handle_digest_payload(std::string_view payload) {
   auto request = decode_message(payload);
   if (!request.ok()) return request.error();
-  if (request->sender.id == options_.id) {
+  if (request->sender == options_.id) {
     return Error{Errc::invalid_argument, "gossip: message from own id"};
   }
   Message reply;
@@ -456,30 +457,28 @@ Result<std::string> Agent::handle_digest_payload(std::string_view payload) {
     ++stats_.digests_received;
     switch (request->kind) {
       case MessageKind::ping:
-        absorb_locked(*request, true);
-        reply = message_locked(MessageKind::ack, request->sender.id);
+        if (absorb_locked(*request)) sync_with_member_locked(request->sender);
+        reply = message_locked(MessageKind::ack, request->sender);
         break;
       case MessageKind::ping_req: {
-        absorb_locked(*request, true);
-        // Dial only a member we hold at that address: the port is open to
-        // untrusted peers, and a ping-req must not make us a relay to
-        // arbitrary hosts.  A relay holds the serving thread for up to one
-        // exchange bound, so relay one at a time and nack the rest.
+        if (absorb_locked(*request)) sync_with_member_locked(request->sender);
+        // Dial only a member we hold, at the address we hold: the port is
+        // open to untrusted peers, and a ping-req must not make us a relay
+        // to arbitrary hosts.  A relay holds the serving thread for up to
+        // one exchange bound, so relay one at a time and nack the rest.
         const MemberEntry* target = table_.find(request->target_id);
-        const bool known =
-            target != nullptr && target->address == request->target_address;
-        const bool self = known && target->id == options_.id;
-        if (known && !self && !relaying_) {
+        const bool self = request->target_id == options_.id;
+        if (target != nullptr && !self && !relaying_) {
           relaying_ = true;
           relay = PeerRef{target->id, target->address};
         } else {
           reply = message_locked(self ? MessageKind::ack : MessageKind::nack,
-                                 request->sender.id);
+                                 request->sender);
         }
         break;
       }
       case MessageKind::sync:
-        absorb_locked(*request, false);
+        (void)absorb_locked(*request);
         reply = sync_reply_locked(*request);
         break;
       case MessageKind::ack:
@@ -493,7 +492,7 @@ Result<std::string> Agent::handle_digest_payload(std::string_view payload) {
     std::lock_guard lock(mutex_);
     relaying_ = false;
     reply = message_locked(reached ? MessageKind::ack : MessageKind::nack,
-                           request->sender.id);
+                           request->sender);
   }
   std::string out = encode_message(reply);
   std::lock_guard lock(mutex_);

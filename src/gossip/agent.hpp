@@ -29,27 +29,34 @@
 // to a member we hold SUSPECT or DEAD leads with that member's own row, as
 // SUSPECT, so it can refute.  Our own row is news after each change to it
 // (our start, a refutation, a new address or metadata, our leave): it
-// leads the rows of our next 3·⌈log10(n+1)⌉ messages of any kind, sync
-// included.  Otherwise a message names its sender only by reference
-// (state, id, address, incarnation), which no receiver merges.  In a
-// steady group no row changes, and a message carries no row at all: O(1)
-// bytes per member per round.
+// leads the rows of our next 3·⌈log10(n+1)⌉ messages of any kind, and it
+// rides every sync request we send.  Otherwise a message names its sender
+// by id alone.  In a steady group no row changes, and a message carries no
+// row at all: O(1) bytes per member per round.
+//
+// Trust.  The gossip port admits untrusted peers, so the agent resolves
+// every id a message names against its own table and dials only seeds and
+// addresses it holds: an address enters the table only through a row (by
+// precedence) or a seed.  A ping-req names its target by id, and is
+// honoured only for a target we hold, pinged at the address we hold for
+// it, and only one at a time (a relay holds a serving thread for up to one
+// exchange bound); anything else is nacked without a dial.
 //
 // Anti-entropy.  Joins are not news.  Every message carries its sender's
 // digest, over every row's id, incarnation and verdict; one that differs
-// from ours schedules a sync with its sender, at the address its reference
-// names, on our next tick.  So a reference we hold no matching row for —
-// an unknown member, a newer incarnation — is repaired by a sync, and a
-// member we dropped (a healed partition, a restarted failover primary) is
-// found again through the address it gives.  A sync request names one page
-// of our id order and the hashes of the rows we hold there; the reply
-// carries the rows in that page whose versions we lack, so it brings both
-// the members we never heard of and any news we missed.  We keep paging
-// until a reply reaches the end of the order.
-// The responder answers from the request alone (so syncs served
-// concurrently cannot mix pages) and schedules a pull back when the
-// request shows versions it lacks.  A member with no ALIVE or SUSPECT
-// peer syncs with a seed.
+// from ours schedules a sync on our next tick.  In a reply, the sync goes
+// to the address we dialed; in a request, only to a sender we hold ALIVE
+// or SUSPECT, at the address we hold.  A sync request names one page of
+// our id order and the hashes of the rows we hold there, and carries our
+// own row; the reply carries the rows in that page whose versions we lack,
+// so it brings both the members we never heard of and any news we missed.
+// We keep paging until a reply reaches the end of the order.  The
+// responder answers from the request alone (so syncs served concurrently
+// cannot mix pages) and schedules a pull back when the request shows
+// versions it lacks.  So a member that dropped us (a healed partition, a
+// restarted failover primary) learns our address from the row in our
+// sync request and pulls the rest back from there.  A member with no
+// ALIVE or SUSPECT peer syncs with a seed.
 //
 // Completeness: every live member keeps probing every member it holds, so
 // a crashed one is suspected within about one round-robin cycle even if
@@ -61,11 +68,7 @@
 // A carrier hook lets messages piggyback on out-of-band channels: when set
 // (the gmetad wires it to its federation poll sessions), exchanges are
 // offered to the carrier first and only dial a fresh gossip connection
-// when no carrier channel exists for that peer.  The gossip port admits
-// untrusted peers, so a ping-req is honoured only for a target held in our
-// table at that address, and only one at a time (a relay holds a serving
-// thread for up to one exchange bound); anything else is nacked without a
-// dial.
+// when no carrier channel exists for that peer.
 //
 // Driving: call tick() from a deterministic loop (sim tests, benches) or
 // from the gmetad daemon scheduler.  The agent owns no listener and no
@@ -119,8 +122,8 @@ struct AgentStats {
   std::uint64_t digests_received = 0;
   std::uint64_t bytes_out = 0;       ///< message bytes written (both roles)
   std::uint64_t bytes_in = 0;        ///< message bytes read (both roles)
-  /// Rows sent: piggybacked news (our own row while it is news) and sync
-  /// pages.
+  /// Rows sent: piggybacked news (our own row while it is news), our own
+  /// row in each sync request, and sync pages.
   std::uint64_t digest_rows_sent = 0;
   std::uint64_t full_resyncs = 0;    ///< anti-entropy syncs started
   std::uint64_t piggyback_exchanges = 0; ///< exchanges via the carrier
@@ -182,9 +185,10 @@ class Agent {
   static constexpr std::uint64_t kSeedProbePeriod = 8;
 
  private:
-  /// An anti-entropy sync in progress: the next page to pull from `peer`.
+  /// An anti-entropy sync in progress: the next page to pull from
+  /// `address` (a seed, or an address we dialed or hold).
   struct Sync {
-    PeerRef peer;  ///< id empty while it is a seed we have not heard from
+    std::string address;
     std::string from;
   };
 
@@ -196,21 +200,23 @@ class Agent {
   /// Up to `count` distinct random members of `peers`.
   std::vector<PeerRef> sample_locked(std::vector<PeerRef> peers,
                                      std::size_t count);
-  /// A `kind` message from us: our digest and reference, and our own row
-  /// while it is news.
+  /// A `kind` message from us: our digest and id, and our own row while
+  /// it is news.
   Message stamp_locked(MessageKind kind);
   /// A message from us to `receiver_id`, with news piggybacked.
   Message message_locked(MessageKind kind, const std::string& receiver_id,
-                         const PeerRef& target = {});
+                         const std::string& target_id = {});
   Message sync_request_locked(const std::string& from);
   Message sync_reply_locked(const Message& request);
   /// Merge one row; a change to a known member becomes news.
   void merge_locked(const MemberEntry& row, TimeUs now);
-  /// Merge a message's rows (never its sender's reference), and schedule
-  /// a sync with its sender when `compare_digest` and the digests differ.
-  void absorb_locked(const Message& message, bool compare_digest);
-  /// Sync with `peer` (a sender's reference) at the address it names.
-  void schedule_sync_locked(const MemberEntry& peer);
+  /// Merge a message's rows.  True when its digest differs from ours.
+  bool absorb_locked(const Message& message);
+  /// Sync with member `id` at the address we hold, if we hold it ALIVE or
+  /// SUSPECT.
+  void sync_with_member_locked(const std::string& id);
+  /// Sync at `address`, unless a sync is already pending.
+  void schedule_sync_locked(const std::string& address);
 
   /// Ping `target`, then ping-req through `fanout` members; SUSPECT when
   /// nobody reaches it.

@@ -28,30 +28,18 @@ bool get_text(net::WireReader& reader, std::string& out, std::size_t max,
   return true;
 }
 
-/// A reference: the row's state, id, address and incarnation.
-void encode_reference(std::string& out, const MemberEntry& row) {
-  net::put_u8(out, static_cast<std::uint8_t>(row.state));
-  net::put_string(out, row.id);
-  net::put_string(out, row.address);
-  net::put_varint(out, row.incarnation);
-}
-
-bool decode_reference(net::WireReader& reader, MemberEntry& row) {
+bool decode_row(net::WireReader& reader, MemberEntry& row) {
   std::uint8_t state = 0;
+  std::uint64_t pairs = 0;
   if (!reader.get_u8(state) ||
       state > static_cast<std::uint8_t>(MemberState::left)) {
     return false;
   }
   row.state = static_cast<MemberState>(state);
-  return get_text(reader, row.id, kMaxIdBytes, false) &&
-         get_text(reader, row.address, kMaxAddressBytes, false) &&
-         reader.get_varint(row.incarnation) &&
-         wire_row_ok(row.state, row.incarnation);
-}
-
-bool decode_row(net::WireReader& reader, MemberEntry& row) {
-  std::uint64_t pairs = 0;
-  if (!decode_reference(reader, row) || !reader.get_varint(pairs) ||
+  if (!get_text(reader, row.id, kMaxIdBytes, false) ||
+      !get_text(reader, row.address, kMaxAddressBytes, false) ||
+      !reader.get_varint(row.incarnation) ||
+      !wire_row_ok(row.state, row.incarnation) || !reader.get_varint(pairs) ||
       pairs > kMaxMetaPairs) {
     return false;
   }
@@ -70,7 +58,10 @@ bool decode_row(net::WireReader& reader, MemberEntry& row) {
 }  // namespace
 
 void encode_row(std::string& out, const MemberEntry& row) {
-  encode_reference(out, row);
+  net::put_u8(out, static_cast<std::uint8_t>(row.state));
+  net::put_string(out, row.id);
+  net::put_string(out, row.address);
+  net::put_varint(out, row.incarnation);
   net::put_varint(out, row.meta.size());
   for (const auto& [key, value] : row.meta) {
     net::put_string(out, key);
@@ -80,13 +71,12 @@ void encode_row(std::string& out, const MemberEntry& row) {
 
 std::string encode_message(const Message& message) {
   std::string out;
-  net::put_varint(out, kMessageMagic);
+  net::put_u8(out, kMessageVersion);
   net::put_u8(out, static_cast<std::uint8_t>(message.kind));
   put_u64(out, message.digest);
-  encode_reference(out, message.sender);
+  net::put_string(out, message.sender);
   if (message.kind == MessageKind::ping_req) {
     net::put_string(out, message.target_id);
-    net::put_string(out, message.target_address);
   } else if (message.kind == MessageKind::sync) {
     net::put_string(out, message.page_from);
     net::put_string(out, message.page_to);
@@ -103,9 +93,9 @@ Result<Message> decode_message(std::string_view payload) {
   const auto fail = [] {
     return Error{Errc::parse_error, "gossip: malformed message"};
   };
-  std::uint64_t magic = 0;
+  std::uint8_t version = 0;
   std::uint8_t kind = 0;
-  if (!reader.get_varint(magic) || magic != kMessageMagic ||
+  if (!reader.get_u8(version) || version != kMessageVersion ||
       !reader.get_u8(kind) ||
       kind < static_cast<std::uint8_t>(MessageKind::ping) ||
       kind > static_cast<std::uint8_t>(MessageKind::sync)) {
@@ -114,17 +104,11 @@ Result<Message> decode_message(std::string_view payload) {
   Message message;
   message.kind = static_cast<MessageKind>(kind);
   if (!get_u64(reader, message.digest) ||
-      !decode_reference(reader, message.sender)) {
-    return fail();
-  }
-  // Only the member itself speaks for its row, and it never doubts itself.
-  if (message.sender.state != MemberState::alive &&
-      message.sender.state != MemberState::left) {
+      !get_text(reader, message.sender, kMaxIdBytes, false)) {
     return fail();
   }
   if (message.kind == MessageKind::ping_req &&
-      (!get_text(reader, message.target_id, kMaxIdBytes, false) ||
-       !get_text(reader, message.target_address, kMaxAddressBytes, false))) {
+      !get_text(reader, message.target_id, kMaxIdBytes, false)) {
     return fail();
   }
   if (message.kind == MessageKind::sync) {

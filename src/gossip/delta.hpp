@@ -6,48 +6,47 @@
 //   ping_req  "ping `target` for me"         answered by ack or nack
 //   sync      one anti-entropy page          answered by sync
 //
-// Every message names its sender by reference — its state, id, address
-// and incarnation, without the metadata — and carries the sender's digest
-// (gossip/member_table.hpp), so a differing digest is how two members
-// notice that their views differ.  A receiver never merges a reference: a
-// member's row travels only as a row, and its own row rides in `rows` only
+// Every message names its sender by id alone and carries the sender's
+// digest (gossip/member_table.hpp), so a differing digest is how two
+// members notice that their views differ.  A member's address, state and
+// incarnation travel only in its row, and the receiver resolves every id
+// against its own table: an address enters the table only through a row
+// or a seed (gossip/agent.hpp).  The sender's own row rides in `rows`
 // while it is news (the first 3·⌈log10(n+1)⌉ messages of any kind after it
-// last changed), so a settled probe carries no row at all.  Pings, acks,
-// ping-reqs and nacks also piggyback other membership news: rows that
-// changed recently.  A sync request names one page of the requester's id
-// order — the ids after `page_from` up to `page_to`, "" meaning the end —
-// and the 8-byte hashes (row_hash) of the rows it holds there; the reply
-// carries the responder's rows in that page whose hashes the request
-// lacks, and its `page_to` says how far it got.
+// last changed) and in every sync request, so a settled probe carries no
+// row at all.  Pings, acks, ping-reqs and nacks also piggyback other
+// membership news: rows that changed recently.  A sync request names one
+// page of the requester's id order — the ids after `page_from` up to
+// `page_to`, "" meaning the end — and the 8-byte hashes (row_hash) of the
+// rows it holds there; the reply carries the responder's rows in that page
+// whose hashes the request lacks, and its `page_to` says how far it got.
 //
 // One message payload (before framing):
 //
-//   varint  magic "GGS2"
+//   u8      version             3 (GGS3)
 //   u8      kind
 //   u64     digest              sender's digest, little-endian
-//   ref     sender              the sender's reference
-//   [ping_req: string target_id, string target_address]
+//   string  sender              the sender's id
+//   [ping_req: string target_id]
 //   [sync:     string page_from, string page_to,
 //              varint n, n * u64 row hash]
 //   varint  row_count
 //   row*    row_count
 //
-// A reference is:
+// and a row is:
 //
-//   u8      state               ALIVE | SUSPECT | DEAD | LEFT
+//   u8      state               ALIVE | SUSPECT | LEFT (never DEAD)
 //   string  id
 //   string  address
 //   varint  incarnation
-//
-// and a row is a reference followed by its metadata:
-//
 //   varint  n, n * (string key, string value)
 //
 // The decoder is structural and bounded: every string, row count, hash
-// count and metadata block has a hard cap, a sender may only describe
-// itself as ALIVE or LEFT, every reference and row must pass wire_row_ok
-// (no DEAD row, no incarnation past kMaxIncarnation, no doubt at it), and
-// anything malformed — a GGS1 payload included — is refused whole.
+// count and metadata block has a hard cap, no id or address may be empty,
+// every row must pass wire_row_ok (no DEAD row, no incarnation past
+// kMaxIncarnation, no doubt at it), and anything malformed — a payload of
+// an earlier wire (GGS2 or GGS1, which began with a varint magic) included
+// — is refused whole.
 //
 // Frames: a message rides the GFD1 frame space as kFrameDigestBegin
 // (varint total payload size) followed by kFrameDigestChunk frames, each
@@ -75,8 +74,8 @@ namespace ganglia::gossip {
 inline constexpr std::uint8_t kFrameDigestBegin = 10;
 inline constexpr std::uint8_t kFrameDigestChunk = 11;
 
-/// Payload magic: "GGS2" little-endian.
-inline constexpr std::uint64_t kMessageMagic = 0x32534747;
+/// The payload's first byte: GGS3.
+inline constexpr std::uint8_t kMessageVersion = 3;
 
 enum class MessageKind : std::uint8_t {
   ping = 1,
@@ -89,12 +88,10 @@ enum class MessageKind : std::uint8_t {
 struct Message {
   MessageKind kind = MessageKind::ping;
   std::uint64_t digest = 0;  ///< sender's digest (MemberTable::digest)
-  /// The sender's reference: state, id, address and incarnation.  Its
-  /// metadata never travels here, and a receiver never merges it.
-  MemberEntry sender;
-  /// ping_req: the member to probe, at the address the requester holds.
+  std::string sender;  ///< the sender's id
+  /// ping_req: the member to probe, by id; the relay pings the address it
+  /// holds for it.
   std::string target_id;
-  std::string target_address;
   /// sync: the page, (page_from, page_to] in id order ("" = the end).
   std::string page_from;
   std::string page_to;

@@ -14,12 +14,12 @@ struct Exec {
   QueryError err;   ///< valid when failed
   bool failed = false;
 
-  Exec(const Plan& plan, const gmetad::Archiver* archiver,
-       const Budget& budget)
-      : plan(plan),
-        archiver(archiver),
-        budget(budget),
-        table(budget.max_groups) {}
+  Exec(const Plan& plan_in, const gmetad::Archiver* archiver_in,
+       const Budget& budget_in)
+      : plan(plan_in),
+        archiver(archiver_in),
+        budget(budget_in),
+        table(budget_in.max_groups) {}
 
   bool charge(std::uint64_t units) {
     stats.scanned += units;

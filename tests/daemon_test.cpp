@@ -30,13 +30,12 @@ using gmetad::GmetadConfig;
 using net::ServiceServer;
 
 /// A sync request from `sender` that holds no member: the smallest
-/// request the gossip port answers, with every row the daemon holds.  The
-/// sender's reference names a loopback port nothing listens on.
+/// request the gossip port answers, with every row the daemon holds.  It
+/// carries no row, so the daemon learns no address of `sender`.
 std::string probe_payload(const std::string& sender) {
   gossip::Message probe;
   probe.kind = gossip::MessageKind::sync;
-  probe.sender.id = sender;
-  probe.sender.address = "127.0.0.1:1";
+  probe.sender = sender;
   return gossip::encode_message(probe);
 }
 
@@ -337,7 +336,7 @@ TEST(Daemon, TwoDaemonsGossipThroughTheirBoundPortsOverTcp) {
   ASSERT_TRUE((*probe)->write_all(gossip_probe("probe")).ok());
   auto reply = read_gossip_reply(**probe);
   ASSERT_TRUE(reply.ok()) << reply.error().to_string();
-  EXPECT_EQ(reply->sender.id, "alpha");
+  EXPECT_EQ(reply->sender, "alpha");
   EXPECT_EQ(reply->rows.size(), 2u);
 
   // Garbage (a frame that is no digest) and an oversize digest are closed
@@ -522,7 +521,7 @@ void expect_ports_isolated(net::Transport& transport) {
     ASSERT_TRUE((*stream)->write_all(gossip_probe("probe")).ok());
     auto reply = read_gossip_reply(**stream);
     ASSERT_TRUE(reply.ok()) << reply.error().to_string();
-    EXPECT_EQ(reply->sender.id, "ports");
+    EXPECT_EQ(reply->sender, "ports");
   });
 
   monitor.stop();

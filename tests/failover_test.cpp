@@ -276,8 +276,7 @@ TEST_F(FailoverTest, ForgedVerdictsAboutALivePrimaryNeverPromote) {
   ASSERT_GE(rounds_until([&] { return has_source(*prime_, "attic"); }, 10), 0);
   gossip::Agent& standby = *stand_->membership();
   gossip::Message lie;
-  lie.sender.id = "evil";
-  lie.sender.address = "evil:8654";
+  lie.sender = "evil";
   lie.rows.push_back(*standby.member("prime"));
   const auto tell = [&](gossip::MemberState state, std::uint64_t incarnation) {
     lie.rows[0].state = state;

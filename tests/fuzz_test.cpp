@@ -616,7 +616,7 @@ std::vector<std::string> make_message_corpus() {
   };
   gossip::Message ping;
   ping.digest = 0x5eed;
-  ping.sender = member(0, gossip::MemberState::alive);
+  ping.sender = "gm0";
   // Every state that travels (DEAD never does).
   ping.rows = {member(1, gossip::MemberState::suspect),
                member(2, gossip::MemberState::alive),
@@ -624,10 +624,10 @@ std::vector<std::string> make_message_corpus() {
   gossip::Message ping_req = ping;
   ping_req.kind = gossip::MessageKind::ping_req;
   ping_req.target_id = "gm9";
-  ping_req.target_address = "gm9:8654";
   gossip::Message sync;
   sync.kind = gossip::MessageKind::sync;
   sync.sender = ping.sender;
+  sync.rows = {member(0, gossip::MemberState::alive)};
   sync.page_from = "gm1";
   sync.page_to = "gm7";
   for (std::uint32_t n = 2; n < 8; ++n) {
@@ -637,46 +637,40 @@ std::vector<std::string> make_message_corpus() {
           gossip::encode_message(sync)};
 }
 
-/// Payloads the decoder must refuse whole: each corpus message under a
-/// hostile sender reference — a DEAD, SUSPECT or out-of-range state, an
-/// incarnation past kMaxIncarnation, an empty id or address — and a GGS1
-/// payload, the wire GGS2 replaced.
+/// Payloads the decoder must refuse whole: each corpus message from an
+/// empty or over-cap sender id, and a ping of each wire GGS3 replaced —
+/// GGS2 (a varint magic, then the sender by reference) and GGS1 (the
+/// sender as a full row with metadata).
 std::vector<std::string> make_hostile_messages() {
-  using gossip::MemberEntry;
-  using gossip::MemberState;
-  const std::vector<void (*)(MemberEntry&)> hostile_references = {
-      [](MemberEntry& s) { s.state = MemberState::dead; },
-      [](MemberEntry& s) { s.state = MemberState::suspect; },
-      [](MemberEntry& s) { s.state = static_cast<MemberState>(4); },
-      [](MemberEntry& s) { s.state = static_cast<MemberState>(255); },
-      [](MemberEntry& s) { s.incarnation = gossip::kMaxIncarnation + 1; },
-      [](MemberEntry& s) { s.incarnation = ~std::uint64_t{0}; },
-      [](MemberEntry& s) { s.id.clear(); },
-      [](MemberEntry& s) { s.address.clear(); },
-  };
   std::vector<std::string> out;
   for (const std::string& valid : make_message_corpus()) {
     const auto message = gossip::decode_message(valid);
-    for (const auto& forge : hostile_references) {
+    for (const std::string& id :
+         {std::string(), std::string(gossip::kMaxIdBytes + 1, 'g')}) {
       gossip::Message hostile = *message;
-      forge(hostile.sender);
+      hostile.sender = id;
       out.push_back(gossip::encode_message(hostile));
     }
   }
-  // A GGS1 ping: its magic, then the sender as a full row with metadata.
-  std::string ggs1;
-  net::put_varint(ggs1, 0x31534747);
-  net::put_u8(ggs1, static_cast<std::uint8_t>(gossip::MessageKind::ping));
-  ggs1.append(8, '\0');  // digest
-  net::put_u8(ggs1, 0);   // ALIVE
-  net::put_string(ggs1, "gm0");
-  net::put_string(ggs1, "gm0:8654");
-  net::put_varint(ggs1, 1'062'000'000'000'000ULL);
-  net::put_varint(ggs1, 1);
-  net::put_string(ggs1, "source");
-  net::put_string(ggs1, "gm0");
-  net::put_varint(ggs1, 0);  // no rows
-  out.push_back(ggs1);
+  const auto legacy_ping = [](std::uint64_t magic, bool with_meta) {
+    std::string ping;
+    net::put_varint(ping, magic);
+    net::put_u8(ping, static_cast<std::uint8_t>(gossip::MessageKind::ping));
+    ping.append(8, '\0');  // digest
+    net::put_u8(ping, 0);   // ALIVE
+    net::put_string(ping, "gm0");
+    net::put_string(ping, "gm0:8654");
+    net::put_varint(ping, 1'062'000'000'000'000ULL);
+    if (with_meta) {
+      net::put_varint(ping, 1);
+      net::put_string(ping, "source");
+      net::put_string(ping, "gm0");
+    }
+    net::put_varint(ping, 0);  // no rows
+    return ping;
+  };
+  out.push_back(legacy_ping(0x32534747, false));  // GGS2
+  out.push_back(legacy_ping(0x31534747, true));   // GGS1
   return out;
 }
 
@@ -691,10 +685,10 @@ std::string mutate(Rng& rng, std::string bytes) {
 }
 
 TEST_P(FuzzSeeds, GossipDigestDecoderNeverCrashes) {
-  // Raw bytes, hostile sender references, then valid messages of every
-  // kind mutated every way — flips, truncations at every boundary,
-  // insertions.  decode must accept or fail cleanly, and refuse every
-  // hostile reference whole.
+  // Raw bytes, hostile sender ids and retired wires, then valid messages
+  // of every kind mutated every way — flips, truncations at every
+  // boundary, insertions.  decode must accept or fail cleanly, and refuse
+  // every hostile message whole.
   for (int i = 0; i < 300; ++i) {
     (void)gossip::decode_message(random_bytes(rng_, 300));
     (void)gossip::collect_digest_frames(random_bytes(rng_, 300), 1u << 20);
@@ -737,8 +731,7 @@ TEST_P(FuzzSeeds, GossipAgentAnswersPoisonDigestsWithResync) {
   const std::string victim_id = gossip::GossipSim::name_of(victim);
   auto forged = *sim.agent(victim).member(victim_id);
   gossip::Message lie;
-  lie.sender.id = "evil";
-  lie.sender.address = "evil:8654";
+  lie.sender = "evil";
   lie.rows.push_back(forged);
   for (const auto& [state, incarnation] :
        {std::pair{gossip::MemberState::dead, forged.incarnation},
@@ -777,27 +770,33 @@ TEST_P(FuzzSeeds, GossipAgentAnswersPoisonDigestsWithResync) {
 
   // A message carrying our own id as its sender is refused outright.
   gossip::Message impostor;
-  impostor.sender.id = "gm0";
-  impostor.sender.address = "elsewhere:8654";
+  impostor.sender = "gm0";
   EXPECT_FALSE(
       agent.handle_digest_payload(gossip::encode_message(impostor)).ok());
 
-  // A ping-req for a target we do not hold is nacked, and nothing is
-  // dialed on its say-so.
+  // A ping-req for a target we do not hold is nacked, and a ping with a
+  // differing digest from a sender we do not hold schedules no sync:
+  // nothing is dialed on an untrusted peer's say-so.
   gossip::Message relay;
   relay.kind = gossip::MessageKind::ping_req;
-  relay.sender.id = "evil";
-  relay.sender.address = "evil:8654";
-  relay.target_id = "victim";
-  relay.target_address = "victim:" + std::to_string(1 + rng_.next_below(60000));
+  relay.sender = "evil";
+  relay.digest = rng_.next_u64();
+  relay.target_id = "victim" + std::to_string(rng_.next_below(60000));
   const auto nack = agent.handle_digest_payload(gossip::encode_message(relay));
   ASSERT_TRUE(nack.ok());
   const auto decoded = gossip::decode_message(*nack);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->kind, gossip::MessageKind::nack);
+  gossip::Message ping;
+  ping.sender = "evil";
+  ping.digest = relay.digest;
+  ASSERT_TRUE(agent.handle_digest_payload(gossip::encode_message(ping)).ok());
+  clock.advance_us(kMicrosPerSecond);
+  agent.tick();
   EXPECT_EQ(agent.stats().sends, 0u);
 
-  // Hostile references and the retired GGS1 wire are refused whole.
+  // Hostile sender ids and the retired GGS2 and GGS1 wires are refused
+  // whole.
   for (const std::string& hostile : make_hostile_messages()) {
     EXPECT_FALSE(agent.handle_digest_payload(hostile).ok());
   }

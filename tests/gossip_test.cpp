@@ -2,6 +2,7 @@
 // group simulations (convergence, failure detection under loss, leaves,
 // partitions, churn, restarts) over the in-memory fabric.
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -30,11 +31,11 @@ MemberEntry row(const std::string& id, std::uint64_t incarnation,
   return entry;
 }
 
-/// A ping from a member whose row is news: its reference, and its row in
-/// `rows`, as its first messages after a change carry it.
+/// A ping from a member whose row is news: its id, and its row in `rows`,
+/// as its first messages after a change carry it.
 Message hello(const MemberEntry& sender) {
   Message message;
-  message.sender = sender;
+  message.sender = sender.id;
   message.rows = {sender};
   return message;
 }
@@ -45,11 +46,8 @@ TEST(GossipCodec, RoundTrips) {
   Message ping_req;
   ping_req.kind = MessageKind::ping_req;
   ping_req.digest = 0x0123456789abcdefULL;
-  ping_req.sender = row("core", 1'062'000'000'000'000ULL);
-  ping_req.sender.meta = {
-      {"source", "core"}, {"xml", "core:8651"}, {"parent", "root"}};
+  ping_req.sender = "core";
   ping_req.target_id = "edge";
-  ping_req.target_address = "edge:8654";
   ping_req.rows = {row("a", 3, MemberState::suspect),
                    row("b", kMaxIncarnation),
                    row("c", 9, MemberState::left)};
@@ -58,15 +56,17 @@ TEST(GossipCodec, RoundTrips) {
   Message sync;
   sync.kind = MessageKind::sync;
   sync.digest = ~0ULL;
-  sync.sender = row("core", 7, MemberState::left);
+  sync.sender = "core";
   sync.page_from = "a";
   sync.page_to = "m";
   sync.have = {0, 1, 0x8000000000000000ULL, ~0ULL};
-  sync.rows = {row("b", 2),
+  sync.rows = {row("core", 1'062'000'000'000'000ULL), row("b", 2),
                row("d", kMaxIncarnation - 1, MemberState::suspect)};
+  sync.rows[0].meta = {
+      {"source", "core"}, {"xml", "core:8651"}, {"parent", "root"}};
 
   Message ping;
-  ping.sender = row("core", 1);
+  ping.sender = "core";
   Message ack = ping;
   ack.kind = MessageKind::ack;
   Message nack = ping;
@@ -77,30 +77,28 @@ TEST(GossipCodec, RoundTrips) {
     SCOPED_TRACE(static_cast<int>(sent.kind));
     auto got = decode_message(encode_message(sent));
     ASSERT_TRUE(got.ok()) << got.error().to_string();
-    // The sender travels as a reference: every column but its metadata.
-    EXPECT_TRUE(got->sender.meta.empty());
-    MemberEntry sender = sent.sender;
-    sender.meta.clear();
     EXPECT_EQ(got->kind, sent.kind);
     EXPECT_EQ(got->digest, sent.digest);
+    EXPECT_EQ(got->sender, sent.sender);
     EXPECT_EQ(got->target_id, sent.target_id);
-    EXPECT_EQ(got->target_address, sent.target_address);
     EXPECT_EQ(got->page_from, sent.page_from);
     EXPECT_EQ(got->page_to, sent.page_to);
     EXPECT_EQ(got->have, sent.have);
-    std::vector<MemberEntry> want = {sender};
-    want.insert(want.end(), sent.rows.begin(), sent.rows.end());
-    std::vector<MemberEntry> have = {got->sender};
-    have.insert(have.end(), got->rows.begin(), got->rows.end());
-    ASSERT_EQ(have.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(have[i].id, want[i].id);
-      EXPECT_EQ(have[i].address, want[i].address);
-      EXPECT_EQ(have[i].incarnation, want[i].incarnation);
-      EXPECT_EQ(have[i].state, want[i].state);
-      EXPECT_EQ(have[i].meta, want[i].meta);
+    ASSERT_EQ(got->rows.size(), sent.rows.size());
+    for (std::size_t i = 0; i < sent.rows.size(); ++i) {
+      EXPECT_EQ(got->rows[i].id, sent.rows[i].id);
+      EXPECT_EQ(got->rows[i].address, sent.rows[i].address);
+      EXPECT_EQ(got->rows[i].incarnation, sent.rows[i].incarnation);
+      EXPECT_EQ(got->rows[i].state, sent.rows[i].state);
+      EXPECT_EQ(got->rows[i].meta, sent.rows[i].meta);
     }
   }
+  // Only the id names the sender: a settled ping is the version and kind
+  // bytes, the digest, the id and an empty row count.
+  EXPECT_EQ(encode_message(ping).size(), 1 + 1 + 8 + (1 + 4) + 1);
+  ping_req.rows.clear();
+  EXPECT_EQ(encode_message(ping_req).size(), 1 + 1 + 8 + (1 + 4) + (1 + 4) + 1)
+      << "a ping-req names its target by id alone";
 }
 
 TEST(GossipCodec, LocalVerdictsAreNeverEncoded) {
@@ -136,7 +134,7 @@ TEST(GossipCodec, LocalVerdictsAreNeverEncoded) {
 
   Message sync;
   sync.kind = MessageKind::sync;
-  sync.sender = row("q", 1);
+  sync.sender = "q";
   auto page = agent.handle_digest_payload(encode_message(sync));
   ASSERT_TRUE(page.ok());
   payloads.push_back(*page);
@@ -193,35 +191,53 @@ TEST(GossipCodec, RequestEndFindsEveryDigestAtAnySplit) {
 
 TEST(GossipCodec, RejectsMalformedDigests) {
   Message valid;
-  valid.sender = row("me", 1);
+  valid.sender = "me";
   valid.rows = {row("a", 1)};
   const std::string wire = encode_message(valid);
   ASSERT_TRUE(decode_message(wire).ok());
 
   EXPECT_FALSE(decode_message("").ok());
-  std::string bad_magic = wire;
-  bad_magic[0] = static_cast<char>(bad_magic[0] ^ 0x01);
-  EXPECT_FALSE(decode_message(bad_magic).ok()) << "bad magic";
-
-  std::string magic;
-  net::put_varint(magic, kMessageMagic);
+  for (const char version : {'\0', '\2', '\4', '\xff'}) {
+    std::string other = wire;
+    other[0] = version;
+    EXPECT_FALSE(decode_message(other).ok())
+        << "version " << static_cast<int>(version);
+  }
   for (const char kind : {'\0', '\6'}) {
     std::string unknown = wire;
-    unknown[magic.size()] = kind;
+    unknown[1] = kind;
     EXPECT_FALSE(decode_message(unknown).ok())
         << "unknown kind " << static_cast<int>(kind);
   }
-  // The sender row follows the kind byte and the 8-byte digest.
+  // The sender's id: never empty, and at most kMaxIdBytes.
+  Message no_sender = valid;
+  no_sender.sender.clear();
+  EXPECT_FALSE(decode_message(encode_message(no_sender)).ok()) << "empty id";
+  Message long_sender = valid;
+  long_sender.sender.assign(kMaxIdBytes, 's');
+  EXPECT_TRUE(decode_message(encode_message(long_sender)).ok());
+  long_sender.sender.push_back('s');
+  EXPECT_FALSE(decode_message(encode_message(long_sender)).ok())
+      << "id over cap";
+  // A GGS2 ping, the wire GGS3 replaced: a varint magic, then its sender
+  // by reference (state, id, address, incarnation).
+  std::string ggs2;
+  net::put_varint(ggs2, 0x32534747);
+  net::put_u8(ggs2, static_cast<std::uint8_t>(MessageKind::ping));
+  ggs2.append(8, '\0');
+  net::put_u8(ggs2, 0);
+  net::put_string(ggs2, "me");
+  net::put_string(ggs2, "me:8654");
+  net::put_varint(ggs2, 1);
+  net::put_varint(ggs2, 0);
+  EXPECT_FALSE(decode_message(ggs2).ok()) << "a GGS2 payload";
+
+  // The first row's state byte follows the version and kind bytes, the
+  // 8-byte digest, the sender's id and the row count.
   std::string bad_state = wire;
-  bad_state[magic.size() + 9] = '\4';
+  bad_state[2 + 8 + 3 + 1] = '\4';
   EXPECT_FALSE(decode_message(bad_state).ok()) << "unknown state";
 
-  for (const MemberState doubt : {MemberState::suspect, MemberState::dead}) {
-    Message self_doubt = valid;
-    self_doubt.sender.state = doubt;
-    EXPECT_FALSE(decode_message(encode_message(self_doubt)).ok())
-        << "a sender speaks for itself only as ALIVE or LEFT";
-  }
   // Rows that may not travel: DEAD is a local verdict, and no row may pass
   // the top of the range or leave a doubt's subject no room to refute it.
   struct Forged {
@@ -241,9 +257,9 @@ TEST(GossipCodec, RejectsMalformedDigests) {
   }
   Message no_id = valid;
   no_id.rows[0].id.clear();
-  EXPECT_FALSE(decode_message(encode_message(no_id)).ok()) << "empty id";
+  EXPECT_FALSE(decode_message(encode_message(no_id)).ok()) << "empty row id";
   Message no_address = valid;
-  no_address.sender.address.clear();
+  no_address.rows[0].address.clear();
   EXPECT_FALSE(decode_message(encode_message(no_address)).ok())
       << "empty address";
   Message no_target = valid;
@@ -499,15 +515,18 @@ TEST(MemberTable, RefutesStaleNewsOfItself) {
 // -------------------------------------------------------- agent, serving
 
 TEST(GossipAgent, PingReqForAnUnknownTargetIsNackedWithoutADial) {
+  // A ping-req names its target by id alone: the relay pings only a member
+  // it holds, at the address it holds, and never an address the requester
+  // names.
   sim::SimClock clock;
   net::InMemTransport fabric;
-  int dials = 0;
-  const auto count_dial = [&](std::string_view) -> Result<std::string> {
-    ++dials;
-    return std::string();
-  };
-  fabric.register_service("victim:1", count_dial);
-  fabric.register_service("b:8654", count_dial);
+  std::map<std::string, int> dials;
+  for (const std::string address : {"victim:1", "b:8654"}) {
+    fabric.register_service(address, [&, address](std::string_view) {
+      ++dials[address];
+      return Result<std::string>(std::string());
+    });
+  }
   AgentOptions opts;
   opts.id = "me";
   opts.address = "me:8654";
@@ -520,26 +539,29 @@ TEST(GossipAgent, PingReqForAnUnknownTargetIsNackedWithoutADial) {
     EXPECT_TRUE(decoded.ok()) << decoded.error().to_string();
     return decoded->kind;
   };
-  const auto ask = [&](const std::string& id, const std::string& address) {
+  const auto ask = [&](const std::string& id,
+                       std::vector<MemberEntry> rows = {}) {
     Message request;
     request.kind = MessageKind::ping_req;
-    request.sender = row("q", 1);
+    request.sender = "q";
     request.target_id = id;
-    request.target_address = address;
+    request.rows = std::move(rows);
     return send(request);
   };
 
-  EXPECT_EQ(ask("victim", "victim:1"), MessageKind::nack) << "unknown member";
-  ASSERT_EQ(send(hello(row("b", 1))), MessageKind::ack);
-  EXPECT_EQ(ask("b", "victim:1"), MessageKind::nack)
-      << "a member we hold, but at another address";
-  EXPECT_EQ(dials, 0);
+  EXPECT_EQ(ask("victim"), MessageKind::nack) << "unknown member";
+  EXPECT_EQ(ask("me"), MessageKind::ack) << "we answer for ourselves";
   EXPECT_EQ(agent.stats().sends, 0u) << "nothing may be dialed";
+  ASSERT_EQ(send(hello(row("b", 1))), MessageKind::ack);
 
-  // At the address we hold, the request is honoured (and b's junk answer
-  // is a failed probe).
-  EXPECT_EQ(ask("b", "b:8654"), MessageKind::nack);
-  EXPECT_EQ(dials, 1);
+  // A stale row naming another address for b changes nothing we hold, so
+  // the relay pings b at b:8654 (and b's junk answer is a failed probe).
+  MemberEntry elsewhere = row("b", 1);
+  elsewhere.address = "victim:1";
+  EXPECT_EQ(ask("b", {elsewhere}), MessageKind::nack);
+  EXPECT_EQ(agent.member("b")->address, "b:8654");
+  EXPECT_EQ(dials["b:8654"], 1);
+  EXPECT_EQ(dials["victim:1"], 0) << "an address the requester names";
 }
 
 TEST(GossipAgent, RelaysOnePingReqAtATime) {
@@ -561,9 +583,8 @@ TEST(GossipAgent, RelaysOnePingReqAtATime) {
   const auto ask = [&](const std::string& id) {
     Message request;
     request.kind = MessageKind::ping_req;
-    request.sender = row("q", 1);
+    request.sender = "q";
     request.target_id = id;
-    request.target_address = id + ":8654";
     return send(request);
   };
   for (const std::string id : {"b", "c"}) {
@@ -576,7 +597,7 @@ TEST(GossipAgent, RelaysOnePingReqAtATime) {
     meanwhile = ask("c");  // arrives while our relay to b is in flight
     Message ack;
     ack.kind = MessageKind::ack;
-    ack.sender = row("b", 1);
+    ack.sender = "b";
     std::string framed;
     put_digest_frames(framed, encode_message(ack), 64u << 10);
     return Result<std::string>(framed);
@@ -593,14 +614,14 @@ TEST(GossipAgent, RelaysOnePingReqAtATime) {
   EXPECT_EQ(c_dials, 1) << "once the relay is done, the next is honoured";
 }
 
-TEST(GossipAgent, ReferencesAreNeverMergedButSyncAtTheirAddress) {
-  // A message names its sender by reference, which no receiver merges.  A
-  // reference that matches no row we hold shows up as a digest mismatch,
-  // and the sync that repairs it dials the address the reference names.
+TEST(GossipAgent, DigestMismatchesSyncOnlyAtHeldAddresses) {
+  // A message names its sender by id alone.  A digest mismatch in a request
+  // syncs only with a member we hold, at the address we hold; a member we
+  // do not hold is learnt from the row its sync request carries.
   sim::SimClock clock;
   net::InMemTransport fabric;
   std::vector<std::pair<std::string, MessageKind>> dialled;
-  for (const std::string address : {"q:8654", "b:8654", "b:9654"}) {
+  for (const std::string address : {"q:8654", "q:9654", "b:8654"}) {
     fabric.register_service(
         address, [&, address](std::string_view request) -> Result<std::string> {
           auto payload = collect_digest_frames(request, kMaxDigestBytes);
@@ -624,35 +645,56 @@ TEST(GossipAgent, ReferencesAreNeverMergedButSyncAtTheirAddress) {
     agent.tick();
   };
 
-  // An unknown member's reference.
+  // A ping from a member we never heard of, with a differing digest: no
+  // address of it is held, so nothing is dialed.
   Message unknown;
-  unknown.sender = row("q", 1);
-  unknown.digest = row_hash(unknown.sender);
+  unknown.sender = "q";
+  unknown.digest = row_hash(row("q", 1));
   ASSERT_TRUE(agent.handle_digest_payload(encode_message(unknown)).ok());
-  EXPECT_FALSE(agent.member("q").has_value()) << "a reference is no join";
+  EXPECT_FALSE(agent.member("q").has_value());
   tick();
-  EXPECT_EQ(syncs_to("q:8654"), 1);
+  EXPECT_TRUE(dialled.empty()) << "a ping names no address to dial";
+  EXPECT_EQ(agent.stats().sends, 0u);
+
+  // q's sync request carries its row; the request shows a version we lack,
+  // so we pull back, at the address that row names.
+  MemberEntry q = row("q", 1);
+  q.address = "q:9654";
+  Message sync;
+  sync.kind = MessageKind::sync;
+  sync.sender = "q";
+  sync.have = {row_hash(q), row_hash(row("x", 1))};
+  sync.rows = {q};
+  ASSERT_TRUE(agent.handle_digest_payload(encode_message(sync)).ok());
+  ASSERT_EQ(agent.member("q")->address, "q:9654");
+  tick();
+  EXPECT_EQ(syncs_to("q:9654"), 1);
+  EXPECT_EQ(syncs_to("q:8654"), 0);
 
   // A member we hold, whose row arrived while it was news; its digest
-  // then matches ours, and nothing is synced.
+  // then matches ours, and nothing is synced.  Later its digest says it
+  // holds a version we lack: the sync dials the address we hold.
   Message joined = hello(row("b", 1));
-  joined.digest = row_hash(*agent.member("me")) ^ row_hash(row("b", 1));
+  joined.digest = row_hash(row("b", 1));
+  for (const MemberEntry& member : agent.members()) {
+    joined.digest ^= row_hash(member);
+  }
   ASSERT_TRUE(agent.handle_digest_payload(encode_message(joined)).ok());
-  ASSERT_EQ(agent.member("b")->incarnation, 1u);
-
-  // Its reference at a newer incarnation and a new address.
   Message newer;
-  newer.sender = row("b", 5);
-  newer.sender.address = "b:9654";
-  newer.digest = row_hash(newer.sender) ^ row_hash(*agent.member("me"));
+  newer.sender = "b";
+  newer.digest = row_hash(row("b", 5));
   ASSERT_TRUE(agent.handle_digest_payload(encode_message(newer)).ok());
-  const auto held = agent.member("b");
-  ASSERT_TRUE(held.has_value());
-  EXPECT_EQ(held->incarnation, 1u) << "a reference is never merged";
-  EXPECT_EQ(held->address, "b:8654");
+  EXPECT_EQ(agent.member("b")->incarnation, 1u);
   tick();
-  EXPECT_EQ(syncs_to("b:9654"), 1) << "the sync dials the reference's address";
-  EXPECT_EQ(syncs_to("b:8654"), 0);
+  EXPECT_EQ(syncs_to("b:8654"), 1) << "the sync dials the held address";
+
+  // Once b has left, its mismatches schedule nothing.
+  Message left = hello(row("b", 1, MemberState::left));
+  left.digest = newer.digest;
+  ASSERT_TRUE(agent.handle_digest_payload(encode_message(left)).ok());
+  ASSERT_EQ(agent.member("b")->state, MemberState::left);
+  tick();
+  EXPECT_EQ(syncs_to("b:8654"), 0) << "a member held LEFT";
 }
 
 // ------------------------------------------------------- group simulations
@@ -937,15 +979,13 @@ void expect_identical_views(const GossipSim& sim) {
   }
 }
 
-/// One message carrying member `i`'s whole table, metadata included.
+/// One message from member `i` carrying the rest of its table, metadata
+/// included.
 std::uint64_t full_table_bytes(GossipSim& sim, std::size_t i) {
   Message table;
+  table.sender = GossipSim::name_of(i);
   for (const MemberEntry& member : sim.agent(i).members()) {
-    if (member.id == GossipSim::name_of(i)) {
-      table.sender = member;
-    } else {
-      table.rows.push_back(member);
-    }
+    if (member.id != table.sender) table.rows.push_back(member);
   }
   return encode_message(table).size();
 }
@@ -979,7 +1019,7 @@ TEST(GossipDeltaSim, ConvergesLikeTextModeAndSendsDeltas) {
   // their metadata blocks, in both directions.
   const std::uint64_t table_bytes = full_table_bytes(sim, 0);
 
-  // Steady state: each message names only its sender, by reference.
+  // Steady state: each message names only its sender, by id.
   const std::uint64_t before = sim.total_bytes_out();
   const std::uint64_t sends_before = sum_of(sim, &AgentStats::sends);
   for (int i = 0; i < 10; ++i) sim.run_round();
@@ -994,8 +1034,7 @@ TEST(GossipDeltaSim, ConvergesLikeTextModeAndSendsDeltas) {
 
 TEST(GossipDeltaSim, SteadyStateCostIsLinearInGroupSize) {
   // A settled group moves no rows: every message names only its sender,
-  // by reference, so bytes per member per round do not grow with the
-  // group.
+  // by id, so bytes per member per round do not grow with the group.
   const auto steady_cost = [](std::size_t members) {
     GossipSimOptions options;
     options.members = members;
@@ -1020,11 +1059,11 @@ TEST(GossipDeltaSim, SteadyStateCostIsLinearInGroupSize) {
   EXPECT_NEAR(at128, at64, 0.1 * at64)
       << "bytes per member per round: " << at64 << " at 64 members, " << at128
       << " at 128";
-  // A settled message names its sender by reference and carries no row:
-  // a ping and its ack, plus a seed probe every few rounds, stay far
-  // below one metadata-bearing row each.
+  // A settled message names its sender by id and carries no row: a ping
+  // and its ack, plus a seed probe every few rounds, stay below one
+  // metadata-bearing row.
   for (const double cost : {at64, at128}) {
-    EXPECT_LE(cost, 120.0) << "bytes per member per round: " << at64
+    EXPECT_LE(cost, 60.0) << "bytes per member per round: " << at64
                            << " at 64 members, " << at128 << " at 128";
   }
 }

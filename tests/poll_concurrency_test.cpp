@@ -200,7 +200,7 @@ TEST(PollConcurrency, PruneVsPollStress) {
 
   // Let every join lapse, then confirm pruning converged: only the static
   // sources remain and their data is still being served.
-  clock.advance_seconds(config.join_expiry_s + 31);
+  clock.advance_seconds(static_cast<double>(config.join_expiry_s + 31));
   node.poll_once();
   EXPECT_EQ(node.joins().children().size(), 0u);
   EXPECT_EQ(node.sources().size(), kStatic);
